@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import TruncationError
+from .errors import ContinuityError, TruncationError
 
 Lattice = Tuple[int, int]
 
@@ -89,7 +89,12 @@ def sigma(cocycle, s: float, g1: Lattice, g2: Lattice) -> complex:
 
 
 class AlgebraElement:
-    """Finitely supported complex coefficient map on Z^2."""
+    """Finitely supported complex coefficient map on Z^2.
+
+    Elements of the twisted algebra and Fourier symbols on the torus (the
+    subclass ``toeplitz.TrigPolynomial``) share this one representation;
+    methods that build new maps return the class of ``self``.
+    """
 
     __slots__ = ("_terms",)
 
@@ -136,20 +141,17 @@ class AlgebraElement:
         out = dict(self._terms)
         for g, z in other._terms.items():
             out[g] = out.get(g, 0.0) + z
-        return AlgebraElement(out)
+        return type(self)(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self._terms)
-        for g, z in other._terms.items():
-            out[g] = out.get(g, 0.0) - z
-        return AlgebraElement(out)
+        return self + other.scale(-1.0)
 
     def scale(self, z: complex) -> "AlgebraElement":
-        return AlgebraElement({g: z * c for g, c in self._terms.items()})
+        return type(self)({g: z * c for g, c in self._terms.items()})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{g}: {z:.6g}" for g, z in sorted(self._terms.items()))
-        return f"AlgebraElement({{{body}}})"
+        return f"{type(self).__name__}({{{body}}})"
 
     def to_json(self) -> str:
         """Canonical serialization: lexicographic (n, m) records."""
@@ -165,14 +167,31 @@ class AlgebraElement:
         return cls({(r["n"], r["m"]): complex(r["re"], r["im"]) for r in records})
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement, cocycle, s: float) -> AlgebraElement:
-    """Twisted convolution: bilinear extension of the basis product rule."""
+def convolve(a: AlgebraElement, b: AlgebraElement, weight) -> AlgebraElement:
+    """Weighted convolution ``sum weight(g1, g2) a(g1) b(g2) [g1 + g2]``.
+
+    The one product loop on coefficient maps: the twisted product, the
+    pointwise product of symbols and the bilinear symbol pairings differ
+    only in the pair weight.  Returns the class of ``a``.
+    """
     out: Dict[Lattice, complex] = {}
     for g1, z1 in a._terms.items():
         for g2, z2 in b._terms.items():
             g = compose(g1, g2)
-            out[g] = out.get(g, 0.0) + z1 * z2 * sigma(cocycle, s, g1, g2)
-    return AlgebraElement(out)
+            out[g] = out.get(g, 0.0) + z1 * z2 * weight(g1, g2)
+    return type(a)(out)
+
+
+def reflect(a: AlgebraElement, phase) -> AlgebraElement:
+    """Antilinear reflection ``sum conj(a(g)) phase(g) [g^{-1}]``."""
+    return type(a)(
+        {inverse(g): z.conjugate() * phase(g) for g, z in a._terms.items()}
+    )
+
+
+def multiply(a: AlgebraElement, b: AlgebraElement, cocycle, s: float) -> AlgebraElement:
+    """Twisted convolution: bilinear extension of the basis product rule."""
+    return convolve(a, b, lambda g1, g2: sigma(cocycle, s, g1, g2))
 
 
 def involution(a: AlgebraElement, cocycle, s: float) -> AlgebraElement:
@@ -181,12 +200,7 @@ def involution(a: AlgebraElement, cocycle, s: float) -> AlgebraElement:
     Since ``[g][g^{-1}] = sigma(g, g^{-1}) [e]`` and ``[e] = 1`` for a
     normalized cocycle, ``[g]* = sigma(g, g^{-1})^{-1} [g^{-1}]``.
     """
-    out: Dict[Lattice, complex] = {}
-    for g, z in a._terms.items():
-        gi = inverse(g)
-        phase = sigma(cocycle, s, g, gi)
-        out[gi] = out.get(gi, 0.0) + z.conjugate() / phase
-    return AlgebraElement(out)
+    return reflect(a, lambda g: sigma(cocycle, s, g, inverse(g)).conjugate())
 
 
 def trace(a: AlgebraElement, cocycle, s: float) -> complex:
@@ -270,7 +284,7 @@ def norm_profile(
     if continuity_threshold is not None:
         for (s0, n0), (s1, n1) in zip(profile, profile[1:]):
             if abs(n1 - n0) > continuity_threshold:
-                raise ValueError(
+                raise ContinuityError(
                     "norm jump %.3g between s=%g and s=%g exceeds threshold %.3g"
                     % (abs(n1 - n0), s0, s1, continuity_threshold)
                 )

@@ -2,12 +2,15 @@
 
 Every subcommand wraps public operations of the library, emits CSV for
 sweeps and JSON for scalar reports, and tags each output row with the claim
-it checks.  Outputs are deterministic for a fixed invocation: sweeps run in
-a thread pool (capped by QUANTLAB_THREADS) but results are merged in input
-order, and floats are serialized with shortest round-trip repr.
+it checks.  Outputs are deterministic for a fixed invocation: sweeps run
+serially in input order, and floats are serialized with shortest
+round-trip repr.
 
-Exit codes: 0 success, 1 a numerical check failed (a machine-readable
-failure record is printed), 2 usage or configuration error.
+Exit codes: 0 success; 1 a numerical check or solver failed, with a
+``{"status": "failed", ...}`` record on stdout; 2 a usage or configuration
+error (a bad option value or an unreadable input file), with a
+``usage-error`` or ``config-error`` record on stdout; argparse prints its own
+message for malformed command lines.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import algebra, cocycle, sections, surface_index, toeplitz
 from .dolbeault import build_dolbeault, spectral_report, weitzenbock_residual
@@ -63,15 +66,6 @@ OPERATION_COVERAGE = {
     "surface_index.natsume_nest_trace": "index",
     "surface_index.numeric_index_crosscheck": "index",
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("QUANTLAB_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError:
-        raise ConfigError(f"QUANTLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, cap)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -297,10 +291,7 @@ def _cmd_toeplitz_sweep(args) -> int:
     f = _load_symbol(fname)
     g = _load_symbol(gname)
     flux_values = _subsample(_parse_range(args.N), args.samples)
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        cells = list(
-            pool.map(lambda n: _sweep_cell(f, g, n, args.grid_rule), flux_values)
-        )
+    cells = [_sweep_cell(f, g, n, args.grid_rule) for n in flux_values]
     rows = []
     for claim in (
         "product-defect-decay",
@@ -482,8 +473,6 @@ def _apply_config(args, parser) -> None:
             value, (int, float)
         ):
             raise ConfigError(f"config key {key!r} must be a number")
-        if dest in ("slack",) and value <= 0:
-            raise ConfigError(f"config key {key!r} must be positive")
         setattr(args, dest, value)
 
 
@@ -498,12 +487,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_json(None, {"status": "config-error", "message": str(exc)})
         return 2
-    except QuantLabError as exc:
-        _emit_json(
-            None,
-            {"status": "failed", "error": type(exc).__name__, "message": str(exc)},
-        )
-        return 1
+    except (QuantLabError, ArpackNoConvergence) as exc:
+        return _report_error("failed", exc, 1)
+    except (ValueError, OSError) as exc:
+        # a bad option value or an unreadable input file, not a failed check
+        return _report_error("usage-error", exc, 2)
+
+
+def _report_error(status: str, exc: Exception, code: int) -> int:
+    record = {"status": status, "error": type(exc).__name__, "message": str(exc)}
+    _emit_json(None, record)
+    return code
 
 
 if __name__ == "__main__":

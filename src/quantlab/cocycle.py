@@ -292,27 +292,16 @@ def cocycle_table(A: OneForm, radius: int) -> TabulatedCocycle:
     """Tabulate the derived cocycle on pairs from the ball of radius 2R.
 
     The doubled domain keeps the additive cocycle identity evaluable for all
-    triples with entries in the radius-R ball.  Constancy of the defining
-    combination is spot-checked on a few pairs; the remaining entries are
-    evaluated at two points and cross-checked.
+    triples with entries in the radius-R ball.  Values and their constancy
+    checks come from ``cocycle_grid`` on that domain.
     """
     if exterior_derivative(A).degree() > 0:
         raise ExactnessError("potential curvature is not constant")
-    pair_domain = ball_points(2 * radius)
-    phis = {g: solve_phi(A, g) for g in ball_points(4 * radius)}
-    x0, y0 = 0.37, -0.61  # generic evaluation point
-    table = {}
-    for g1 in pair_domain:
-        p1 = phis[g1]
-        for g2 in pair_domain:
-            p2 = phis[g2]
-            p12 = phis[compose(g1, g2)]
-            n2, m2 = g2
-            value = p2(x0, y0) + p1(x0 + n2, y0 + m2) - p12(x0, y0)
-            at_origin = p1(float(n2), float(m2))  # combination at (0,0); phi(0,0)=0
-            if abs(value - at_origin) > 1e-10:
-                raise CocycleConsistencyError(
-                    f"combination not constant for {(g1, g2)}"
-                )
-            table[(g1, g2)] = at_origin
-    return TabulatedCocycle(table)
+    points, values, _ = cocycle_grid(A, 2 * radius)
+    return TabulatedCocycle(
+        {
+            (g1, g2): values[i, j]
+            for i, g1 in enumerate(points)
+            for j, g2 in enumerate(points)
+        }
+    )

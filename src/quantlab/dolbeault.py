@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -49,8 +48,6 @@ from .errors import GapBoundError, IndeterminateKernelError, ResolutionError
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
 
 GAUGES = ("landau", "symmetric-periodic")
-
-_DENSE_LIMIT = 1100  # matrix dimension below which dense eigensolves are used
 
 _SPECTRAL_GRID_LIMIT = 48  # fluxless operator is dense; cap its grid
 
@@ -178,28 +175,6 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
     return DolbeaultPair(dplus=dplus, n_flux=n_flux, grid=grid, gauge=gauge)
 
 
-def _lowest_eigenpairs(H: sp.csr_matrix, k: int):
-    """Lowest-k eigenpairs of a Hermitian PSD sparse matrix, ascending."""
-    dim = H.shape[0]
-    k = min(k, dim - 2) if dim > 2 else 1
-    if dim <= _DENSE_LIMIT:
-        vals, vecs = sla.eigh(H.toarray())
-        return vals[:k], vecs[:, :k]
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals, vecs = spla.eigsh(H, k=k, sigma=-1.0, which="LM", v0=v0, tol=1e-12)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
-
-
-def _largest_eigenvalue(H: sp.csr_matrix) -> float:
-    dim = H.shape[0]
-    if dim <= _DENSE_LIMIT:
-        return float(sla.eigh(H.toarray(), eigvals_only=True)[-1])
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals = spla.eigsh(H, k=1, which="LA", v0=v0, return_eigenvectors=False, tol=1e-9)
-    return float(vals[0])
-
-
 _SVD_DENSE_LIMIT = 2400  # one-sided dense SVD bound; beyond it, normal equations
 
 
@@ -223,9 +198,15 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         vecs = vh.conj().T[:, ::-1][:, :k].copy()
     else:
         H = (pair.dplus.getH() @ pair.dplus).tocsr()
-        sigma_max = math.sqrt(max(_largest_eigenvalue(H), 0.0))
-        vals, vecs = _lowest_eigenpairs(H, k)
-        svals = np.sqrt(np.clip(vals, 0.0, None))
+        v0 = np.full(pair.dim, 1.0 / math.sqrt(pair.dim))
+        top = spla.eigsh(
+            H, k=1, which="LA", v0=v0, return_eigenvectors=False, tol=1e-9
+        )
+        sigma_max = math.sqrt(max(float(top[0]), 0.0))
+        vals, vecs = spla.eigsh(H, k=k, sigma=-1.0, which="LM", v0=v0, tol=1e-12)
+        order = np.argsort(vals)
+        svals = np.sqrt(np.clip(vals[order], 0.0, None))
+        vecs = vecs[:, order]
     svals.flags.writeable = False
     vecs.flags.writeable = False
     return sigma_max, svals, vecs
@@ -276,31 +257,34 @@ def spectral_report(
     continuum gap is CURVATURE_SCALE * N, far above that bound, so the
     slack only absorbs discretization error.
     """
+    if slack <= 0:
+        raise ValueError("slack must be positive")
     n = pair.n_flux
     dim_kernel = kernel_dimension(pair, tol)
     sigma_max, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     threshold = (tol * sigma_max) ** 2
-    k = max(2 * dim_kernel + 6, 8)
-    h1 = (pair.dplus @ pair.dplus.getH()).tocsr()
-    vals1, _ = _lowest_eigenpairs(h1, k)
-    coker_dim = int(np.count_nonzero(vals1 < threshold))
-    nonzero1 = vals1[vals1 >= threshold]
-    if nonzero1.size == 0:
+    # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
+    # of zero included: the one factorization serves both degrees
+    vals = svals0**2
+    coker_dim = int(np.count_nonzero(vals < threshold))
+    nonzero = vals[vals >= threshold]
+    if nonzero.size == 0:
         raise GapBoundError("no nonzero degree-1 spectrum resolved")
-    gap = float(nonzero1[0])
+    gap = float(nonzero[0])
     bound = n * (1.0 - slack)
     if n > 0 and gap < bound:
         raise GapBoundError(f"degree-1 gap {gap:.6g} below curvature bound {bound:.6g}")
     sigma_min_nonzero = float(svals0[dim_kernel])
     parametrix = gap ** (-0.5) if gap > 0 else math.inf
+    spectrum = tuple(float(v) for v in vals)
     return SpectralReport(
         kernel_dim=dim_kernel,
         coker_dim=coker_dim,
         sigma_min_nonzero=sigma_min_nonzero,
         gap_degree1=gap,
         parametrix_norm=parametrix,
-        spectrum_degree0=tuple(float(v * v) for v in svals0),
-        spectrum_degree1=tuple(float(v) for v in vals1),
+        spectrum_degree0=spectrum,
+        spectrum_degree1=spectrum,
     )
 
 

@@ -45,5 +45,9 @@ class IndexViolationError(QuantLabError):
     """Numerical kernel dimension disagrees with the index formula."""
 
 
+class ContinuityError(QuantLabError, ValueError):
+    """Adjacent values of a norm profile jump by more than the threshold."""
+
+
 class ConfigError(QuantLabError):
     """Run configuration failed validation."""

@@ -8,8 +8,8 @@ orthonormal in the grid inner product this is ``Theta^* diag(f) Theta``.
 Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
 * Poisson bracket {f, g} = (f_y g_x - f_x g_y) / (2 pi);
-* first-order product correction G(f, g) = (1/pi) f_z g_zbar, normalized by
-  the antisymmetrization identity G(f, g) - G(g, f) = -i {f, g};
+* first-order product correction G(f, g) = -(1/pi) f_z g_zbar, normalized by
+  the antisymmetrization identity G(f, g) - G(g, f) = i {f, g};
 * the semiclassical parameter is the flux N, playing 1/hbar.
 """
 
@@ -19,68 +19,38 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
+from .algebra import AlgebraElement, convolve, reflect
 from .dolbeault import build_dolbeault, kernel_basis
 from .errors import DegenerateToeplitzError, DependencyError
 
-Mode = Tuple[int, int]
 
+class TrigPolynomial(AlgebraElement):
+    """Fourier symbol: a coefficient map on Z^2 read as modes (j, k) on the torus."""
 
-class TrigPolynomial:
-    """Finitely supported Fourier coefficient map on Z^2."""
+    __slots__ = ()
 
-    __slots__ = ("modes",)
-
-    def __init__(self, modes: Mapping[Mode, complex] | None = None):
-        clean: Dict[Mode, complex] = {}
-        if modes:
-            for (j, k), c in modes.items():
-                z = complex(c)
-                if z != 0:
-                    clean[(int(j), int(k))] = clean.get((int(j), int(k)), 0.0) + z
-        self.modes = {m: z for m, z in clean.items() if z != 0}
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        out = dict(self.modes)
-        for m, z in other.modes.items():
-            out[m] = out.get(m, 0.0) + z
-        return TrigPolynomial(out)
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        out = dict(self.modes)
-        for m, z in other.modes.items():
-            out[m] = out.get(m, 0.0) - z
-        return TrigPolynomial(out)
+    modes = AlgebraElement.terms
 
     def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        out: Dict[Mode, complex] = {}
-        for (j1, k1), z1 in self.modes.items():
-            for (j2, k2), z2 in other.modes.items():
-                m = (j1 + j2, k1 + k2)
-                out[m] = out.get(m, 0.0) + z1 * z2
-        return TrigPolynomial(out)
-
-    def scale(self, z: complex) -> "TrigPolynomial":
-        return TrigPolynomial({m: z * c for m, c in self.modes.items()})
+        """Pointwise product of symbols: the untwisted convolution of modes."""
+        return convolve(self, other, lambda m1, m2: 1.0)
 
     def conj(self) -> "TrigPolynomial":
-        return TrigPolynomial({(-j, -k): c.conjugate() for (j, k), c in self.modes.items()})
+        return reflect(self, lambda m: 1.0)
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        for (j, k), c in self.modes.items():
-            if abs(c - self.modes.get((-j, -k), 0.0).conjugate()) > tol:
-                return False
-        return True
+        return all(
+            abs(c - self.coefficient((-j, -k)).conjugate()) <= tol
+            for (j, k), c in self._terms.items()
+        )
 
     def mean(self) -> complex:
-        return self.modes.get((0, 0), 0.0)
-
-    def sup_norm_bound(self) -> float:
-        return sum(abs(c) for c in self.modes.values())
+        return self.coefficient((0, 0))
 
     def sample(self, grid: int) -> np.ndarray:
         """Values on the M x M grid x = j/M, y = k/M, flattened x-major."""
@@ -88,13 +58,9 @@ class TrigPolynomial:
         x = coords[:, None]
         y = coords[None, :]
         out = np.zeros((grid, grid), dtype=complex)
-        for (j, k), c in self.modes.items():
+        for (j, k), c in self._terms.items():
             out += c * np.exp(2j * math.pi * (j * x + k * y))
         return out.ravel()
-
-
-def fourier_mode(j: int, k: int, coeff: complex = 1.0) -> TrigPolynomial:
-    return TrigPolynomial({(j, k): coeff})
 
 
 NAMED_SYMBOLS = {
@@ -119,15 +85,9 @@ def named_symbol(name: str) -> TrigPolynomial:
 
 def poisson_bracket(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     """{f, g} = (f_y g_x - f_x g_y) / (2 pi); mode pair weight 2 pi (j k' - k j')."""
-    out: Dict[Mode, complex] = {}
-    for (j1, k1), z1 in f.modes.items():
-        for (j2, k2), z2 in g.modes.items():
-            w = 2.0 * math.pi * (j1 * k2 - k1 * j2)
-            if w == 0.0:
-                continue
-            m = (j1 + j2, k1 + k2)
-            out[m] = out.get(m, 0.0) + w * z1 * z2
-    return TrigPolynomial(out)
+    return convolve(
+        f, g, lambda m1, m2: 2.0 * math.pi * (m1[0] * m2[1] - m1[1] * m2[0])
+    )
 
 
 def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
@@ -139,16 +99,10 @@ def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     O(N^-2) decay of the corrected defects (the wrong sign decays only one
     order slower).
     """
-    out: Dict[Mode, complex] = {}
-    for (j1, k1), z1 in f.modes.items():
-        for (j2, k2), z2 in g.modes.items():
-            # d/dz of e^{2pi i(jx+ky)} multiplies by pi i (j - i k); d/dzbar by pi i (j + i k)
-            w = math.pi * (j1 - 1j * k1) * (j2 + 1j * k2)
-            if w == 0.0:
-                continue
-            m = (j1 + j2, k1 + k2)
-            out[m] = out.get(m, 0.0) + w * z1 * z2
-    return TrigPolynomial(out)
+    # d/dz of e^{2pi i(jx+ky)} multiplies by pi i (j - i k); d/dzbar by pi i (j + i k)
+    return convolve(
+        f, g, lambda m1, m2: math.pi * (m1[0] - 1j * m1[1]) * (m2[0] + 1j * m2[1])
+    )
 
 
 @dataclass(frozen=True)
@@ -316,6 +270,8 @@ def heisenberg_generator_check(s: float, truncation: int = 60) -> dict:
     """
     if s <= 0:
         raise ValueError("width parameter s must be positive")
+    if truncation < 1:
+        raise ValueError("ladder truncation must be >= 1")
     a = _ladder(truncation)
     ad = a.conj().T
     root = math.sqrt(math.pi * s)
@@ -333,7 +289,7 @@ def heisenberg_generator_check(s: float, truncation: int = 60) -> dict:
         @ sla.expm(1j * x / s)
     )
     scalar = complex(wmat[0, 0])
-    block = 10
+    block = min(10, truncation)
     deviation = _opnorm(wmat[:block, :block] - scalar * np.eye(block))
 
     # zero mode on a grid patch, spectral differentiation

@@ -80,6 +80,20 @@ def clock_shift_scalar(n_flux: int) -> float:
     return math.exp(-math.pi / (2.0 * n_flux))
 
 
+def fft_partials(values):
+    """Partial derivatives (f_x, f_y) of torus samples, by FFT.
+
+    ``values[j, k]`` is f(j/M, k/M) on the M x M grid; the result is exact
+    to roundoff for trigonometric polynomials whose modes stay below M/2.
+    """
+    grid = values.shape[0]
+    freq = 2j * math.pi * np.fft.fftfreq(grid, d=1.0 / grid)
+    spectrum = np.fft.fft2(values)
+    fx = np.fft.ifft2(freq[:, None] * spectrum)
+    fy = np.fft.ifft2(freq[None, :] * spectrum)
+    return fx, fy
+
+
 def cyclic_shift(n: int) -> np.ndarray:
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):

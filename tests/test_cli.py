@@ -1,8 +1,10 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from quantlab import algebra, cocycle, dolbeault, sections, surface_index, toeplitz
 from quantlab.cli import OPERATION_COVERAGE, build_parser, main
@@ -139,3 +141,59 @@ def test_failure_record_on_bad_spectral_request(capsys):
     assert code == 1
     assert out["status"] == "failed"
     assert out["error"] == "ResolutionError"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["weyl", "--N", "1"], "ValueError"),
+        (["bargmann", "--s", "-1"], "ValueError"),
+        (["heisenberg", "--truncation", "0"], "ValueError"),
+        (["toeplitz-sweep", "--fg", "no-such-symbol,cos2piy"], "FileNotFoundError"),
+    ],
+)
+def test_invalid_option_value_exits_2_with_record(argv, error, capsys):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "usage-error"
+    assert out["error"] == error
+
+
+def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):
+    argv = ["spectral", "--n-flux", "1", "--grid", "16"]
+    assert main(argv + ["--slack", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"slack": 0}))
+    assert main(["--config", str(config)] + argv) == 2
+    assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
+
+
+def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(algebra, "norm_estimate", no_convergence)
+    code = main(["algebra", "--mode", "norm-profile", "--radius", "10"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "failed"
+    assert out["error"] == "ArpackNoConvergence"
+
+
+def test_continuity_threshold_failure_exits_1_with_record(capsys):
+    argv = ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"]
+    code = main(argv + ["--continuity-threshold", "1e-6"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "failed"
+    assert out["error"] == "ContinuityError"
+
+
+def test_heisenberg_small_truncation(capsys):
+    code = main(["heisenberg", "--truncation", "4"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["commutator_residual"] <= 1e-8
+    assert math.isfinite(out["scalar_deviation"])

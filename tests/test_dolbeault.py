@@ -91,6 +91,18 @@ def test_susy_pairing_of_nonzero_spectra():
         assert np.abs(nz0 - nz1).max() < 1e-9 * max(1.0, nz0.max())
 
 
+def test_degree1_spectrum_lists_every_copy_of_the_first_level():
+    # D+ is square, so both degrees share one spectrum; at (5, 40) the first
+    # excited level carries 2N copies in each
+    n_flux = 5
+    rep = spectral_report(build_dolbeault(n_flux, 8 * n_flux))
+    assert rep.spectrum_degree1 == rep.spectrum_degree0
+    spectrum = np.array(rep.spectrum_degree1)
+    first_level = np.abs(spectrum - rep.gap_degree1) < 1e-9 * rep.gap_degree1
+    assert np.count_nonzero(first_level) == 2 * n_flux
+    assert rep.coker_dim == rep.kernel_dim == n_flux
+
+
 def test_weitzenbock_flat_case_vanishes():
     assert weitzenbock_residual(build_dolbeault(0, 8)) < 1e-12
 

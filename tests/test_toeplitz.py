@@ -20,7 +20,7 @@ from quantlab.toeplitz import (
     weyl_relation,
 )
 
-from oracles import clock_shift_scalar, cyclic_shift
+from oracles import clock_shift_scalar, cyclic_shift, fft_partials
 
 rng = np.random.default_rng(33)
 
@@ -255,3 +255,26 @@ def test_heisenberg_generator_check():
 
     report2 = heisenberg_generator_check(2.0, truncation=60)
     assert report2["group_commutator_scalar"] == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_bracket_and_pairing_normalisation_against_fft_derivatives():
+    # pins the absolute scale that antisymmetry, Leibniz and the
+    # antisymmetrization identity all leave free
+    local = np.random.default_rng(7)
+
+    def complex_symbol():
+        modes = local.integers(-3, 4, (4, 2))
+        return TrigPolynomial({(j, k): complex(*local.normal(size=2)) for j, k in modes})
+
+    grid = 32
+    for _ in range(3):
+        f, g = complex_symbol(), complex_symbol()
+        fx, fy = fft_partials(f.sample(grid).reshape(grid, grid))
+        gx, gy = fft_partials(g.sample(grid).reshape(grid, grid))
+        bracket = (fy * gx - fx * gy) / (2.0 * math.pi)
+        f_z = 0.5 * (fx - 1j * fy)
+        g_zbar = 0.5 * (gx + 1j * gy)
+        pairing = -(1.0 / math.pi) * f_z * g_zbar
+        scale = np.abs(bracket).max() + np.abs(pairing).max()
+        assert np.abs(poisson_bracket(f, g).sample(grid) - bracket.ravel()).max() < 1e-12 * scale
+        assert np.abs(gradient_pairing(f, g).sample(grid) - pairing.ravel()).max() < 1e-12 * scale
