@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import algebra, cocycle, sections, surface_index, toeplitz
-from .dolbeault import build_dolbeault, spectral_report, weitzenbock_residual
+from .dolbeault import build_dolbeault, kernel_basis, spectral_report, weitzenbock_residual
 from .errors import ConfigError, QuantLabError
 
 # registry: public operation -> subcommand that exposes it
@@ -247,8 +247,6 @@ def _cmd_spectral(args) -> int:
     resid = weitzenbock_residual(pair)
     cross = surface_index.numeric_index_crosscheck(args.n_flux, args.grid, args.gauge)
     if args.export_kernel:
-        from .dolbeault import kernel_basis
-
         basis = kernel_basis(pair)
         header = []
         for col in range(basis.shape[1]):

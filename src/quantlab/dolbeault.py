@@ -22,9 +22,20 @@ Two lattice facts shape the numerics:
   no continuum meaning), so spectral quantities are always read off the
   nonzero part of the spectrum.
 
-At zero flux there are no link phases and the doubler zero would land on
-the momentum grid whenever 4 | M; the fluxless operator is therefore built
-as the exact spectral derivative, whose kernel is the constants alone.
+Solver (magnetic translations, Zak 1964).  In the Landau gauge a unitary FFT
+along k (momentum p) splits D_plus into g = gcd(N, M) cyclic bidiagonal
+chains of length M^2/g, stepping (j, p) -> (j+1, p) and crossing the seam as
+(M-1, p) -> (0, p-N), with off-diagonal b = M/sqrt(2) and diagonal
+b (-1 + i (e^{i theta} - 1)), theta = 2 pi (p/M - N j/M^2).  A block subspace
+iteration with one sparse LU of the shifted normal matrix B^* B + 1 finds the
+lowest singular triplets of all chains; Rayleigh-Ritz is an SVD of B Q, so
+singular values carry eps * sigma_max error like a dense SVD and every copy
+of a repeated value is found.  The symmetric-periodic gauge is exactly
+G D_Landau G^* for G[j, k] = exp(-i pi N j k / M^2): same singular values,
+vectors multiplied by G.  At zero flux the doubler zero would land on the
+momentum grid whenever 4 | M, so the fluxless operator is the exact spectral
+derivative, symbol (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its
+triplets are read off the symbol.
 
 Curvature normalization: in the continuum the commutator
 D_plus D_plus^* - D_plus^* D_plus is the constant CURVATURE_SCALE * N; on
@@ -37,19 +48,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import GapBoundError, IndeterminateKernelError, ResolutionError
+from .errors import ConvergenceError, GapBoundError, IndeterminateKernelError, ResolutionError
 
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
 
 GAUGES = ("landau", "symmetric-periodic")
 
-_SPECTRAL_GRID_LIMIT = 48  # fluxless operator is dense; cap its grid
+_MAX_ITERATIONS = 300  # block subspace iterations per chain solve
+_RESIDUAL_TOL = 1e-10  # on |(B^* B + 1)^-1 v - mu v| for each wanted Ritz pair
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,7 @@ class FluxLattice:
         )
 
 
-def _link_phases(n_flux: int, grid: int, gauge: str) -> Tuple[np.ndarray, np.ndarray]:
+def flux_lattice(n_flux: int, grid: int, gauge: str = "landau") -> FluxLattice:
     M = grid
     phi = 2.0 * math.pi * n_flux / (M * M)
     j = np.arange(M)[:, None].astype(float)
@@ -89,11 +100,6 @@ def _link_phases(n_flux: int, grid: int, gauge: str) -> Tuple[np.ndarray, np.nda
         uy[:, M - 1] *= np.exp(-1j * phi * M * j[:, 0] / 2.0)
     else:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    return ux, uy
-
-
-def flux_lattice(n_flux: int, grid: int, gauge: str = "landau") -> FluxLattice:
-    ux, uy = _link_phases(n_flux, grid, gauge)
     return FluxLattice(n_flux=n_flux, grid=grid, gauge=gauge, ux=ux, uy=uy)
 
 
@@ -105,10 +111,6 @@ class DolbeaultPair:
     n_flux: int
     grid: int
     gauge: str
-
-    @property
-    def dim(self) -> int:
-        return self.grid * self.grid
 
 
 @dataclass(frozen=True)
@@ -122,25 +124,9 @@ class SpectralReport:
     spectrum_degree1: tuple
 
 
-def _shift_matrix(M: int, axis: int, phases: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix of psi -> phases * psi(shifted by +1 along axis)."""
-    idx = np.arange(M * M).reshape(M, M)
-    target = np.roll(idx, -1, axis=axis)
-    rows = idx.ravel()
-    cols = target.ravel()
-    vals = phases.ravel().astype(complex)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(M * M, M * M))
-
-
-def _spectral_dbar(grid: int) -> sp.csr_matrix:
-    # fluxless case: exact Fourier-diagonal derivative, kernel = constants
-    M = grid
-    freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-    symbol = (1j * freq[:, None] - freq[None, :]) / math.sqrt(2.0)
-    F = np.fft.fft(np.eye(M), axis=0) / math.sqrt(M)
-    F2 = np.kron(F, F)
-    D = F2.conj().T @ (symbol.ravel()[:, None] * F2)
-    return sp.csr_matrix(D)
+def _cyclic_step(n: int) -> sp.csr_matrix:
+    """Sparse n x n matrix of v -> v(i + 1 mod n)."""
+    return (sp.eye(n, k=1) + sp.eye(n, k=1 - n)).tocsr()
 
 
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
@@ -156,71 +142,102 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
         )
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
+    M, eye = grid, sp.identity(grid)
     if n_flux == 0:
-        if grid > _SPECTRAL_GRID_LIMIT:
-            raise ResolutionError(
-                f"fluxless spectral operator is dense; grid capped at {_SPECTRAL_GRID_LIMIT}"
-            )
-        return DolbeaultPair(
-            dplus=_spectral_dbar(grid), n_flux=0, grid=grid, gauge=gauge
-        )
-    lat = flux_lattice(n_flux, grid, gauge)
-    M = grid
-    eye = sp.identity(M * M, dtype=complex, format="csr")
-    sx = _shift_matrix(M, 0, lat.ux)
-    sy = _shift_matrix(M, 1, lat.uy)
-    grad_x = M * (sx - eye)
-    grad_y = M * (sy - eye)
+        # exact spectral derivative F^* diag(i xi) F along each axis
+        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
+        d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
+        grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
+    else:
+        lat, step = flux_lattice(n_flux, grid, gauge), _cyclic_step(M)
+        grad_x = M * (sp.diags(lat.ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
+        grad_y = M * (sp.diags(lat.uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
     dplus = ((grad_x + 1j * grad_y) / math.sqrt(2.0)).tocsr()
     return DolbeaultPair(dplus=dplus, n_flux=n_flux, grid=grid, gauge=gauge)
 
 
-_SVD_DENSE_LIMIT = 2400  # one-sided dense SVD bound; beyond it, normal equations
+def _chain_triplets(chains: sp.csr_matrix, lu, g: int, m: int):
+    """Lowest m singular values (ascending) and right vectors of each chain.
+
+    The g chains iterate as one (g, L, 2m) block; ``lu`` factors B^* B + 1.
+    Converged once each wanted Ritz pair (mu, v) of that inverse has
+    |(B^* B + 1)^-1 v - mu v| <= _RESIDUAL_TOL.
+    """
+    n = chains.shape[0]
+    L, q = n // g, min(n // g, 2 * m)
+    x = np.random.default_rng(0).standard_normal((g, L, q))
+    for _ in range(_MAX_ITERATIONS):
+        basis = np.linalg.qr(x)[0]
+        bq = (chains @ basis.reshape(n, q)).reshape(g, L, q)
+        _, svals, wh = np.linalg.svd(np.linalg.qr(bq, mode="r"))  # the SVD of B Q
+        svals, ritz = svals[:, ::-1], basis @ wh[:, ::-1].conj().transpose(0, 2, 1)
+        x = lu.solve(ritz.reshape(n, q)).reshape(g, L, q)
+        residual = np.linalg.norm(x - ritz / (1.0 + svals[:, None, :] ** 2), axis=1)
+        if residual[:, :m].max() <= _RESIDUAL_TOL:
+            return svals[:, :m], ritz[:, :, :m]
+    raise ConvergenceError(
+        f"chain iteration above residual {_RESIDUAL_TOL:.0e} after {_MAX_ITERATIONS} steps"
+    )
 
 
 @lru_cache(maxsize=24)
 def _kernel_data(n_flux: int, grid: int, gauge: str):
-    """One factorization shared by dimension, basis, and spectral queries.
+    """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors.
 
-    Returns (sigma_max, low_singular_values, vector_block); the block
-    columns correspond to the returned singular values, ascending.  For
-    moderate dimensions a dense one-sided SVD resolves singular values to
-    eps * sigma_max, which tight kernel thresholds need; the sparse
-    normal-equations path only resolves them to sqrt(eps) * sigma_max and
-    is reserved for large grids used with the default tolerance.
+    Returns (sigma_max, the k values ascending, their orthonormal right
+    singular vectors as columns); one cached solve serves every query.
     """
-    pair = build_dolbeault(n_flux, grid, gauge)
-    k = max(2 * n_flux + 6, 8)
-    if pair.dim <= _SVD_DENSE_LIMIT:
-        _, s, vh = np.linalg.svd(pair.dplus.toarray())
-        sigma_max = float(s[0])
-        svals = s[::-1][:k].copy()
-        vecs = vh.conj().T[:, ::-1][:, :k].copy()
+    build_dolbeault(n_flux, grid, gauge)  # validates the arguments
+    N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
+    modes = np.zeros((M * M, k), dtype=complex)  # (xi_x, xi_y) at N = 0, else (j, p)
+    if N == 0:
+        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
+        symbol = np.hypot(freq[:, None], freq[None, :]).ravel() / math.sqrt(2.0)
+        order = np.argsort(symbol, kind="stable")[:k]
+        sigma_max, svals = float(symbol.max()), symbol[order]
+        modes[order, np.arange(k)] = 1.0
     else:
-        H = (pair.dplus.getH() @ pair.dplus).tocsr()
-        v0 = np.full(pair.dim, 1.0 / math.sqrt(pair.dim))
-        top = spla.eigsh(
-            H, k=1, which="LA", v0=v0, return_eigenvectors=False, tol=1e-9
-        )
-        sigma_max = math.sqrt(max(float(top[0]), 0.0))
-        vals, vecs = spla.eigsh(H, k=k, sigma=-1.0, which="LM", v0=v0, tol=1e-12)
-        order = np.argsort(vals)
-        svals = np.sqrt(np.clip(vals[order], 0.0, None))
-        vecs = vecs[:, order]
+        # chain c, position s = t*M + j holds site (j, p = c - t*N mod M)
+        g = math.gcd(N, M)
+        L = M * M // g
+        t, j = np.divmod(np.arange(L), M)
+        p = (np.arange(g)[:, None] - N * t) % M
+        b = M / math.sqrt(2.0)
+        diag = b * (-1.0 + 1j * (np.exp(2j * math.pi * (p / M - N * j / (M * M))) - 1.0))
+        chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(g), _cyclic_step(L))).tocsr()
+        normal = (chains.getH() @ chains).tocsc()
+        v0 = np.random.default_rng(0).standard_normal(M * M)
+        top = spla.eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False, tol=1e-9)
+        sigma_max = math.sqrt(float(top[0]))
+        lu = spla.splu(normal + sp.identity(M * M, format="csc"))
+        m = min(L, -(-k // g) + 2)  # an even share of k per chain, and two spare
+        values, ritz = _chain_triplets(chains, lu, g, m)
+        # what a chain leaves out lies above its m-th value, so the merged
+        # lowest k are certain once they sit at or below every chain's m-th
+        while m < L and np.sort(values, axis=None)[k - 1] > values[:, -1].min():
+            m = min(L, 2 * m)
+            values, ritz = _chain_triplets(chains, lu, g, m)
+        order = np.argsort(values, axis=None, kind="stable")[:k]
+        svals, (chain, column) = values.ravel()[order], np.divmod(order, m)
+        modes[(j * M + p)[chain].T, np.arange(k)] = ritz[chain, :, column].T
+    vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
+    if gauge == "symmetric-periodic":
+        vecs *= np.exp(-1j * math.pi * N * np.outer(np.arange(M), np.arange(M)) / M**2)[..., None]
     svals.flags.writeable = False
     vecs.flags.writeable = False
-    return sigma_max, svals, vecs
+    return sigma_max, svals, vecs.reshape(M * M, k)
 
 
-def kernel_dimension(pair: DolbeaultPair, tol: float = 1e-6) -> int:
-    """Count singular values of D_plus below tol * (largest singular value).
+def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
+    """Read-only cached vectors with singular value below tol * sigma_max.
 
-    Raises if any singular value sits within a factor 10 of the threshold
-    (either side), so an ambiguous kernel fails loudly instead of rounding.
+    Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
+    unitary FFT).  Raises if a singular value is within a factor 10 of the
+    threshold (either side), so an ambiguous kernel fails loudly.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    sigma_max, svals, _ = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
+    sigma_max, svals, vecs = _kernel_data(n_flux, grid, gauge)
     threshold = tol * sigma_max
     if svals[-1] < threshold:
         raise IndeterminateKernelError(
@@ -232,17 +249,17 @@ def kernel_dimension(pair: DolbeaultPair, tol: float = 1e-6) -> int:
             "singular value %.3e within a decade of threshold %.3e"
             % (ambiguous[0], threshold)
         )
-    return int(np.count_nonzero(svals < threshold))
+    return vecs[:, : np.count_nonzero(svals < threshold)]
+
+
+def kernel_dimension(pair: DolbeaultPair, tol: float = 1e-6) -> int:
+    """Count singular values of D_plus below tol * sigma_max; ambiguous counts raise."""
+    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol).shape[1]
 
 
 def kernel_basis(pair: DolbeaultPair, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, shape (M^2, dim_kernel)."""
-    dim_kernel = kernel_dimension(pair, tol)
-    _, _, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
-    basis = vecs[:, :dim_kernel]
-    # eigensolvers orthonormalize already; QR guards against residual drift
-    q, _ = np.linalg.qr(basis)
-    return q
+    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol)
 
 
 def spectral_report(
@@ -261,28 +278,23 @@ def spectral_report(
         raise ValueError("slack must be positive")
     n = pair.n_flux
     dim_kernel = kernel_dimension(pair, tol)
-    sigma_max, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
-    threshold = (tol * sigma_max) ** 2
+    _, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
-    # of zero included: the one factorization serves both degrees
+    # of zero included: the one solve serves both degrees, coker_dim included
     vals = svals0**2
-    coker_dim = int(np.count_nonzero(vals < threshold))
-    nonzero = vals[vals >= threshold]
-    if nonzero.size == 0:
+    if vals.size == dim_kernel:
         raise GapBoundError("no nonzero degree-1 spectrum resolved")
-    gap = float(nonzero[0])
+    gap = float(vals[dim_kernel])
     bound = n * (1.0 - slack)
     if n > 0 and gap < bound:
         raise GapBoundError(f"degree-1 gap {gap:.6g} below curvature bound {bound:.6g}")
-    sigma_min_nonzero = float(svals0[dim_kernel])
-    parametrix = gap ** (-0.5) if gap > 0 else math.inf
     spectrum = tuple(float(v) for v in vals)
     return SpectralReport(
         kernel_dim=dim_kernel,
-        coker_dim=coker_dim,
-        sigma_min_nonzero=sigma_min_nonzero,
+        coker_dim=dim_kernel,
+        sigma_min_nonzero=float(svals0[dim_kernel]),
         gap_degree1=gap,
-        parametrix_norm=parametrix,
+        parametrix_norm=gap**-0.5,  # gap >= (tol * sigma_max)^2 > 0
         spectrum_degree0=spectrum,
         spectrum_degree1=spectrum,
     )
@@ -298,14 +310,7 @@ def weitzenbock_residual(pair: DolbeaultPair) -> float:
     therefore the operator norm of the defect restricted to the smoothest
     available states, the numerical kernel, and shrinks like O(M^-2).
     """
-    n = pair.n_flux
-    h1 = (pair.dplus @ pair.dplus.getH()).tocsr()
-    h0 = (pair.dplus.getH() @ pair.dplus).tocsr()
-    commutator = (h1 - h0).tocsr()
-    if n == 0:
-        # the fluxless operator is normal; the defect matrix vanishes exactly
-        dense = commutator.toarray() if commutator.nnz else None
-        return float(np.abs(dense).max()) if dense is not None else 0.0
     theta = kernel_basis(pair)
-    shifted = commutator @ theta - CURVATURE_SCALE * n * theta
-    return float(np.linalg.norm(shifted, 2))
+    d, dh = pair.dplus, pair.dplus.getH()
+    defect = d @ (dh @ theta) - dh @ (d @ theta) - CURVATURE_SCALE * pair.n_flux * theta
+    return float(np.linalg.norm(defect, 2))

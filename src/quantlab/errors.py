@@ -29,6 +29,10 @@ class IndeterminateKernelError(QuantLabError):
     """A singular value sits too close to the kernel threshold to classify."""
 
 
+class ConvergenceError(QuantLabError):
+    """An iterative solver stopped before its residual reached the tolerance."""
+
+
 class GapBoundError(QuantLabError):
     """Spectral gap fell below the asserted curvature bound."""
 

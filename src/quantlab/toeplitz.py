@@ -18,14 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
 from .algebra import AlgebraElement, convolve, reflect
-from .dolbeault import build_dolbeault, kernel_basis
+from .dolbeault import _kernel_basis
 from .errors import DegenerateToeplitzError, DependencyError
 
 
@@ -116,17 +115,11 @@ class ToeplitzMatrix:
         return self.entries.shape[0]
 
 
-@lru_cache(maxsize=8)
-def _cached_kernel(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
-    pair = build_dolbeault(n_flux, grid, gauge)
-    return kernel_basis(pair, tol)
-
-
 def holomorphic_basis(
     n_flux: int, grid: int, gauge: str = "landau", tol: float = 1e-6
 ) -> np.ndarray:
-    """Orthonormal numerical kernel basis at (N, M), cached across sweeps."""
-    basis = _cached_kernel(n_flux, grid, gauge, tol)
+    """Orthonormal numerical kernel basis at (N, M), read off the cached kernel solve."""
+    basis = _kernel_basis(n_flux, grid, gauge, tol)
     if basis.shape[1] == 0:
         raise DependencyError(
             f"no holomorphic sections available at flux {n_flux}, grid {grid}"

@@ -143,6 +143,13 @@ def test_failure_record_on_bad_spectral_request(capsys):
     assert out["error"] == "ResolutionError"
 
 
+def test_fluxless_spectral_runs_on_a_fine_grid(capsys):
+    code = main(["spectral", "--n-flux", "0", "--grid", "64"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["kernel_dim"] == 1
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from quantlab import dolbeault
 from quantlab.dolbeault import (
     CURVATURE_SCALE,
+    GAUGES,
     build_dolbeault,
     flux_lattice,
     kernel_basis,
@@ -13,7 +15,7 @@ from quantlab.dolbeault import (
     spectral_report,
     weitzenbock_residual,
 )
-from quantlab.errors import IndeterminateKernelError, ResolutionError
+from quantlab.errors import ConvergenceError, IndeterminateKernelError, ResolutionError
 
 from oracles import lll_theta_profile
 
@@ -34,7 +36,7 @@ def test_resolution_floor():
 
 def test_kernel_dimension_flat_case():
     # spectral fluxless operator: kernel is the constants alone, any grid
-    for grid in (8, 12, 16):
+    for grid in (8, 12, 16, 64):
         pair = build_dolbeault(0, grid)
         assert kernel_dimension(pair) == 1
         basis = kernel_basis(pair)
@@ -51,9 +53,11 @@ def test_kernel_dimension_tol_stability():
     # the commensuration splitting of the near-kernel scales like
     # exp(-0.73 / flux_per_plaquette); at (2, 16) it sits at 3.7e-7, so
     # thresholds below ~2e-6 trip the indeterminacy guard there, while all
-    # other acceptance points tolerate the full decade sweep
+    # other acceptance points tolerate the full decade sweep (at 7 and 9 the
+    # kernel values sit below 1e-21: tol=1e-8 needs them resolved to
+    # eps * sigma_max, not sqrt(eps) * sigma_max)
     for tol in (1e-8, 1e-6, 1e-4):
-        for n_flux in (1, 3, 4, 5, 6):
+        for n_flux in (1, 3, 4, 5, 6, 7, 9):
             grid = max(16, 8 * n_flux)
             assert kernel_dimension(build_dolbeault(n_flux, grid), tol) == n_flux
     for tol in (2e-6, 1e-5, 1e-4):
@@ -91,16 +95,62 @@ def test_susy_pairing_of_nonzero_spectra():
         assert np.abs(nz0 - nz1).max() < 1e-9 * max(1.0, nz0.max())
 
 
-def test_degree1_spectrum_lists_every_copy_of_the_first_level():
-    # D+ is square, so both degrees share one spectrum; at (5, 40) the first
-    # excited level carries 2N copies in each
-    n_flux = 5
-    rep = spectral_report(build_dolbeault(n_flux, 8 * n_flux))
+@pytest.mark.parametrize("n_flux,grid", [(5, 40), (9, 72)])
+def test_degree1_spectrum_lists_every_copy_of_the_first_level(n_flux, grid):
+    # D+ is square, so both degrees share one spectrum; the first excited
+    # level carries 2N copies, of which the k = 2N + 6 listed values hold
+    # all that fit above the N-dimensional kernel
+    rep = spectral_report(build_dolbeault(n_flux, grid))
     assert rep.spectrum_degree1 == rep.spectrum_degree0
     spectrum = np.array(rep.spectrum_degree1)
     first_level = np.abs(spectrum - rep.gap_degree1) < 1e-9 * rep.gap_degree1
-    assert np.count_nonzero(first_level) == 2 * n_flux
+    assert np.count_nonzero(first_level) == min(2 * n_flux, spectrum.size - n_flux)
     assert rep.coker_dim == rep.kernel_dim == n_flux
+
+
+@pytest.mark.parametrize("n_flux,grid", [(2, 16), (3, 16), (3, 20), (4, 18)])
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
+    # (3, 16) is one chain, (4, 18) has gcd(N, M) = 2 < N chains that are
+    # not isospectral, so the merge across chains is exercised
+    dense = build_dolbeault(n_flux, grid, gauge).dplus.toarray()
+    sigma_max, svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
+    reference = np.linalg.svd(dense, compute_uv=False)
+    assert sigma_max == pytest.approx(reference[0], rel=1e-9)
+    assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
+    assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals).max() < 1e-12
+    assert np.abs(vecs.conj().T @ vecs - np.eye(svals.size)).max() < 1e-12
+    assert not vecs.flags.writeable and not svals.flags.writeable  # shared by the cache
+    if (n_flux, grid) == (2, 16):
+        # the commensuration splitting behind the indeterminacy guard
+        assert svals[:2] == pytest.approx([3.74e-7, 3.74e-7], rel=1e-3)
+
+
+def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
+    # a first pass whose merged lowest k cannot be certified (a chain's last
+    # solved value below them) must be redone with more values per chain
+    shares = []
+    solve = dolbeault._chain_triplets
+
+    def uncertain_first_pass(chains, lu, g, m):
+        values, ritz = solve(chains, lu, g, m)
+        if not shares:
+            values = values.copy()
+            values[0, -1] = 0.0
+        shares.append(m)
+        return values, ritz
+
+    monkeypatch.setattr(dolbeault, "_chain_triplets", uncertain_first_pass)
+    _, svals, _ = dolbeault._kernel_data.__wrapped__(4, 18, "landau")  # bypass the cache
+    reference = np.linalg.svd(build_dolbeault(4, 18).dplus.toarray(), compute_uv=False)
+    assert len(shares) == 2 and shares[1] > shares[0]
+    assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
+
+
+def test_chain_solve_raises_when_the_iteration_cap_is_hit(monkeypatch):
+    monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError):
+        dolbeault._kernel_data.__wrapped__(3, 24, "landau")  # bypass the cache
 
 
 def test_weitzenbock_flat_case_vanishes():
