@@ -36,8 +36,6 @@ E: Lattice = (0, 0)
 U: Lattice = (1, 0)
 V: Lattice = (0, 1)
 
-COEFF_PRUNE = 0.0  # coefficients exactly zero are dropped
-
 
 def compose(g1: Lattice, g2: Lattice) -> Lattice:
     return (g1[0] + g2[0], g1[1] + g2[1])
@@ -211,6 +209,11 @@ def trace(a: AlgebraElement, cocycle, s: float) -> complex:
 def ball_points(radius: int) -> list[Lattice]:
     """Lexicographically ordered sup-norm ball, the truncation basis."""
     return [(n, m) for n in range(-radius, radius + 1) for m in range(-radius, radius + 1)]
+
+
+def ball_index(n, m, radius: int):
+    """Position of ``(n, m)`` in ``ball_points(radius)``; elementwise on arrays."""
+    return (n + radius) * (2 * radius + 1) + (m + radius)
 
 
 def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:

@@ -10,20 +10,44 @@ The combination
     phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}
 
 is then constant on the plane and defines a real group cocycle.
+
+Phases are solved in batches: ``_phases`` takes arrays of translations and
+shifts coefficient arrays by Pascal matrices, so one call covers a whole
+lattice ball, and ``solve_phi`` is a batch of one.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Lattice, TabulatedCocycle, ball_points, compose
+from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points, compose
 from .errors import CocycleConsistencyError, ExactnessError
 
 MAX_DEGREE = 4
+
+
+def _pascal(d, size: int) -> np.ndarray:
+    """Shift matrices ``B(d)[a, i] = C(i, a) d^(i - a)``, stacked over the entries of ``d``.
+
+    ``B(dx) c B(dy)^T`` holds the coefficients of ``p(x + dx, y + dy)`` when
+    ``c`` holds those of ``p``.
+    """
+    i = np.arange(size)
+    binom = np.frompyfunc(math.comb, 2, 1)(i, i[:, None]).astype(float)  # C(i, a), 0 for a > i
+    return binom * np.asarray(d, dtype=float)[..., None, None] ** np.maximum(i - i[:, None], 0)
+
+
+def _pad(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return np.pad(c, ((0, rows - c.shape[0]), (0, cols - c.shape[1])))
+
+
+def _diff(size: int) -> np.ndarray:
+    """Differentiation matrix: ``_diff(r) @ c`` is d/dx and ``c @ _diff(s).T`` is d/dy."""
+    return np.diag(np.arange(1.0, size), 1)
 
 
 class PolyXY:
@@ -44,54 +68,22 @@ class PolyXY:
     def _padded_pair(self, other: "PolyXY"):
         rows = max(self.coeffs.shape[0], other.coeffs.shape[0])
         cols = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        a = np.zeros((rows, cols))
-        b = np.zeros((rows, cols))
-        a[: self.coeffs.shape[0], : self.coeffs.shape[1]] = self.coeffs
-        b[: other.coeffs.shape[0], : other.coeffs.shape[1]] = other.coeffs
-        return a, b
-
-    def __add__(self, other: "PolyXY") -> "PolyXY":
-        a, b = self._padded_pair(other)
-        return PolyXY(a + b)
+        return _pad(self.coeffs, rows, cols), _pad(other.coeffs, rows, cols)
 
     def __sub__(self, other: "PolyXY") -> "PolyXY":
         a, b = self._padded_pair(other)
         return PolyXY(a - b)
 
-    def scale(self, factor: float) -> "PolyXY":
-        return PolyXY(self.coeffs * factor)
-
     def dx(self) -> "PolyXY":
-        c = self.coeffs
-        if c.shape[0] == 1:
-            return PolyXY.zero()
-        return PolyXY(c[1:, :] * np.arange(1, c.shape[0])[:, None])
+        return PolyXY(_diff(self.coeffs.shape[0]) @ self.coeffs)
 
     def dy(self) -> "PolyXY":
-        c = self.coeffs
-        if c.shape[1] == 1:
-            return PolyXY.zero()
-        return PolyXY(c[:, 1:] * np.arange(1, c.shape[1])[None, :])
+        return PolyXY(self.coeffs @ _diff(self.coeffs.shape[1]).T)
 
     def shift(self, dx: float, dy: float) -> "PolyXY":
-        """Coefficients of p(x + dx, y + dy), by binomial expansion."""
-        c = self.coeffs
-        rows, cols = c.shape
-        out = np.zeros_like(c)
-        for i in range(rows):
-            for j in range(cols):
-                if c[i, j] == 0.0:
-                    continue
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        out[a, b] += (
-                            c[i, j]
-                            * math.comb(i, a)
-                            * math.comb(j, b)
-                            * dx ** (i - a)
-                            * dy ** (j - b)
-                        )
-        return PolyXY(out)
+        """Coefficients of p(x + dx, y + dy), by the Pascal shift matrices."""
+        rows, cols = self.coeffs.shape
+        return PolyXY(_pascal(dx, rows) @ self.coeffs @ _pascal(dy, cols).T)
 
     def __call__(self, x: float, y: float) -> float:
         return float(
@@ -107,24 +99,6 @@ class PolyXY:
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))
 
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def linear_parts(self) -> Tuple[float, float, float, float]:
-        """(constant, x-coefficient, y-coefficient, largest higher coeff)."""
-        c = self.coeffs
-        const = c[0, 0]
-        cx = c[1, 0] if c.shape[0] > 1 else 0.0
-        cy = c[0, 1] if c.shape[1] > 1 else 0.0
-        mask = np.ones_like(c, dtype=bool)
-        mask[0, 0] = False
-        if c.shape[0] > 1:
-            mask[1, 0] = False
-        if c.shape[1] > 1:
-            mask[0, 1] = False
-        higher = float(np.max(np.abs(c[mask]))) if c[mask].size else 0.0
-        return float(const), float(cx), float(cy), higher
-
 
 class OneForm:
     """One-form P dx + Q dy with polynomial coefficients of degree <= 4."""
@@ -136,18 +110,6 @@ class OneForm:
             raise ValueError(f"polynomial degree capped at {MAX_DEGREE}")
         self.P = P
         self.Q = Q
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.P - other.P, self.Q - other.Q)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OneForm":
-        """{"P": [[...]], "Q": [[...]]}; row index = power of x, column = power of y."""
-        data = json.loads(text)
-        return cls(PolyXY(data["P"]), PolyXY(data["Q"]))
-
-    def to_json(self) -> str:
-        return json.dumps({"P": self.P.coeffs.tolist(), "Q": self.Q.coeffs.tolist()})
 
 
 def symmetric_gauge(omega0: float = 2 * math.pi) -> OneForm:
@@ -172,37 +134,53 @@ def pullback(A: OneForm, gamma: Lattice) -> OneForm:
     return OneForm(A.P.shift(n, m), A.Q.shift(n, m))
 
 
-def _integrate_radial(P: PolyXY, Q: PolyXY) -> PolyXY:
-    # Straight-segment potential: phi(x, y) = int_0^1 [P(tx,ty) x + Q(tx,ty) y] dt;
-    # monomial x^a y^b in P contributes x^(a+1) y^b / (a+b+1), likewise for Q.
-    rows = max(P.coeffs.shape[0] + 1, Q.coeffs.shape[0])
-    cols = max(P.coeffs.shape[1], Q.coeffs.shape[1] + 1)
-    out = np.zeros((rows, cols))
-    for (a, b), coeff in np.ndenumerate(P.coeffs):
-        if coeff != 0.0:
-            out[a + 1, b] += coeff / (a + b + 1)
-    for (a, b), coeff in np.ndenumerate(Q.coeffs):
-        if coeff != 0.0:
-            out[a, b + 1] += coeff / (a + b + 1)
-    return PolyXY(out)
+def _require_zero(residue: np.ndarray, tol: np.ndarray, n, m, message: str) -> None:
+    # residue[k] must vanish coefficient-wise within tol[k]; name the first gamma that fails
+    bad = ~(np.abs(residue).reshape(len(tol), -1).max(axis=1) <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ExactnessError(message.format(gamma=(int(n[k]), int(m[k]))))
+
+
+def _phases(A: OneForm, n, m) -> np.ndarray:
+    """Coefficients of phi_gamma for the translations gamma = (n[k], m[k]).
+
+    Returns shape (len(n), rows, cols); ``[k, i, j]`` multiplies x^i y^j in
+    phi_{(n[k], m[k])}.  Each phase is the straight-segment integral of
+    ``A - gamma^* A``, checked to be closed and to satisfy
+    ``d(phi) = A - gamma^* A`` coefficient-wise within ``1e-12`` times the
+    largest coefficient of the difference (at least 1).
+    """
+    P, Q = A.P.coeffs, A.Q.coeffs
+    rows = max(P.shape[0] + 1, Q.shape[0])
+    cols = max(P.shape[1], Q.shape[1] + 1)
+    frame = np.stack([_pad(P, rows, cols), _pad(Q, rows, cols)])
+    # A - gamma^*A as (K, 2, rows, cols): the P and Q coefficients of each difference
+    Bn, Bm = _pascal(n, rows)[:, None], _pascal(m, cols)[:, None]
+    diff = frame - Bn @ frame @ np.swapaxes(Bm, -1, -2)
+    dP, dQ = diff[:, 0], diff[:, 1]
+    Dx, Dy = _diff(rows), _diff(cols).T
+    tol = 1e-12 * np.maximum(np.abs(diff).max(axis=(1, 2, 3)), 1.0)
+    _require_zero(
+        Dx @ dQ - dP @ Dy,
+        tol, n, m, "A - gamma^*A is not closed for gamma={gamma}; cannot integrate",
+    )
+    # phi(x, y) = int_0^1 [P(tx,ty) x + Q(tx,ty) y] dt: monomial x^a y^b of P
+    # contributes x^(a+1) y^b / (a+b+1), likewise x^a y^(b+1) for Q
+    degree = np.arange(rows)[:, None] + np.arange(cols)[None, :] + 1
+    phi = np.zeros_like(dP)
+    phi[:, 1:, :] += dP[:, :-1, :] / degree[:-1, :]
+    phi[:, :, 1:] += dQ[:, :, :-1] / degree[:, :-1]
+    _require_zero(
+        np.stack([Dx @ phi - dP, phi @ Dy - dQ], axis=1),
+        tol, n, m, "radial integration failed to invert d for gamma={gamma}",
+    )
+    return phi
 
 
 def solve_phi(A: OneForm, gamma: Lattice) -> PolyXY:
     """Phase function with d(phi) = A - gamma^* A and phi(0, 0) = 0."""
-    diff = A - pullback(A, gamma)
-    closedness = diff.Q.dx() - diff.P.dy()
-    scale = max(diff.P.max_abs_coeff(), diff.Q.max_abs_coeff(), 1.0)
-    if not closedness.is_zero(tol=1e-12 * scale):
-        raise ExactnessError(
-            f"A - gamma^*A is not closed for gamma={gamma}; cannot integrate"
-        )
-    phi = _integrate_radial(diff.P, diff.Q)
-    # poly identity check of the postcondition, coefficient-wise
-    if not (phi.dx() - diff.P).is_zero(tol=1e-12 * scale) or not (
-        phi.dy() - diff.Q
-    ).is_zero(tol=1e-12 * scale):
-        raise ExactnessError(f"radial integration failed to invert d for gamma={gamma}")
-    return phi
+    return PolyXY(_phases(A, [gamma[0]], [gamma[1]])[0])
 
 
 DEFAULT_SAMPLES: Tuple[Tuple[float, float], ...] = (
@@ -222,9 +200,8 @@ def derive_cocycle(
     samples: Sequence[Tuple[float, float]] = DEFAULT_SAMPLES,
 ) -> float:
     """Value of phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}, checked for constancy."""
-    phi1 = solve_phi(A, g1)
-    phi2 = solve_phi(A, g2)
-    phi12 = solve_phi(A, compose(g1, g2))
+    # one batch of three phases: (n1, n2, n1 + n2) and (m1, m2, m1 + m2)
+    phi1, phi2, phi12 = map(PolyXY, _phases(A, *zip(g1, g2, compose(g1, g2))))
     n2, m2 = g2
     values = [
         phi2(x, y) + phi1(x + n2, y + m2) - phi12(x, y) for x, y in samples
@@ -238,70 +215,46 @@ def derive_cocycle(
 
 
 def cocycle_grid(A: OneForm, radius: int):
-    """Cocycle values on the full ball x ball pair grid, vectorized.
+    """Cocycle values on the full ball x ball pair grid, from one batched solve.
 
-    Fast path for potentials whose phase functions are linear (constant
-    curvature, polynomial degree <= 1): constancy of the defining
-    combination is then the exact cancellation of its linear coefficients,
-    checked coefficient-wise.  Returns (points, values, residual) with
-    ``values[i, j] = c(points[i], points[j])`` and ``residual`` the largest
-    non-constant coefficient over all pairs.
+    The phases of the ball of radius 2R are solved at once; for every
+    pair the combination ``phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}`` is then
+    formed coefficient-wise as one array.  Returns (points, values, residual)
+    with ``values[i, j] = c(points[i], points[j])``, the constant coefficient,
+    and ``residual`` the largest non-constant coefficient over all pairs: the
+    measured distance of the combinations from constants, for potentials of
+    every degree.  Raises ``CocycleConsistencyError`` above 1e-10.
     """
+    if radius < 0:
+        raise ValueError(f"ball radius must be non-negative, got {radius}")
     points = ball_points(radius)
-    doubled = {}
-    linear = True
-    for g in ball_points(2 * radius):
-        c0, cx, cy, higher = solve_phi(A, g).linear_parts()
-        doubled[g] = (c0, cx, cy)
-        if higher > 1e-12:
-            linear = False
-            break
-    if not linear:
-        values = np.array(
-            [[derive_cocycle(A, g1, g2) for g2 in points] for g1 in points]
-        )
-        return points, values, 0.0
-    npts = len(points)
-    arr = np.array([doubled[g] for g in points])  # (c0, cx, cy) per point
-    c0, cx, cy = arr[:, 0], arr[:, 1], arr[:, 2]
-    n2 = np.array([g[0] for g in points], dtype=float)
-    m2 = np.array([g[1] for g in points], dtype=float)
-    sums = np.array(
-        [[doubled[compose(g1, g2)] for g2 in points] for g1 in points]
-    )
-    # combination phi2 + g2^* phi1 - phi12: constant part and linear residue
-    values = (
-        c0[None, :]
-        + c0[:, None]
-        + cx[:, None] * n2[None, :]
-        + cy[:, None] * m2[None, :]
-        - sums[:, :, 0]
-    )
-    residual = max(
-        np.abs(cx[None, :] + cx[:, None] - sums[:, :, 1]).max(),
-        np.abs(cy[None, :] + cy[:, None] - sums[:, :, 2]).max(),
-    )
+    n, m = np.array(points).T
+    phi = _phases(A, *np.array(ball_points(2 * radius)).T)
+    own = phi[ball_index(n, m, 2 * radius)]
+    rows, cols = own.shape[1:]
+    # g2^* phi_{g1} for every pair (g1, g2): B(n2) phi_{g1} B(m2)^T, then
+    # + phi_{g2} - phi_{g1 g2}, in place to keep one pair-sized array alive
+    combo = _pascal(n, rows) @ own[:, None] @ np.swapaxes(_pascal(m, cols), -1, -2)
+    combo += own
+    combo -= phi[ball_index(n[:, None] + n, m[:, None] + m, 2 * radius)]
+    values = combo[:, :, 0, 0].copy()
+    combo[:, :, 0, 0] = 0.0
+    residual = float(max(combo.max(), -combo.min()))
     if residual > 1e-10:
         raise CocycleConsistencyError(
             f"combination not constant on the grid: residual {residual:.3e}"
         )
-    return points, values, float(residual)
+    return points, values, residual
 
 
 def cocycle_table(A: OneForm, radius: int) -> TabulatedCocycle:
     """Tabulate the derived cocycle on pairs from the ball of radius 2R.
 
-    The doubled domain keeps the additive cocycle identity evaluable for all
+    The domain of radius 2R keeps the additive cocycle identity evaluable for all
     triples with entries in the radius-R ball.  Values and their constancy
     checks come from ``cocycle_grid`` on that domain.
     """
     if exterior_derivative(A).degree() > 0:
         raise ExactnessError("potential curvature is not constant")
     points, values, _ = cocycle_grid(A, 2 * radius)
-    return TabulatedCocycle(
-        {
-            (g1, g2): values[i, j]
-            for i, g1 in enumerate(points)
-            for j, g2 in enumerate(points)
-        }
-    )
+    return TabulatedCocycle(dict(zip(itertools.product(points, points), values.ravel())))

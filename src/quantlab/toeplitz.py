@@ -154,7 +154,9 @@ def product_defect(
 def commutator_defect(
     f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
 ) -> float:
-    """Operator norm of [T(f), T(g)] - (i/N) T({f, g})."""
+    """Operator norm of [T(f), T(g)] - (i/N) T({f, g}); needs N >= 1."""
+    if n_flux < 1:
+        raise ValueError(f"commutator defect divides by the flux; need N >= 1, got {n_flux}")
     tf = toeplitz(f, n_flux, grid, gauge).entries
     tg = toeplitz(g, n_flux, grid, gauge).entries
     tpb = toeplitz(poisson_bracket(f, g), n_flux, grid, gauge).entries
@@ -164,7 +166,9 @@ def commutator_defect(
 def first_order_defect(
     f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
 ) -> float:
-    """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g))."""
+    """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g)); needs N >= 1."""
+    if n_flux < 1:
+        raise ValueError(f"first-order defect divides by the flux; need N >= 1, got {n_flux}")
     tf = toeplitz(f, n_flux, grid, gauge).entries
     tg = toeplitz(g, n_flux, grid, gauge).entries
     corrected = f * g + gradient_pairing(f, g).scale(1.0 / n_flux)

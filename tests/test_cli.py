@@ -3,11 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from quantlab import algebra, cocycle, dolbeault, sections, surface_index, toeplitz
-from quantlab.cli import OPERATION_COVERAGE, build_parser, main
+from quantlab.cli import OPERATION_COVERAGE, _identity_residual, build_parser, main
 
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
@@ -70,6 +71,35 @@ def test_cocycle_check_writes_table(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "claim,n1,m1,n2,m2,value"
     assert len(lines) == 1 + 25 * 25
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["random", "kappa"])
+def test_identity_residual_matches_the_triple_loop(radius, kind):
+    # random values expose a wrong index; cocycle values, for which every
+    # kept triple is ~0, expose a triple kept although a sum leaves the ball
+    points = algebra.ball_points(radius)
+    if kind == "random":
+        values = np.random.default_rng(radius).normal(size=(len(points), len(points)))
+    else:
+        kc = algebra.KappaCocycle()
+        values = np.array([[kc(g1, g2) for g2 in points] for g1 in points])
+    index = {g: i for i, g in enumerate(points)}
+    half = [g for g in points if max(abs(g[0]), abs(g[1])) <= max(1, radius // 2)]
+    worst = 0.0
+    for g1 in half:
+        for g2 in half:
+            for g3 in half:
+                g12, g23 = algebra.compose(g1, g2), algebra.compose(g2, g3)
+                if g12 in index and g23 in index:
+                    c = (
+                        values[index[g2], index[g3]]
+                        - values[index[g12], index[g3]]
+                        + values[index[g1], index[g23]]
+                        - values[index[g1], index[g2]]
+                    )
+                    worst = max(worst, abs(c))
+    assert _identity_residual(values, radius) == worst
 
 
 def test_algebra_subcommand_norm(capsys):
@@ -165,6 +195,21 @@ def test_invalid_option_value_exits_2_with_record(argv, error, capsys):
     assert code == 2
     assert out["status"] == "usage-error"
     assert out["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle-check", "--radius", "-1"],
+        ["toeplitz-sweep", "--N", "0..2"],
+    ],
+)
+def test_out_of_range_value_exits_2_without_traceback(argv, capsys):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "usage-error"
+    assert out["error"] == "ValueError"
 
 
 def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):

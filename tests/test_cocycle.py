@@ -7,6 +7,7 @@ from quantlab.algebra import KappaCocycle, ball_points, compose
 from quantlab.cocycle import (
     OneForm,
     PolyXY,
+    _phases,
     cocycle_grid,
     cocycle_table,
     derive_cocycle,
@@ -16,7 +17,8 @@ from quantlab.cocycle import (
     solve_phi,
     symmetric_gauge,
 )
-from quantlab.errors import ExactnessError
+from quantlab import cocycle
+from quantlab.errors import CocycleConsistencyError, ExactnessError
 
 rng = np.random.default_rng(20240811)
 
@@ -71,13 +73,13 @@ def test_pullback_is_an_action():
 
 
 def test_solve_phi_symmetric_gauge_closed_form():
+    # phi = pi (m x - n y): x-coefficient pi m, y-coefficient -pi n, nothing else
     for n, m in [(1, 0), (0, 1), (2, 3), (-4, 1)]:
-        phi = solve_phi(symmetric_gauge(), (n, m))
-        c0, cx, cy, higher = phi.linear_parts()
-        assert c0 == pytest.approx(0.0, abs=1e-14)
-        assert cx == pytest.approx(math.pi * m, abs=1e-12)
-        assert cy == pytest.approx(-math.pi * n, abs=1e-12)
-        assert higher == pytest.approx(0.0, abs=1e-14)
+        c = solve_phi(symmetric_gauge(), (n, m)).coeffs
+        assert c[1, 0] == pytest.approx(math.pi * m, abs=1e-12)
+        assert c[0, 1] == pytest.approx(-math.pi * n, abs=1e-12)
+        c[1, 0] = c[0, 1] = 0.0
+        assert np.abs(c).max() <= 1e-14
 
 
 def test_solve_phi_identity_element():
@@ -85,10 +87,11 @@ def test_solve_phi_identity_element():
 
 
 def test_solve_phi_landau_gauge():
-    phi = solve_phi(landau_gauge(), (3, -2))
-    c0, cx, cy, higher = phi.linear_parts()
-    assert (c0, cx, higher) == pytest.approx((0.0, 0.0, 0.0), abs=1e-13)
-    assert cy == pytest.approx(-TWO_PI * 3, abs=1e-12)
+    # phi = -2 pi n y for gamma = (n, m) = (3, -2)
+    c = solve_phi(landau_gauge(), (3, -2)).coeffs
+    assert c[0, 1] == pytest.approx(-TWO_PI * 3, abs=1e-12)
+    c[0, 1] = 0.0
+    assert np.abs(c).max() <= 1e-13
 
 
 def test_solve_phi_rejects_nonconstant_curvature():
@@ -96,6 +99,71 @@ def test_solve_phi_rejects_nonconstant_curvature():
     bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
     with pytest.raises(ExactnessError):
         solve_phi(bad, (1, 0))
+
+
+def test_phases_name_the_first_failing_translation():
+    bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
+    # y-translations leave A unchanged; (1, 0) is the first that fails
+    with pytest.raises(ExactnessError, match=r"gamma=\(1, 0\)"):
+        _phases(bad, [0, 0, 1, 2], [0, 2, 0, 0])
+
+
+def test_batched_phases_match_single_solves():
+    # A = (0.3 - y + 3x^2 y) dx + (x + x^3) dy, curvature 2
+    A = OneForm(PolyXY([[0.3, -1.0], [0.0, 0.0], [0.0, 3.0]]), PolyXY([[0.0], [1.0], [0.0], [1.0]]))
+    assert exterior_derivative(A).degree() == 0
+    gammas = [(0, 0), (1, -2), (-3, 1), (2, 2)]
+    batch = _phases(A, [g[0] for g in gammas], [g[1] for g in gammas])
+    for phi, gamma in zip(batch, gammas):
+        assert np.array_equal(phi, solve_phi(A, gamma).coeffs)
+
+
+def _plus_exact(A, fx, fy):
+    """A + df, with df = fx dx + fy dy given by coefficient arrays."""
+    p, dp = A.P._padded_pair(PolyXY(fx))
+    q, dq = A.Q._padded_pair(PolyXY(fy))
+    return OneForm(PolyXY(p + dp), PolyXY(q + dq))
+
+
+@pytest.mark.parametrize(
+    "f, fx, fy",
+    [
+        # f = x^3 y: df = 3 x^2 y dx + x^3 dy
+        (lambda x, y: x**3 * y, [[0, 0], [0, 0], [0, 3]], [[0], [0], [0], [1]]),
+        # f = x^4 y / 2: df = 2 x^3 y dx + x^4 / 2 dy
+        (lambda x, y: x**4 * y / 2, [[0, 0], [0, 0], [0, 0], [0, 2]], [[0], [0], [0], [0], [0.5]]),
+    ],
+)
+def test_cocycle_grid_nonlinear_potential(f, fx, fy):
+    # phi changes by f - gamma^*f + f(gamma), so c gains f(g1) + f(g2) - f(g1 + g2)
+    A = _plus_exact(symmetric_gauge(), fx, fy)
+    pts, vals, residual = cocycle_grid(A, 3)
+    kc = KappaCocycle()
+    expected = np.array(
+        [[kc(g1, g2) + f(*g1) + f(*g2) - f(*compose(g1, g2)) for g2 in pts] for g1 in pts]
+    )
+    assert np.abs(vals - expected).max() <= 1e-10
+    assert residual <= 1e-10
+
+
+def test_cocycle_grid_residual_sees_every_non_constant_coefficient(monkeypatch):
+    # an xy term of 1e-9 in phi_(2, 2), the last phase of the radius-2 batch,
+    # leaves the pair ((1, 1), (1, 1)) non-constant
+    solve = cocycle._phases
+
+    def perturbed(A, n, m):
+        phi = solve(A, n, m)
+        phi[-1, 1, 1] += 1e-9
+        return phi
+
+    monkeypatch.setattr(cocycle, "_phases", perturbed)
+    with pytest.raises(CocycleConsistencyError, match="residual 1.000e-09"):
+        cocycle_grid(symmetric_gauge(), 1)
+
+
+def test_cocycle_grid_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        cocycle_grid(symmetric_gauge(), -1)
 
 
 def test_derive_cocycle_generators():

@@ -174,6 +174,13 @@ def test_first_order_defect_slope():
     assert fit_loglog_slope(SWEEP, values) <= -1.5
 
 
+@pytest.mark.parametrize("defect", [commutator_defect, first_order_defect])
+def test_first_order_corrections_reject_zero_flux(defect):
+    one = named_symbol("one")
+    with pytest.raises(ValueError, match="need N >= 1"):
+        defect(one, one, 0, 16)
+
+
 def test_first_order_antisymmetrization_reproduces_commutator():
     n, grid = 6, 48
     tf = toeplitz(F, n, grid).entries
