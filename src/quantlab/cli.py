@@ -6,23 +6,26 @@ it checks.  Outputs are deterministic for a fixed invocation: sweeps run
 serially in input order, and floats are serialized with shortest
 round-trip repr.
 
-Exit codes: 0 success; 1 a numerical check or solver failed, with a
-``{"status": "failed", ...}`` record on stdout; 2 a usage or configuration
+Exit codes: 0 success; 1 a gated claim past its bound, or a numerical check
+or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
+``--help`` text marks report-only subcommands); 2 a usage or configuration
 error (a bad option value or an unreadable input file), with a
 ``usage-error`` or ``config-error`` record on stdout; argparse prints its own
-message for malformed command lines.
+message for malformed command lines.  ``--config`` values are option tokens
+checked by the same parser as the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -36,7 +39,7 @@ OPERATION_COVERAGE = {
     "algebra.multiply": "algebra",
     "algebra.involution": "algebra",
     "algebra.trace": "algebra",
-    "algebra.regular_representation": "algebra",
+    "algebra.regular_representation": "module-gram",
     "algebra.norm_estimate": "algebra",
     "algebra.norm_profile": "algebra",
     "cocycle.exterior_derivative": "cocycle-check",
@@ -64,7 +67,7 @@ OPERATION_COVERAGE = {
     "toeplitz.heisenberg_generator_check": "heisenberg",
     "surface_index.l2_index": "index",
     "surface_index.natsume_nest_trace": "index",
-    "surface_index.numeric_index_crosscheck": "index",
+    "surface_index.numeric_index_crosscheck": "spectral",
 }
 
 
@@ -86,27 +89,28 @@ def _subsample(values: list[int], count: int) -> list[int]:
     return chosen
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    text = buf.getvalue()
+@contextlib.contextmanager
+def _target(path: str | None):
+    """The file at ``path`` opened for writing, else ``sys.stdout`` as bound at call time."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_rows(path: str | None, header: list[str], rows: Iterable) -> None:
+    with _target(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _emit_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=repr) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _target(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
+        fh.write("\n")
 
 
 def _load_element(spec_text: str) -> algebra.AlgebraElement:
@@ -126,14 +130,6 @@ def _load_symbol(name_or_path: str) -> toeplitz.TrigPolynomial:
     return toeplitz.TrigPolynomial(
         {(r["j"], r["k"]): complex(r["re"], r.get("im", 0.0)) for r in data["modes"]}
     )
-
-
-def _gauge_potential(name: str, omega0: float) -> cocycle.OneForm:
-    if name == "symmetric":
-        return cocycle.symmetric_gauge(omega0)
-    if name == "landau":
-        return cocycle.landau_gauge(omega0)
-    raise ConfigError(f"unknown potential gauge {name!r}")
 
 
 def _identity_residual(values: np.ndarray, radius: int) -> float:
@@ -160,14 +156,13 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
 
 
 def _cmd_cocycle_check(args) -> int:
-    A = _gauge_potential(args.potential, args.omega0)
-    points, values, residual = cocycle.cocycle_grid(A, args.radius)
-    table = values.tolist()
-    rows = [
-        ["cocycle-value", g1[0], g1[1], g2[0], g2[1], table[i][j]]
-        for i, g1 in enumerate(points)
-        for j, g2 in enumerate(points)
-    ]
+    gauge = cocycle.symmetric_gauge if args.potential == "symmetric" else cocycle.landau_gauge
+    points, values, residual = cocycle.cocycle_grid(gauge(args.omega0), args.radius)
+    rows = (
+        ["cocycle-value", g1[0], g1[1], g2[0], g2[1], value]
+        for g1, row in zip(points, values)
+        for g2, value in zip(points, row.tolist())
+    )
     closed_dev = None
     if args.potential == "symmetric":
         n, m = np.array(points).T
@@ -179,7 +174,7 @@ def _cmd_cocycle_check(args) -> int:
         None,
         {
             "claim": "cocycle-constancy-and-identity",
-            "pairs": len(rows),
+            "pairs": len(points) ** 2,
             "constancy_residual": residual,
             "identity_residual": identity_residual,
             "closed_form_deviation": closed_dev,
@@ -192,35 +187,27 @@ def _cmd_cocycle_check(args) -> int:
 
 def _cmd_algebra(args) -> int:
     kc = algebra.KappaCocycle(args.kappa)
+    a = _load_element(args.a)
     if args.mode == "mult":
-        a = _load_element(args.a)
-        b = _load_element(args.b)
-        product = algebra.multiply(a, b, kc, args.s)
+        product = algebra.multiply(a, _load_element(args.b), kc, args.s)
         _emit_json(args.output, {"claim": "algebra-product", "result": json.loads(product.to_json())})
-        return 0
-    if args.mode == "trace":
-        a = _load_element(args.a)
+    elif args.mode == "trace":
         value = algebra.trace(a, kc, args.s)
         _emit_json(args.output, {"claim": "algebra-trace", "re": value.real, "im": value.imag})
-        return 0
-    if args.mode == "norm":
-        a = _load_element(args.a)
+    elif args.mode == "norm":
         value = algebra.norm_estimate(a, kc, args.s, args.radius)
         _emit_json(
             args.output,
             {"claim": "algebra-norm", "norm": value, "radius": args.radius, "l1_bound": a.l1_norm()},
         )
-        return 0
-    if args.mode == "norm-profile":
-        a = _load_element(args.a)
+    else:  # norm-profile
         grid = [float(v) for v in args.s_grid.split(",")]
         profile = algebra.norm_profile(
             a, grid, kc, args.radius, continuity_threshold=args.continuity_threshold
         )
-        rows = [["norm-continuity", s, norm] for s, norm in profile]
+        rows = (["norm-continuity", s, norm] for s, norm in profile)
         _write_rows(args.output, ["claim", "s", "norm"], rows)
-        return 0
-    raise ConfigError(f"unknown algebra mode {args.mode!r}")
+    return 0
 
 
 def _cmd_module_gram(args) -> int:
@@ -255,16 +242,9 @@ def _cmd_spectral(args) -> int:
     resid = weitzenbock_residual(pair)
     cross = surface_index.numeric_index_crosscheck(args.n_flux, args.grid, args.gauge)
     if args.export_kernel:
-        basis = kernel_basis(pair)
-        header = []
-        for col in range(basis.shape[1]):
-            header += [f"re{col}", f"im{col}"]
-        rows = []
-        for site in range(basis.shape[0]):  # grid row-major
-            row = []
-            for col in range(basis.shape[1]):
-                row += [float(basis[site, col].real), float(basis[site, col].imag)]
-            rows.append(row)
+        basis = kernel_basis(pair)  # one row per site, grid row-major
+        header = [f"{part}{col}" for col in range(basis.shape[1]) for part in ("re", "im")]
+        rows = np.stack([basis.real, basis.imag], axis=-1).reshape(basis.shape[0], -1)
         _write_rows(args.export_kernel, header, rows)
     payload = {
         "claim": "dolbeault-spectral-report",
@@ -389,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_cocycle_check)
 
-    p = sub.add_parser("algebra", help="twisted algebra arithmetic and norms")
+    p = sub.add_parser(
+        "algebra",
+        help="twisted algebra arithmetic and norms (report-only, except the norm-profile "
+        "--continuity-threshold)",
+    )
     p.add_argument("--mode", required=True, choices=("mult", "trace", "norm", "norm-profile"))
     p.add_argument("--a", default="harper", help="element JSON (inline or path) or 'harper'")
     p.add_argument("--b", default="harper")
@@ -418,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_spectral)
 
-    p = sub.add_parser("toeplitz-sweep", help="defect decay sweep over the flux")
+    p = sub.add_parser("toeplitz-sweep", help="defect decay sweep over the flux (report-only)")
     p.add_argument("--fg", default="cos2pix,cos2piy", help="two symbols, comma separated")
     p.add_argument("--N", default="4..32")
     p.add_argument("--samples", type=int, default=7)
@@ -439,13 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bargmann)
 
-    p = sub.add_parser("heisenberg", help="generator commutation on the oscillator ladder")
+    p = sub.add_parser(
+        "heisenberg", help="generator commutation on the oscillator ladder (report-only)"
+    )
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--truncation", type=int, default=60)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_heisenberg)
 
-    p = sub.add_parser("index", help="closed-form surface index and trace values")
+    p = sub.add_parser("index", help="closed-form surface index and trace values (report-only)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--vol", type=float, default=None)
@@ -456,9 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, parser) -> None:
-    if not args.config:
-        return
+def _parse_with_config(parser, argv: list[str], args) -> argparse.Namespace:
+    """Parse ``argv`` again with the ``--config`` overrides appended as option tokens.
+
+    Each key names an option of the chosen subcommand, by its flag or its
+    dest (``rep-radius`` or ``rep_radius``), and its value becomes the token
+    ``--flag=value`` after the options already given, so it overrides them
+    and is checked by the option's own ``type`` and ``choices``.
+    """
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -466,33 +457,39 @@ def _apply_config(args, parser) -> None:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError("config must be a JSON object")
-    valid = set(vars(args))
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparser = subparsers.choices[args.command]
+    flags = {}  # name -> flag, for the options that take one value
+    for action in subparser._actions:
+        if action.option_strings and action.nargs is None:
+            for name in (action.dest, *action.option_strings):
+                flags[name.lstrip("-")] = action.option_strings[0]
+    tokens = []
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in valid:
+        if key not in flags:
             raise ConfigError(f"unknown config key {key!r}")
-        if dest in ("radius", "rep_radius", "grid", "n_flux", "samples", "truncation") and (
-            not isinstance(value, int) or isinstance(value, bool)
-        ):
-            raise ConfigError(f"config key {key!r} must be an integer")
-        if dest in ("s", "kappa", "omega0", "slack", "vol", "d0") and not isinstance(
-            value, (int, float)
-        ):
-            raise ConfigError(f"config key {key!r} must be a number")
-        setattr(args, dest, value)
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"config key {key!r} must be a number or a string")
+        tokens.append(f"{flags[key]}={value}")
+    parser.exit_on_error = subparser.exit_on_error = False  # raise, so the error gets a record
+    try:
+        return parser.parse_args(argv + tokens)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"config: {exc}") from None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        if args.config:
+            args = _parse_with_config(parser, argv, args)
         if getattr(args, "vol", 0.0) is None:
             args.vol = float(max(args.g - 1, 1))
         return args.func(args)
     except ConfigError as exc:
-        _emit_json(None, {"status": "config-error", "message": str(exc)})
-        return 2
+        return _report_error("config-error", exc, 2)
     except (QuantLabError, ArpackNoConvergence) as exc:
         return _report_error("failed", exc, 1)
     except (ValueError, OSError) as exc:

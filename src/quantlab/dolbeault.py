@@ -73,16 +73,6 @@ class FluxLattice:
     ux: np.ndarray = field(repr=False)  # phase on (j,k) -> (j+1,k)
     uy: np.ndarray = field(repr=False)  # phase on (j,k) -> (j,k+1)
 
-    def plaquette_phases(self) -> np.ndarray:
-        """Product of link phases around each plaquette, traversed +y,+x,-y,-x."""
-        ux, uy = self.ux, self.uy
-        return (
-            uy
-            * np.roll(ux, -1, axis=1)
-            * np.conj(np.roll(uy, -1, axis=0))
-            * np.conj(ux)
-        )
-
 
 def flux_lattice(n_flux: int, grid: int, gauge: str = "landau") -> FluxLattice:
     M = grid

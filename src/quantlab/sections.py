@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Lattice, ball_points, involution, trace
+from .algebra import AlgebraElement, Lattice, ball_points, trace
 from .errors import UnsupportedGaugeError
 
 
@@ -234,11 +234,3 @@ def gram_positivity(
         "max_eigenvalue": float(eigvals[-1]),
         "tail_bound": math.exp(-(math.pi * s / 2.0) * radius**2),
     }
-
-
-def hermitian_defect(psi: GaussianSection, phi: GaussianSection, cocycle, s: float, radius: int) -> float:
-    """Max coefficient difference between <psi|phi>* and <phi|psi>."""
-    left = involution(module_inner(psi, phi, radius), cocycle, s)
-    right = module_inner(phi, psi, radius)
-    diff = left - right
-    return max((abs(z) for z in diff.terms.values()), default=0.0)

@@ -2,13 +2,18 @@
 
 Each oracle is deliberately written against the raw definitions (explicit
 loops, Bloch reduction, brute-force quadrature) and never calls the code
-path it is used to check.
+path it is used to check.  The last two helpers are reference checks rather
+than oracles: they measure a property (plaquette holonomy, Hermitian
+symmetry of the module pairing) of the library's own output.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from quantlab.algebra import involution
+from quantlab.sections import module_inner
 
 
 def twisted_convolution(a_terms, b_terms, kappa, s):
@@ -99,3 +104,15 @@ def cyclic_shift(n: int) -> np.ndarray:
     for i in range(n):
         s[(i + 1) % n, i] = 1.0
     return s
+
+
+def plaquette_phases(lattice) -> np.ndarray:
+    """Product of a FluxLattice's link phases around each plaquette, traversed +y,+x,-y,-x."""
+    ux, uy = lattice.ux, lattice.uy
+    return uy * np.roll(ux, -1, axis=1) * np.conj(np.roll(uy, -1, axis=0)) * np.conj(ux)
+
+
+def hermitian_defect(psi, phi, cocycle, s: float, radius: int) -> float:
+    """Max coefficient difference between <psi|phi>* and <phi|psi>, from module_inner itself."""
+    diff = involution(module_inner(psi, phi, radius), cocycle, s) - module_inner(phi, psi, radius)
+    return max((abs(z) for z in diff.terms.values()), default=0.0)

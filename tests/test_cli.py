@@ -1,12 +1,16 @@
+import cmath
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import quantlab
 from quantlab import algebra, cocycle, dolbeault, sections, surface_index, toeplitz
 from quantlab.cli import OPERATION_COVERAGE, _identity_residual, build_parser, main
 
@@ -52,6 +56,32 @@ def test_registry_covers_every_public_operation():
             key = f"{module_name}.{op}"
             assert key in OPERATION_COVERAGE, f"operation {key} has no subcommand"
             assert OPERATION_COVERAGE[key] in known
+
+
+# a small invocation of each subcommand a registry entry is checked against
+SMALL_RUNS = {
+    "module-gram": ["module-gram", "--radius", "3", "--rep-radius", "2"],
+    "spectral": ["spectral", "--n-flux", "1", "--grid", "16"],
+}
+
+
+@pytest.mark.parametrize(
+    "operation", ["algebra.regular_representation", "surface_index.numeric_index_crosscheck"]
+)
+def test_registry_entry_names_a_subcommand_that_runs_it(operation, monkeypatch, capsys):
+    module_name, name = operation.split(".")
+    module, original = MODULES[module_name], getattr(MODULES[module_name], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    subcommand = OPERATION_COVERAGE[operation]
+    assert main(SMALL_RUNS[subcommand]) == 0
+    capsys.readouterr()
+    assert calls, f"{subcommand} does not call {operation}"
 
 
 def test_index_subcommand_example(capsys):
@@ -148,6 +178,75 @@ def test_config_override(tmp_path, capsys):
     assert out["natsume_nest"] == pytest.approx(l2_expected)
 
 
+@pytest.mark.parametrize(
+    "overrides, argv, tokens",
+    [
+        ({"N": 4}, ["weyl", "--N", "2..3"], ["--N", "4"]),
+        ({"s_grid": 5}, ["algebra", "--mode", "norm-profile", "--radius", "3"], ["--s-grid", "5"]),
+        ({"g": 5, "s": 2.5}, ["index", "--g", "2", "--s", "1"], ["--g", "5", "--s", "2.5"]),
+        ({"rep_radius": 2, "rep-radius": 3}, ["module-gram"], ["--rep-radius", "3"]),
+    ],
+    ids=["range-given-int", "string-given-int", "int-and-float", "dest-and-flag"],
+)
+def test_config_means_the_same_as_argv(overrides, argv, tokens, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(overrides))
+    code = main(["--config", str(config)] + argv)
+    out = capsys.readouterr().out
+    assert (code, out) == (main(argv + tokens), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ('{"g": 2.5}', ["index", "--g", "2", "--s", "3"]),
+        ('{"grid_rule": "x"}', ["weyl", "--N", "2"]),
+        ('{"continuity_threshold": "x"}', ["algebra", "--mode", "norm", "--radius", "2"]),
+        ('{"func": 1}', ["index", "--g", "2", "--s", "3"]),
+        ('{"command": "weyl"}', ["index", "--g", "2", "--s", "3"]),
+        ('{"config": "conf.json"}', ["index", "--g", "2", "--s", "3"]),
+        ('{"help": "x"}', ["index", "--g", "2", "--s", "3"]),
+        ('{"potential": "bogus"}', ["cocycle-check", "--radius", "1"]),
+        ('{"radius": true}', ["cocycle-check", "--radius", "1"]),
+        ('{"N": [4, 5]}', ["weyl", "--N", "2"]),
+        ('{"N": null}', ["weyl", "--N", "2"]),
+        ('{"N": {"lo": 2}}', ["weyl", "--N", "2"]),
+        ("[1, 2]", ["weyl", "--N", "2"]),
+        ("{not json", ["weyl", "--N", "2"]),
+    ],
+    ids=[
+        "int-given-float",
+        "int-given-string",
+        "float-given-string",
+        "internal-func",
+        "internal-command",
+        "top-level-config",
+        "help",
+        "bad-choice",
+        "boolean",
+        "array",
+        "null",
+        "object",
+        "not-an-object",
+        "not-json",
+    ],
+)
+def test_config_rejects_what_the_parser_rejects(text, argv, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(text)
+    code = main(["--config", str(config)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["status"] == "config-error"
+    assert captured.err == ""
+
+
+def test_config_file_missing(tmp_path, capsys):
+    code = main(["--config", str(tmp_path / "absent.json"), "weyl", "--N", "2"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "config-error"
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"not-a-key": 1}))
@@ -158,9 +257,13 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_usage_error_exits_2():
+    # the child imports quantlab from the same place as this test process
+    src = str(Path(quantlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "quantlab.cli", "no-such-command"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 2
 
@@ -249,3 +352,65 @@ def test_heisenberg_small_truncation(capsys):
     assert code == 0
     assert out["commutator_residual"] <= 1e-8
     assert math.isfinite(out["scalar_deviation"])
+
+
+# Gated subcommands exit 1, with their usual output, once a measured value
+# passes its bound; the library call is replaced by one that lands just past it.
+
+
+def test_weyl_gate_fails_past_1e_8(monkeypatch, capsys):
+    def off_by(n, grid):
+        return cmath.exp(2j * math.pi / n) + 2e-8
+
+    monkeypatch.setattr(toeplitz, "weyl_relation", off_by)
+    code = main(["weyl", "--N", "2..3"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert rows[0] == "claim,N,re,im,deviation"
+    assert [float(r.split(",")[-1]) for r in rows[1:]] == pytest.approx([2e-8, 2e-8], rel=1e-6)
+
+
+def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
+    def off_by(j, k, s):
+        return complex(math.exp(-math.pi * (j * j + k * k) / s) / s + 2e-8)
+
+    monkeypatch.setattr(toeplitz, "bargmann_matrix_element", off_by)
+    code = main(["bargmann", "--j", "0..1", "--k", "0"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert rows[0] == "claim,j,k,re,im,closed_form,deviation"
+    assert len(rows) == 3
+    assert all(float(r.split(",")[-1]) > 1e-8 for r in rows[1:])
+
+
+@pytest.mark.parametrize("which", ["constancy", "identity"])
+def test_cocycle_check_gate_fails_past_1e_10(which, monkeypatch, capsys):
+    grid = cocycle.cocycle_grid
+
+    def perturbed(A, radius):
+        points, values, residual = grid(A, radius)
+        if which == "identity":
+            values = values.copy()
+            k = points.index((0, 0))
+            values[k, k] += 2e-10  # c(0, 0): the triples (0, 0, g) see it
+            return points, values, residual
+        return points, values, 2e-10
+
+    monkeypatch.setattr(cocycle, "cocycle_grid", perturbed)
+    code = main(["cocycle-check", "--radius", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads("\n".join(lines[1 + 25 * 25 :]))
+    assert code == 1
+    assert lines[0] == "claim,n1,m1,n2,m2,value"
+    assert summary["pairs"] == 25 * 25
+    assert summary[f"{which}_residual"] > 1e-10
+
+
+def test_module_gram_gate_fails_past_minus_1e_9(monkeypatch, capsys):
+    report = {"min_eigenvalue": -2e-9, "dimension": 9, "tail_bound": 0.0}
+    monkeypatch.setattr(sections, "gram_positivity", lambda *args: report)
+    code = main(["module-gram", "--radius", "3", "--rep-radius", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["claim"] == "module-gram-positivity"
+    assert out["min_eigenvalue"] == -2e-9

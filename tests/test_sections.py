@@ -10,7 +10,6 @@ from quantlab.sections import (
     GaussianSection,
     GaussianTerm,
     gram_positivity,
-    hermitian_defect,
     l2_inner,
     module_inner,
     module_trace,
@@ -18,7 +17,7 @@ from quantlab.sections import (
     vacuum,
 )
 
-from oracles import gaussian_quadrature_inner
+from oracles import gaussian_quadrature_inner, hermitian_defect
 
 rng = np.random.default_rng(905)
 KC = KappaCocycle()
