@@ -11,9 +11,11 @@ Conventions used throughout:
 * cocycles must be normalized, ``c(e, e) = 0``, so that ``[e]`` is the unit.
 
 Truncated regular representations act on the sup-norm ball
-``{(n, m): |n| <= R, |m| <= R}`` of the lattice; compressions to the ball give
-finite-rank surrogates whose largest singular value estimates the reduced
-norm from below, monotonically in ``R``.
+``{(n, m): |n| <= R, |m| <= R}`` of the lattice.  ``norm_estimate`` returns
+the exact largest singular value of the compression to the ball, to a
+certified relative bracket of 1e-12 on its square (banded Cholesky
+factorizations of ``t I - A* A``): a finite-rank lower bound for the reduced
+norm, nondecreasing in ``R``.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import warnings
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ContinuityError, TruncationError
+from .errors import ContinuityError, ConvergenceError, TruncationError
 
 Lattice = Tuple[int, int]
 
@@ -225,22 +227,18 @@ def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp
             % (a.support_radius(), radius),
             stacklevel=3,
         )
-    points = ball_points(radius)
-    index = {g: i for i, g in enumerate(points)}
-    dim = len(points)
-    rows, cols, vals = [], [], []
-    for gp, z in a._terms.items():
-        for g, col in index.items():
-            target = compose(gp, g)
-            row = index.get(target)
-            if row is None:
-                continue  # hop leaves the ball: compressed away
-            rows.append(row)
-            cols.append(col)
-            vals.append(z * sigma(cocycle, s, gp, g))
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    )
+    dim = (2 * radius + 1) ** 2
+    n, m = np.divmod(np.arange(dim), 2 * radius + 1)
+    n, m = n - radius, m - radius  # ball_points(radius), in order
+    shifts = np.array(list(a._terms), dtype=np.int64).reshape(-1, 2)
+    coeffs = np.array(list(a._terms.values()), dtype=complex)
+    tn, tm = shifts[:, :1] + n, shifts[:, 1:] + m
+    # hops that leave the ball are compressed away
+    term, col = np.nonzero((np.abs(tn) <= radius) & (np.abs(tm) <= radius))
+    rows = ball_index(tn[term, col], tm[term, col], radius)
+    phase = cocycle((shifts[term, 0], shifts[term, 1]), (n[col], m[col]))
+    vals = coeffs[term] * np.exp(1j * s * phase)
+    return sp.csr_matrix((vals, (rows, col)), shape=(dim, dim))
 
 
 def regular_representation(
@@ -249,25 +247,85 @@ def regular_representation(
     """Matrix of left multiplication by ``a`` compressed to the ball.
 
     Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, rows/columns
-    whose target leaves the ball are truncated.
+    whose target leaves the ball are truncated.  The cocycle is called once,
+    on integer arrays over (terms x ball), so it must broadcast over them
+    (``KappaCocycle`` does, ``TabulatedCocycle`` does not).
     """
     return _regular_rep_sparse(a, cocycle, s, radius).toarray()
+
+
+_NORM_REL_WIDTH = 1e-12  # relative width of the certified bracket on ||A||^2
+_NORM_MAX_STEPS = 60  # factorizations before ConvergenceError
+_NORM_SOLVES = 6  # inverse-iteration solves per factorization
 
 
 def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
     """Largest singular value of the truncated regular representation.
 
-    A finite-rank lower surrogate for the reduced C*-norm: nondecreasing in
+    The exact compression norm, to a certified relative bracket of 1e-12 on
+    its square.  In the lexicographic ball order the compression ``A`` is
+    banded, so ``G = A* A`` is a Hermitian band matrix, and a banded
+    Cholesky factorization of ``t I - G`` succeeds exactly when
+    ``t > ||A||^2`` (to rounding).  The upper end of the bracket is the
+    smallest shift ``t`` that factored (twice the squared l1 bound before
+    any did); the lower end, whose square root is returned, is the largest
+    Rayleigh quotient ``|A x|^2`` of unit inverse-iteration vectors solved
+    with the last factor.  The first shift is the squared l1 bound; each
+    next one is the lower end plus the Rayleigh residual
+    ``|G x - |A x|^2 x|`` when that lies strictly between the highest shift
+    that failed and the upper end, and otherwise the geometric mean of
+    those two distances above the lower end.  Raises ``ConvergenceError``
+    if the bracket is still open after ``_NORM_MAX_STEPS`` factorizations.
+
+    A finite-rank lower bound for the reduced C*-norm: nondecreasing in
     ``radius`` and bounded above by the l1 norm of the coefficients.
     """
     mat = _regular_rep_sparse(a, cocycle, s, radius)
     if mat.nnz == 0:
         return 0.0
-    if mat.shape[0] <= 64:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    v0 = np.ones(mat.shape[0])
-    sv = spla.svds(mat, k=1, return_singular_vectors=False, v0=v0)
-    return float(sv[0])
+    gram = mat.conj().T @ mat
+    entries = gram.tocoo()
+    upper = entries.col >= entries.row
+    rows, cols = entries.row[upper], entries.col[upper]
+    width = int((cols - rows).max())
+    band = np.zeros((width + 1, gram.shape[0]), dtype=complex, order="F")
+    band[width + rows - cols, cols] = -entries.data[upper]  # upper band storage of -G
+
+    def rayleigh(x):
+        value = np.linalg.norm(mat @ x) ** 2
+        return value, np.linalg.norm(gram @ x - value * x)
+
+    # a fixed generic start: a symmetric one can be orthogonal to the top eigenvector
+    x = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, gram.shape[0]))
+    x /= np.linalg.norm(x)
+    lo, residual = rayleigh(x)
+    bound = a.l1_norm() ** 2  # ||A||^2 <= bound
+    hi, failed = 2.0 * bound, -math.inf  # upper end; highest shift that did not factor
+    t = bound * (1.0 + _NORM_REL_WIDTH / 4)
+    for _ in range(_NORM_MAX_STEPS):
+        shifted = band.copy(order="F")
+        shifted[width] += t
+        try:
+            factor = la.cholesky_banded(shifted, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            failed = t
+        else:
+            hi = min(hi, t)
+            for _ in range(_NORM_SOLVES):
+                x = la.cho_solve_banded((factor, False), x, check_finite=False)
+                x /= np.linalg.norm(x)
+                value, res = rayleigh(x)
+                if value > lo:
+                    lo, residual = value, res
+        if hi - lo <= _NORM_REL_WIDTH * hi:
+            return math.sqrt(lo)
+        t = lo + max(residual, _NORM_REL_WIDTH * hi / 2)
+        if not failed < t < hi:
+            t = lo + math.sqrt(max(failed - lo, _NORM_REL_WIDTH * hi / 2) * (hi - lo))
+    raise ConvergenceError(
+        "norm bracket [%.17g, %.17g] still open after %d factorizations"
+        % (math.sqrt(lo), math.sqrt(hi), _NORM_MAX_STEPS)
+    )
 
 
 def norm_profile(

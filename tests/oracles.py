@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from quantlab.algebra import involution
+from quantlab.algebra import ball_points, compose, involution, sigma
 from quantlab.sections import module_inner
 
 
@@ -25,6 +25,24 @@ def twisted_convolution(a_terms, b_terms, kappa, s):
             key = (n1 + n2, m1 + m2)
             out[key] = out.get(key, 0.0) + z1 * z2 * phase
     return {k: v for k, v in out.items() if v != 0}
+
+
+def regular_representation_loop(a, cocycle, s: float, radius: int) -> np.ndarray:
+    """Ball compression of left multiplication by ``a``, one entry at a time.
+
+    ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}`` for each term ``g'`` and
+    ball point ``g``, with one scalar cocycle call per entry; hops that leave
+    the ball are dropped.
+    """
+    points = ball_points(radius)
+    index = {g: i for i, g in enumerate(points)}
+    mat = np.zeros((len(points), len(points)), dtype=complex)
+    for gp, z in a.terms.items():
+        for g, col in index.items():
+            row = index.get(compose(gp, g))
+            if row is not None:
+                mat[row, col] += z * sigma(cocycle, s, gp, g)
+    return mat
 
 
 def hofstadter_bloch_norm(p: int, q: int, grid: int = 240) -> float:

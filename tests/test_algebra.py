@@ -1,9 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from quantlab import algebra
 from quantlab.algebra import (
     U,
     V,
@@ -20,9 +22,9 @@ from quantlab.algebra import (
     sigma,
     trace,
 )
-from quantlab.errors import TruncationError
+from quantlab.errors import ConvergenceError, TruncationError
 
-from oracles import hofstadter_bloch_norm, twisted_convolution
+from oracles import hofstadter_bloch_norm, regular_representation_loop, twisted_convolution
 
 rng = np.random.default_rng(1123)
 KC = KappaCocycle()
@@ -207,6 +209,47 @@ def test_regular_representation_warns_on_lossy_truncation():
     wide = AlgebraElement.basis((5, 0))
     with pytest.warns(UserWarning):
         regular_representation(wide, KC, 0.1, 2)
+
+
+@pytest.mark.parametrize("radius", [1, 3, 6])
+def test_regular_representation_matches_entrywise_oracle(radius):
+    for s in (0.0, 0.31, 0.77, 1.6):
+        # supports reach past the ball for radius 1 and 3: lossy compressions
+        a = random_element(n_terms=6, bound=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mat = regular_representation(a, KC, s, radius)
+        assert np.abs(mat - regular_representation_loop(a, KC, s, radius)).max() <= 1e-14
+
+
+def test_element_outside_the_ball_compresses_to_zero():
+    gone = AlgebraElement({(4, 0): 1.0, (-2, 5): 2.0 - 1j})
+    with pytest.warns(UserWarning):
+        mat = regular_representation(gone, KC, 0.3, 1)
+    assert not mat.any()
+    with pytest.warns(UserWarning):
+        assert norm_estimate(gone, KC, 0.3, 1) == 0.0
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.7, 0.9])
+def test_norm_estimate_is_the_dense_compression_norm_harper(s):
+    h = harper_element(KC, 0.0)
+    dense = np.linalg.norm(regular_representation(h, KC, s, 13), 2)
+    assert norm_estimate(h, KC, s, 13) == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("radius", [4, 8, 12])
+def test_norm_estimate_is_the_dense_compression_norm_random(radius):
+    for s in (0.23, 0.64):
+        a = random_element(n_terms=6, bound=3)
+        dense = np.linalg.norm(regular_representation(a, KC, s, radius), 2)
+        assert norm_estimate(a, KC, s, radius) == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+
+def test_norm_estimate_raises_when_the_bracket_stays_open(monkeypatch):
+    monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError):
+        norm_estimate(harper_element(KC, 0.0), KC, 0.1, 13)
 
 
 def test_norm_of_basis_elements():

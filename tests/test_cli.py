@@ -1,4 +1,6 @@
 import cmath
+import csv
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import quantlab
-from quantlab import algebra, cocycle, dolbeault, sections, surface_index, toeplitz
+from quantlab import algebra, cli, cocycle, dolbeault, sections, surface_index, toeplitz
 from quantlab.cli import OPERATION_COVERAGE, _identity_residual, build_parser, main
 
 PUBLIC_OPERATIONS = {
@@ -329,12 +331,31 @@ def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    monkeypatch.setattr(algebra, "norm_estimate", no_convergence)
-    code = main(["algebra", "--mode", "norm-profile", "--radius", "10"])
+    monkeypatch.setattr(cli, "spectral_report", no_convergence)
+    code = main(["spectral", "--n-flux", "1", "--grid", "16"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["status"] == "failed"
     assert out["error"] == "ArpackNoConvergence"
+
+
+def test_norm_bracket_failure_exits_1_with_record(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
+    code = main(["algebra", "--mode", "norm", "--s", "0.1", "--radius", "13"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["status"] == "failed"
+    assert out["error"] == "ConvergenceError"
+
+
+def test_norm_profile_at_the_default_radius(capsys):
+    assert main(["algebra", "--mode", "norm-profile", "--s-grid", "0.1,0.9"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [float(row["s"]) for row in rows] == [0.1, 0.9]
+    h = algebra.harper_element(algebra.KappaCocycle(), 0.0)
+    for row in rows:
+        smaller_ball = algebra.norm_estimate(h, algebra.KappaCocycle(), float(row["s"]), 13)
+        assert smaller_ball - 1e-10 <= float(row["norm"]) <= 4.0
 
 
 def test_continuity_threshold_failure_exits_1_with_record(capsys):
