@@ -136,32 +136,30 @@ def project_act(
     return GaussianSection(s, out)
 
 
-def _inner_1d(a: float, mu1: float, mu2: float, k1: float, k2: float) -> complex:
-    # int exp(-a(x-mu1)^2 - a(x-mu2)^2 + i(k2-k1)x) dx, a = pi*s/2
-    dk = k2 - k1
-    dmu = mu1 - mu2
-    mid = 0.5 * (mu1 + mu2)
-    return (
-        math.sqrt(math.pi / (2.0 * a))
-        * cmath.exp(-0.5 * a * dmu * dmu - dk * dk / (8.0 * a) + 1j * dk * mid)
-    )
-
-
 def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
-    """Exact Gaussian-integral value of ``int conj(psi) phi dx dy``."""
+    """Exact Gaussian-integral value of ``int conj(psi) phi dx dy``.
+
+    With a = pi s / 2, each term pair contributes (pi / 2a) exp(-(a/2)|dmu|^2
+    - |dk|^2 / 8a + i dk . mid): dmu and mid are the difference and midpoint
+    of the centers, dk the difference of the wave vectors; pi / 2a = 1 / s.
+    """
     if psi.s != phi.s:
         raise ValueError("sections must share the width parameter s")
     a = math.pi * psi.s / 2.0
+    half_a, eighth_inv_a = 0.5 * a, 0.125 / a
     total = 0.0 + 0.0j
     for t1 in psi.terms:
+        (x1, y1), (kx1, ky1) = t1.center, t1.wave
+        c1 = t1.coeff.conjugate()
         for t2 in phi.terms:
-            total += (
-                t1.coeff.conjugate()
-                * t2.coeff
-                * _inner_1d(a, t1.center[0], t2.center[0], t1.wave[0], t2.wave[0])
-                * _inner_1d(a, t1.center[1], t2.center[1], t1.wave[1], t2.wave[1])
+            (x2, y2), (kx2, ky2) = t2.center, t2.wave
+            dx, dy, dkx, dky = x1 - x2, y1 - y2, kx2 - kx1, ky2 - ky1
+            exponent = complex(
+                -half_a * (dx * dx + dy * dy) - eighth_inv_a * (dkx * dkx + dky * dky),
+                0.5 * (dkx * (x1 + x2) + dky * (y1 + y2)),
             )
-    return total
+            total += c1 * t2.coeff * cmath.exp(exponent)
+    return total / psi.s
 
 
 def module_inner(

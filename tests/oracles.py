@@ -8,7 +8,9 @@ symmetry of the module pairing) of the library's own output.
 """
 
 import cmath
+import csv
 import math
+import sys
 
 import numpy as np
 
@@ -65,6 +67,58 @@ def hofstadter_bloch_norm(p: int, q: int, grid: int = 240) -> float:
             vals = np.linalg.eigvalsh(h)
             best = max(best, float(np.abs(vals).max()))
     return best
+
+
+def l2_inner_loop(psi, phi) -> complex:
+    """Gaussian pairing int conj(psi) phi as a product of 1-D integrals, term pair by term pair.
+
+    Each factor is sqrt(pi / 2a) exp(-(a/2) dmu^2 - dk^2 / 8a + i dk mid)
+    with a = pi s / 2, evaluated with its own exponential.
+    """
+    a = math.pi * psi.s / 2.0
+
+    def inner_1d(mu1, mu2, k1, k2):
+        dk, dmu, mid = k2 - k1, mu1 - mu2, 0.5 * (mu1 + mu2)
+        return math.sqrt(math.pi / (2.0 * a)) * cmath.exp(
+            -0.5 * a * dmu * dmu - dk * dk / (8.0 * a) + 1j * dk * mid
+        )
+
+    total = 0.0 + 0.0j
+    for t1 in psi.terms:
+        for t2 in phi.terms:
+            total += (
+                t1.coeff.conjugate()
+                * t2.coeff
+                * inner_1d(t1.center[0], t2.center[0], t1.wave[0], t2.wave[0])
+                * inner_1d(t1.center[1], t2.center[1], t1.wave[1], t2.wave[1])
+            )
+    return total
+
+
+def write_rows_csv(path, header, rows) -> None:
+    """The CLI's CSV rows rendered by ``csv.writer``, to ``path`` or stdout.
+
+    Floats are written as ``repr(float(v))``.  A string cell holding commas
+    (a pre-joined label) is split into its cells first, and ``csv.writer``
+    renders each one, quoting any that needs it.
+    """
+    fh = open(path, "w") if path else sys.stdout
+    try:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            cells = []
+            for v in row:
+                if isinstance(v, float):
+                    cells.append(repr(float(v)))
+                elif isinstance(v, str):
+                    cells.extend(v.split(","))
+                else:
+                    cells.append(v)
+            writer.writerow(cells)
+    finally:
+        if path:
+            fh.close()
 
 
 def gaussian_quadrature_inner(psi, phi, half_width: float = 9.0, points: int = 1200):

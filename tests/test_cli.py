@@ -14,7 +14,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import quantlab
 from quantlab import algebra, cli, cocycle, dolbeault, sections, surface_index, toeplitz
-from quantlab.cli import OPERATION_COVERAGE, _identity_residual, build_parser, main
+from quantlab.cli import LIBRARY_ONLY, OPERATION_COVERAGE, _identity_residual, build_parser, main
+
+from oracles import write_rows_csv
 
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
@@ -52,38 +54,88 @@ def test_registry_covers_every_public_operation():
         if hasattr(action, "choices") and action.choices
     }
     known = set(next(iter(subcommands.values())))
-    for module_name, ops in PUBLIC_OPERATIONS.items():
-        for op in ops:
-            assert hasattr(MODULES[module_name], op)
-            key = f"{module_name}.{op}"
-            assert key in OPERATION_COVERAGE, f"operation {key} has no subcommand"
-            assert OPERATION_COVERAGE[key] in known
+    public = {f"{module_name}.{op}" for module_name, ops in PUBLIC_OPERATIONS.items() for op in ops}
+    for key in public:
+        module_name, op = key.split(".")
+        assert hasattr(MODULES[module_name], op)
+    # each public operation is in exactly one of the two sets
+    assert not set(OPERATION_COVERAGE) & LIBRARY_ONLY
+    assert set(OPERATION_COVERAGE) | LIBRARY_ONLY == public
+    assert set(OPERATION_COVERAGE.values()) <= known
 
 
-# a small invocation of each subcommand a registry entry is checked against
+# small invocations of each subcommand a registry entry is checked against
 SMALL_RUNS = {
-    "module-gram": ["module-gram", "--radius", "3", "--rep-radius", "2"],
-    "spectral": ["spectral", "--n-flux", "1", "--grid", "16"],
+    "algebra": [
+        ["algebra", "--mode", "mult"],
+        ["algebra", "--mode", "trace"],
+        ["algebra", "--mode", "norm", "--radius", "3"],
+        ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"],
+    ],
+    "module-gram": [["module-gram", "--radius", "3", "--rep-radius", "2"]],
+    "spectral": [["spectral", "--n-flux", "1", "--grid", "16", "--export-kernel", "KERNEL"]],
+    "toeplitz-sweep": [["toeplitz-sweep", "--N", "4,5", "--samples", "2"]],
+    "weyl": [["weyl", "--N", "2..3"]],
+    "bargmann": [["bargmann", "--j", "0..1", "--k", "0"]],
+    "heisenberg": [["heisenberg"]],
+    "index": [["index", "--g", "2", "--s", "3"]],
 }
+QUANTLAB_MODULES = (cli, *MODULES.values())
 
 
-@pytest.mark.parametrize(
-    "operation", ["algebra.regular_representation", "surface_index.numeric_index_crosscheck"]
-)
-def test_registry_entry_names_a_subcommand_that_runs_it(operation, monkeypatch, capsys):
+@pytest.mark.parametrize("operation", sorted(OPERATION_COVERAGE))
+def test_registry_entry_names_a_subcommand_that_runs_it(operation, tmp_path, monkeypatch, capsys):
     module_name, name = operation.split(".")
-    module, original = MODULES[module_name], getattr(MODULES[module_name], name)
+    original = getattr(MODULES[module_name], name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    # every module that binds the operation by name, as `from ... import` does
+    for module in QUANTLAB_MODULES:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     subcommand = OPERATION_COVERAGE[operation]
-    assert main(SMALL_RUNS[subcommand]) == 0
+    for argv in SMALL_RUNS[subcommand]:
+        assert main([str(tmp_path / "kernel.csv") if a == "KERNEL" else a for a in argv]) == 0
     capsys.readouterr()
     assert calls, f"{subcommand} does not call {operation}"
+
+
+WRITER_RUNS = [
+    *(
+        ["cocycle-check", "--radius", str(radius), "--potential", potential]
+        for radius in range(4)
+        for potential in ("symmetric", "landau")
+    ),
+    ["toeplitz-sweep", "--N", "4,5", "--samples", "2"],
+    ["weyl", "--N", "2..3"],
+    ["bargmann"],
+    ["algebra", "--mode", "norm-profile", "--radius", "3"],
+    ["spectral", "--n-flux", "1", "--grid", "16"],
+]
+
+
+def _outputs(argv, target, capsys):
+    code = main(argv)
+    data = target.read_bytes() if target.exists() else None
+    target.unlink(missing_ok=True)
+    return code, capsys.readouterr().out, data
+
+
+@pytest.mark.parametrize("argv", WRITER_RUNS, ids=" ".join)
+def test_writer_bytes_equal_the_csv_module(argv, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "rows.csv"
+    if argv[0] == "spectral":
+        runs = [argv + ["--export-kernel", str(target)]]
+    else:
+        runs = [argv, argv + ["--output", str(target)]]
+    ours = [_outputs(run, target, capsys) for run in runs]
+    assert ours[-1][2], "no CSV written"
+    monkeypatch.setattr(cli, "_write_rows", write_rows_csv)
+    assert [_outputs(run, target, capsys) for run in runs] == ours
 
 
 def test_index_subcommand_example(capsys):
@@ -368,11 +420,20 @@ def test_continuity_threshold_failure_exits_1_with_record(capsys):
 
 
 def test_heisenberg_small_truncation(capsys):
+    # four ladder states are too few for the group commutator: exit 1, record printed
     code = main(["heisenberg", "--truncation", "4"])
     out = json.loads(capsys.readouterr().out)
-    assert code == 0
+    assert code == 1
     assert out["commutator_residual"] <= 1e-8
-    assert math.isfinite(out["scalar_deviation"])
+    assert out["scalar_deviation"] > 1e-8
+
+
+def test_heisenberg_default_truncation_passes(capsys):
+    code = main(["heisenberg"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["claim"] == "heisenberg-generators"
+    assert max(out["scalar_deviation"], out["commutator_residual"]) <= 1e-8
 
 
 # Gated subcommands exit 1, with their usual output, once a measured value
@@ -402,6 +463,27 @@ def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
     assert rows[0] == "claim,j,k,re,im,closed_form,deviation"
     assert len(rows) == 3
     assert all(float(r.split(",")[-1]) > 1e-8 for r in rows[1:])
+
+
+@pytest.mark.parametrize("which", ["scalar", "commutator"])
+def test_heisenberg_gate_fails_past_1e_8(which, monkeypatch, capsys):
+    check = toeplitz.heisenberg_generator_check
+
+    def off_by(s, truncation):
+        report = dict(check(s, truncation))
+        if which == "scalar":
+            report["group_commutator_scalar"] = report["group_commutator_expected"] + 2e-8
+        else:
+            report["commutator_residual"] = 2e-8
+        return report
+
+    monkeypatch.setattr(toeplitz, "heisenberg_generator_check", off_by)
+    code = main(["heisenberg"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["claim"] == "heisenberg-generators"
+    key = "scalar_deviation" if which == "scalar" else "commutator_residual"
+    assert out[key] == pytest.approx(2e-8, rel=1e-6)
 
 
 @pytest.mark.parametrize("which", ["constancy", "identity"])

@@ -17,7 +17,7 @@ from quantlab.sections import (
     vacuum,
 )
 
-from oracles import gaussian_quadrature_inner, hermitian_defect
+from oracles import gaussian_quadrature_inner, hermitian_defect, l2_inner_loop
 
 rng = np.random.default_rng(905)
 KC = KappaCocycle()
@@ -95,6 +95,43 @@ def test_l2_inner_against_quadrature():
     exact = l2_inner(psi, phi)
     quad = gaussian_quadrature_inner(psi, phi)
     assert abs(exact - quad) < 1e-8
+
+
+def offset_section(gen, s, n_terms):
+    """Random terms with centres up to 1.5 off the origin and wave vectors up to 2."""
+    terms = [
+        GaussianTerm(
+            complex(*gen.normal(size=2)),
+            tuple(gen.uniform(-1.5, 1.5, size=2)),
+            tuple(gen.uniform(-2.0, 2.0, size=2)),
+        )
+        for _ in range(n_terms)
+    ]
+    return GaussianSection(s, terms)
+
+
+def pairing_scale(psi, phi):
+    """(sum |c|)(sum |c'|) / s, a bound on every term-pair contribution."""
+    return sum(abs(t.coeff) for t in psi.terms) * sum(abs(t.coeff) for t in phi.terms) / psi.s
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 4.0])
+def test_l2_inner_matches_the_term_pair_loop(s):
+    gen = np.random.default_rng(int(10 * s))
+    for n_terms in (1, 3, 6):
+        psi, phi = offset_section(gen, s, n_terms), offset_section(gen, s, 6)
+        assert abs(l2_inner(psi, phi) - l2_inner_loop(psi, phi)) <= 1e-13 * pairing_scale(psi, phi)
+
+
+def test_module_inner_matches_the_term_pair_loop():
+    s, radius = 1.5, 8
+    gen = np.random.default_rng(8)
+    psi, phi = offset_section(gen, s, 6), offset_section(gen, s, 6)
+    gram = module_inner(psi, phi, radius)
+    bound = 1e-13 * pairing_scale(psi, phi)
+    for gamma in ball_points(radius):
+        expected = l2_inner_loop(project_act(psi, gamma), phi)
+        assert abs(gram.coefficient(gamma) - expected) <= bound
 
 
 def test_l2_inner_requires_shared_width():
