@@ -15,7 +15,9 @@ Truncated regular representations act on the sup-norm ball
 the exact largest singular value of the compression to the ball, to a
 certified relative bracket of 1e-12 on its square (banded Cholesky
 factorizations of ``t I - A* A``): a finite-rank lower bound for the reduced
-norm, nondecreasing in ``R``.
+norm, nondecreasing in ``R``.  The bracket is ``_gram_top``, the top
+eigenvalue of ``A* A`` for any sparse ``A`` whose ``A* A`` is banded; the
+Dolbeault kernel solve uses it too, for ``sigma_max``.
 """
 
 from __future__ import annotations
@@ -259,28 +261,23 @@ _NORM_MAX_STEPS = 60  # factorizations before ConvergenceError
 _NORM_SOLVES = 6  # inverse-iteration solves per factorization
 
 
-def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
-    """Largest singular value of the truncated regular representation.
+def _gram_top(mat: sp.spmatrix, bound: float) -> float:
+    """Largest eigenvalue of ``G = mat* mat``, given ``bound >= ||mat||^2``.
 
-    The exact compression norm, to a certified relative bracket of 1e-12 on
-    its square.  In the lexicographic ball order the compression ``A`` is
-    banded, so ``G = A* A`` is a Hermitian band matrix, and a banded
-    Cholesky factorization of ``t I - G`` succeeds exactly when
-    ``t > ||A||^2`` (to rounding).  The upper end of the bracket is the
-    smallest shift ``t`` that factored (twice the squared l1 bound before
-    any did); the lower end, whose square root is returned, is the largest
-    Rayleigh quotient ``|A x|^2`` of unit inverse-iteration vectors solved
-    with the last factor.  The first shift is the squared l1 bound; each
-    next one is the lower end plus the Rayleigh residual
-    ``|G x - |A x|^2 x|`` when that lies strictly between the highest shift
-    that failed and the upper end, and otherwise the geometric mean of
-    those two distances above the lower end.  Raises ``ConvergenceError``
-    if the bracket is still open after ``_NORM_MAX_STEPS`` factorizations.
-
-    A finite-rank lower bound for the reduced C*-norm: nondecreasing in
-    ``radius`` and bounded above by the l1 norm of the coefficients.
+    Certified to a relative bracket of ``_NORM_REL_WIDTH``.  ``G`` must be a
+    band matrix in the column order of ``mat``: a banded Cholesky
+    factorization of ``t I - G`` succeeds exactly when ``t`` lies above the
+    top eigenvalue (to rounding).  The upper end of the bracket is the
+    smallest shift ``t`` that factored (``2 bound`` before any did); the
+    lower end, which is returned, is the largest Rayleigh quotient
+    ``|mat x|^2`` of unit inverse-iteration vectors solved with the last
+    factor.  The first shift is ``bound``; each next one is the lower end
+    plus the Rayleigh residual ``|G x - |mat x|^2 x|`` when that lies
+    strictly between the highest shift that failed and the upper end, and
+    otherwise the geometric mean of those two distances above the lower end.
+    Raises ``ConvergenceError`` if the bracket is still open after
+    ``_NORM_MAX_STEPS`` factorizations.
     """
-    mat = _regular_rep_sparse(a, cocycle, s, radius)
     if mat.nnz == 0:
         return 0.0
     gram = mat.conj().T @ mat
@@ -299,7 +296,6 @@ def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
     x = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, gram.shape[0]))
     x /= np.linalg.norm(x)
     lo, residual = rayleigh(x)
-    bound = a.l1_norm() ** 2  # ||A||^2 <= bound
     hi, failed = 2.0 * bound, -math.inf  # upper end; highest shift that did not factor
     t = bound * (1.0 + _NORM_REL_WIDTH / 4)
     for _ in range(_NORM_MAX_STEPS):
@@ -318,7 +314,7 @@ def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
                 if value > lo:
                     lo, residual = value, res
         if hi - lo <= _NORM_REL_WIDTH * hi:
-            return math.sqrt(lo)
+            return lo
         t = lo + max(residual, _NORM_REL_WIDTH * hi / 2)
         if not failed < t < hi:
             t = lo + math.sqrt(max(failed - lo, _NORM_REL_WIDTH * hi / 2) * (hi - lo))
@@ -326,6 +322,18 @@ def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
         "norm bracket [%.17g, %.17g] still open after %d factorizations"
         % (math.sqrt(lo), math.sqrt(hi), _NORM_MAX_STEPS)
     )
+
+
+def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
+    """Largest singular value of the truncated regular representation.
+
+    The exact compression norm: ``_gram_top`` with the squared l1 bound, as
+    ``A* A`` is banded in the lexicographic ball order.  A finite-rank lower
+    bound for the reduced C*-norm: nondecreasing in ``radius`` and bounded
+    above by the l1 norm of the coefficients.
+    """
+    mat = _regular_rep_sparse(a, cocycle, s, radius)
+    return math.sqrt(_gram_top(mat, a.l1_norm() ** 2))
 
 
 def norm_profile(

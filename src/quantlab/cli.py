@@ -28,7 +28,6 @@ import sys
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import algebra, cocycle, sections, surface_index, toeplitz
 from .dolbeault import build_dolbeault, kernel_basis, spectral_report, weitzenbock_residual
@@ -501,7 +500,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
-    except (QuantLabError, ArpackNoConvergence) as exc:
+    except QuantLabError as exc:
         return _report_error("failed", exc, 1)
     except (ValueError, OSError) as exc:
         # a bad option value or an unreadable input file, not a failed check

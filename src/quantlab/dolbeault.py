@@ -30,12 +30,17 @@ b (-1 + i (e^{i theta} - 1)), theta = 2 pi (p/M - N j/M^2).  A block subspace
 iteration with one sparse LU of the shifted normal matrix B^* B + 1 finds the
 lowest singular triplets of all chains; Rayleigh-Ritz is an SVD of B Q, so
 singular values carry eps * sigma_max error like a dense SVD and every copy
-of a repeated value is found.  The symmetric-periodic gauge is exactly
-G D_Landau G^* for G[j, k] = exp(-i pi N j k / M^2): same singular values,
-vectors multiplied by G.  At zero flux the doubler zero would land on the
-momentum grid whenever 4 | M, so the fluxless operator is the exact spectral
-derivative, symbol (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its
-triplets are read off the symbol.
+of a repeated value is found.  sigma_max is the top of the same chains: with
+each chain's columns in zig-zag order 0, L-1, 1, L-2, ... B^* B is a band of
+width 2, and ``algebra._gram_top`` brackets its top eigenvalue to 1e-12
+relative by banded Cholesky factorizations, starting from the bound
+(max |diagonal| + b)^2 and raising ConvergenceError if the bracket stays
+open.  The symmetric-periodic gauge is exactly G D_Landau G^* for
+G[j, k] = exp(-i pi N j k / M^2): same singular values, vectors multiplied
+by G.  At zero flux the doubler zero would land on the momentum grid
+whenever 4 | M, so the fluxless operator is the exact spectral derivative,
+symbol (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets
+are read off the symbol.
 
 Curvature normalization: in the continuum the commutator
 D_plus D_plus^* - D_plus^* D_plus is the constant CURVATURE_SCALE * N; on
@@ -53,6 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .algebra import _gram_top
 from .errors import ConvergenceError, GapBoundError, IndeterminateKernelError, ResolutionError
 
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
@@ -195,10 +201,13 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         b = M / math.sqrt(2.0)
         diag = b * (-1.0 + 1j * (np.exp(2j * math.pi * (p / M - N * j / (M * M))) - 1.0))
         chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(g), _cyclic_step(L))).tocsr()
+        # zig-zag columns 0, L-1, 1, L-2, ... make each cyclic chain's
+        # tridiagonal-plus-corner normal matrix a band of width 2
+        half, odd = np.divmod(np.arange(L), 2)
+        zigzag = np.where(odd, L - 1 - half, half)
+        perm = (L * np.arange(g)[:, None] + zigzag).ravel()
+        sigma_max = math.sqrt(_gram_top(chains[:, perm], (np.abs(diag).max() + b) ** 2))
         normal = (chains.getH() @ chains).tocsc()
-        v0 = np.random.default_rng(0).standard_normal(M * M)
-        top = spla.eigsh(normal, k=1, which="LA", v0=v0, return_eigenvectors=False, tol=1e-9)
-        sigma_max = math.sqrt(float(top[0]))
         lu = spla.splu(normal + sp.identity(M * M, format="csc"))
         m = min(L, -(-k // g) + 2)  # an even share of k per chain, and two spare
         values, ritz = _chain_triplets(chains, lu, g, m)

@@ -221,10 +221,7 @@ def gram_positivity(
                 warnings.simplefilter("ignore", UserWarning)
                 block = regular_representation(gram, cocycle, s, rep_radius)
             big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-            if j > i:
-                big[j * dim : (j + 1) * dim, i * dim : (i + 1) * dim] = block.conj().T
-    big = 0.5 * (big + big.conj().T)
-    eigvals = np.linalg.eigvalsh(big)
+    eigvals = np.linalg.eigvalsh(big, UPLO="U")  # reads the blocks i <= j only
     return {
         "sections": k,
         "dimension": k * dim,

@@ -52,14 +52,21 @@ class TrigPolynomial(AlgebraElement):
         return self.coefficient((0, 0))
 
     def sample(self, grid: int) -> np.ndarray:
-        """Values on the M x M grid x = j/M, y = k/M, flattened x-major."""
+        """Values on the M x M grid x = a/M, y = b/M, flattened x-major.
+
+        Separable: Ex @ C @ Ey for the (j, k) coefficient table C and the
+        one-axis waves Ex[a, j] = e^{2 pi i j a/M}, Ey[k, b] = e^{2 pi i k b/M}.
+        """
+        if not self._terms:
+            return np.zeros(grid * grid, dtype=complex)
+        modes = np.array(list(self._terms))
+        low, high = modes.min(axis=0), modes.max(axis=0)
+        table = np.zeros(high - low + 1, dtype=complex)
+        table[tuple((modes - low).T)] = list(self._terms.values())
         coords = np.arange(grid) / grid
-        x = coords[:, None]
-        y = coords[None, :]
-        out = np.zeros((grid, grid), dtype=complex)
-        for (j, k), c in self._terms.items():
-            out += c * np.exp(2j * math.pi * (j * x + k * y))
-        return out.ravel()
+        ex = np.exp(2j * math.pi * np.outer(coords, np.arange(low[0], high[0] + 1)))
+        ey = np.exp(2j * math.pi * np.outer(np.arange(low[1], high[1] + 1), coords))
+        return (ex @ table @ ey).ravel()
 
 
 NAMED_SYMBOLS = {

@@ -171,6 +171,17 @@ def fft_partials(values):
     return fx, fy
 
 
+def sample_loop(f, grid: int) -> np.ndarray:
+    """Values of a TrigPolynomial on the M x M grid, one full-grid exp per mode."""
+    coords = np.arange(grid) / grid
+    x = coords[:, None]
+    y = coords[None, :]
+    out = np.zeros((grid, grid), dtype=complex)
+    for (j, k), c in f.modes.items():
+        out += c * np.exp(2j * math.pi * (j * x + k * y))
+    return out.ravel()
+
+
 def cyclic_shift(n: int) -> np.ndarray:
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quantlab import dolbeault
+from quantlab import algebra, dolbeault
 from quantlab.dolbeault import (
     CURVATURE_SCALE,
     GAUGES,
@@ -117,6 +117,7 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     sigma_max, svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
     reference = np.linalg.svd(dense, compute_uv=False)
     assert sigma_max == pytest.approx(reference[0], rel=1e-9)
+    assert abs(sigma_max - reference[0]) <= 1e-12 * reference[0]
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
     assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals).max() < 1e-12
     assert np.abs(vecs.conj().T @ vecs - np.eye(svals.size)).max() < 1e-12
@@ -149,6 +150,13 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
 
 def test_chain_solve_raises_when_the_iteration_cap_is_hit(monkeypatch):
     monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError):
+        dolbeault._kernel_data.__wrapped__(3, 24, "landau")  # bypass the cache
+
+
+def test_sigma_max_raises_when_its_bracket_stays_open(monkeypatch):
+    # sigma_max shares algebra's certified bracket: one factorization cannot close it
+    monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError):
         dolbeault._kernel_data.__wrapped__(3, 24, "landau")  # bypass the cache
 

@@ -20,7 +20,7 @@ from quantlab.toeplitz import (
     weyl_relation,
 )
 
-from oracles import clock_shift_scalar, cyclic_shift, fft_partials
+from oracles import clock_shift_scalar, cyclic_shift, fft_partials, sample_loop
 
 rng = np.random.default_rng(33)
 
@@ -38,6 +38,16 @@ def random_symbol(n_modes=3, bound=2, real=True):
         if real:
             modes[(-j, -k)] = modes.get((-j, -k), 0.0) + z.conjugate()
     return TrigPolynomial(modes)
+
+
+@pytest.mark.parametrize("grid", [32, 72])
+def test_separable_sample_matches_the_mode_loop(grid):
+    local = np.random.default_rng(4)  # leaves the module rng to the other tests
+    modes = local.integers(-4, 5, (12, 2))
+    f = TrigPolynomial({(j, k): complex(*local.normal(size=2)) for j, k in modes} | {(4, -4): 0.5})
+    assert np.abs(f.sample(grid) - sample_loop(f, grid)).max() <= 1e-12 * f.l1_norm()
+    zero = TrigPolynomial().sample(grid)
+    assert zero.shape == (grid * grid,) and not zero.any()
 
 
 def test_trig_polynomial_algebra():
