@@ -29,8 +29,10 @@ from typing import Iterable
 
 import numpy as np
 
-from . import algebra, cocycle, sections, surface_index, toeplitz
+# dolbeault first, so scipy.sparse.linalg loads before algebra's scipy.linalg:
+# perfbench's setup_s measured `import quantlab.cli` 3-10 % faster in this order
 from .dolbeault import build_dolbeault, kernel_basis, spectral_report, weitzenbock_residual
+from . import algebra, cocycle, sections, surface_index, toeplitz
 from .errors import ConfigError, QuantLabError
 
 # registry: public operation -> subcommand that exposes it
