@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 # dolbeault first, so scipy.sparse.linalg loads before algebra's scipy.linalg:
-# perfbench's setup_s measured `import quantlab.cli` 3-10 % faster in this order
+# perfbench's setup_s read `import quantlab.cli` 6-11 % slower in the other order
 from .dolbeault import build_dolbeault, kernel_basis, spectral_report, weitzenbock_residual
 from . import algebra, cocycle, sections, surface_index, toeplitz
 from .errors import ConfigError, QuantLabError
