@@ -31,9 +31,15 @@ import numpy as np
 
 # dolbeault first, so scipy.sparse.linalg loads before algebra's scipy.linalg:
 # perfbench's setup_s read `import quantlab.cli` 6-11 % slower in the other order
-from .dolbeault import build_dolbeault, kernel_basis, spectral_report, weitzenbock_residual
+from .dolbeault import (
+    GAUGES,
+    build_dolbeault,
+    kernel_basis,
+    spectral_report,
+    weitzenbock_residual,
+)
 from . import algebra, cocycle, sections, surface_index, toeplitz
-from .errors import ConfigError, QuantLabError
+from .errors import ConfigError, QuantLabError, TruncationError
 
 # registry: public operation -> subcommand that exposes it
 OPERATION_COVERAGE = {
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="lattice Dolbeault spectra and bounds")
     p.add_argument("--n-flux", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--gauge", default="landau", choices=("landau", "symmetric-periodic"))
+    p.add_argument("--gauge", default="landau", choices=GAUGES)
     p.add_argument("--slack", type=float, default=0.1)
     p.add_argument("--export-kernel", help="write the kernel basis as CSV (re/im columns)")
     p.add_argument("--output")
@@ -502,6 +508,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
+    except TruncationError as exc:
+        # a radius below 1, from whichever option carries it, is a bad option value
+        return _report_error("usage-error", exc, 2)
     except QuantLabError as exc:
         return _report_error("failed", exc, 1)
     except (ValueError, OSError) as exc:

@@ -35,12 +35,19 @@ each chain's columns in zig-zag order 0, L-1, 1, L-2, ... B^* B is a band of
 width 2, and ``algebra._gram_top`` brackets its top eigenvalue to 1e-12
 relative by banded Cholesky factorizations, starting from the bound
 (max |diagonal| + b)^2 and raising ConvergenceError if the bracket stays
-open.  The symmetric-periodic gauge is exactly G D_Landau G^* for
-G[j, k] = exp(-i pi N j k / M^2): same singular values, vectors multiplied
-by G.  At zero flux the doubler zero would land on the momentum grid
+open.  At zero flux the doubler zero would land on the momentum grid
 whenever 4 | M, so the fluxless operator is the exact spectral derivative,
 symbol (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets
 are read off the symbol.
+
+Gauge.  Only D_plus depends on the gauge.  The Landau gauge puts the link
+phase e^{-i phi j} on every +y link and e^{i phi M k} on the +x links that
+cross the seam j = M-1 -> 0, with phi = 2 pi N / M^2 the flux per plaquette.
+The symmetric-periodic operator is built as G D_Landau G^* for the diagonal
+site phase G[j, k] = exp(-i pi N j k / M^2) of ``_symmetric_phase``: the same
+singular values, and singular vectors multiplied by G.  A Toeplitz
+compression Theta^* diag(f) Theta does not see G, so everything downstream
+of the kernel is gauge-free.
 
 Curvature normalization: in the continuum the commutator
 D_plus D_plus^* - D_plus^* D_plus is the constant CURVATURE_SCALE * N; on
@@ -70,36 +77,6 @@ _RESIDUAL_TOL = 1e-10  # on |(B^* B + 1)^-1 v - mu v| for each wanted Ritz pair
 
 
 @dataclass(frozen=True)
-class FluxLattice:
-    """Link phases on the periodic M x M grid realizing total flux 2 pi N."""
-
-    n_flux: int
-    grid: int
-    gauge: str
-    ux: np.ndarray = field(repr=False)  # phase on (j,k) -> (j+1,k)
-    uy: np.ndarray = field(repr=False)  # phase on (j,k) -> (j,k+1)
-
-
-def flux_lattice(n_flux: int, grid: int, gauge: str = "landau") -> FluxLattice:
-    M = grid
-    phi = 2.0 * math.pi * n_flux / (M * M)
-    j = np.arange(M)[:, None].astype(float)
-    k = np.arange(M)[None, :].astype(float)
-    if gauge == "landau":
-        ux = np.ones((M, M), dtype=complex)
-        ux[M - 1, :] = np.exp(1j * phi * M * k[0])
-        uy = np.exp(-1j * phi * j) * np.ones((1, M))
-    elif gauge == "symmetric-periodic":
-        ux = np.exp(1j * phi * k / 2.0) * np.ones((M, 1))
-        ux[M - 1, :] *= np.exp(1j * phi * M * k[0] / 2.0)
-        uy = np.exp(-1j * phi * j / 2.0) * np.ones((1, M))
-        uy[:, M - 1] *= np.exp(-1j * phi * M * j[:, 0] / 2.0)
-    else:
-        raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    return FluxLattice(n_flux=n_flux, grid=grid, gauge=gauge, ux=ux, uy=uy)
-
-
-@dataclass(frozen=True)
 class DolbeaultPair:
     """Degree-0 -> degree-1 block of the lattice Dolbeault operator."""
 
@@ -125,6 +102,11 @@ def _cyclic_step(n: int) -> sp.csr_matrix:
     return (sp.eye(n, k=1) + sp.eye(n, k=1 - n)).tocsr()
 
 
+def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
+    """Site phases G[j, k] = exp(-i pi N j k / M^2): D_symmetric = G D_Landau G^*."""
+    return np.exp(-1j * math.pi * n_flux * np.outer(np.arange(grid), np.arange(grid)) / grid**2)
+
+
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
     """Assemble D_plus at flux N on the M x M grid.
 
@@ -145,10 +127,20 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
         d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
         grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
     else:
-        lat, step = flux_lattice(n_flux, grid, gauge), _cyclic_step(M)
-        grad_x = M * (sp.diags(lat.ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
-        grad_y = M * (sp.diags(lat.uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
-    dplus = ((grad_x + 1j * grad_y) / math.sqrt(2.0)).tocsr()
+        # Landau link phases on (j, k) -> (j+1, k) and (j, k) -> (j, k+1)
+        phi, step = 2.0 * math.pi * n_flux / (M * M), _cyclic_step(M)
+        j = np.arange(M)[:, None].astype(float)
+        k = np.arange(M)[None, :].astype(float)
+        ux = np.ones((M, M), dtype=complex)
+        ux[M - 1, :] = np.exp(1j * phi * M * k[0])
+        uy = np.exp(-1j * phi * j) * np.ones((1, M))
+        grad_x = M * (sp.diags(ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
+        grad_y = M * (sp.diags(uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
+    dplus = (grad_x + 1j * grad_y) / math.sqrt(2.0)
+    if gauge == "symmetric-periodic":
+        site = sp.diags(_symmetric_phase(n_flux, M).ravel())
+        dplus = site @ dplus @ site.conj()
+    dplus = dplus.tocsr()
     return DolbeaultPair(dplus=dplus, n_flux=n_flux, grid=grid, gauge=gauge)
 
 
@@ -221,7 +213,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         modes[(j * M + p)[chain].T, np.arange(k)] = ritz[chain, :, column].T
     vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
     if gauge == "symmetric-periodic":
-        vecs *= np.exp(-1j * math.pi * N * np.outer(np.arange(M), np.arange(M)) / M**2)[..., None]
+        vecs *= _symmetric_phase(N, M)[..., None]
     svals.flags.writeable = False
     vecs.flags.writeable = False
     return sigma_max, svals, vecs.reshape(M * M, k)

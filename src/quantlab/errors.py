@@ -17,10 +17,6 @@ class CocycleConsistencyError(QuantLabError):
     """The phase-function combination failed to be constant on the plane."""
 
 
-class UnsupportedGaugeError(QuantLabError):
-    """Gauge produces non-linear phase functions outside the Gaussian family."""
-
-
 class ResolutionError(QuantLabError):
     """Grid too coarse to resolve the lowest magnetic band."""
 

@@ -5,9 +5,10 @@ A section is a finite sum of terms
     coeff * exp(-(pi s / 2) * ((x - mux)^2 + (y - muy)^2) + i (kx x + ky y)),
 
 all sharing the width parameter ``s > 0``.  The lattice acts projectively by
-``psi . gamma = exp(i s phi_gamma) gamma^* psi`` with linear phase functions
-``phi_gamma`` (symmetric gauge), which keeps the family closed: translation
-moves the center, the phase folds into the wave vector and coefficient.
+``psi . gamma = exp(i s phi_gamma) gamma^* psi`` with the phase functions
+``phi_gamma(x, y) = pi (m x - n y)`` of the symmetric gauge, fixed for the
+whole module.  They are linear, which keeps the family closed: translation
+moves the center, the phase folds into the wave vector.
 
 The algebra-valued pairing sums plain L^2 inner products of translates,
 
@@ -22,12 +23,11 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, Lattice, ball_points, trace
-from .errors import UnsupportedGaugeError
 
 
 @dataclass(frozen=True)
@@ -100,38 +100,17 @@ def vacuum(s: float) -> GaussianSection:
     return GaussianSection(s, [GaussianTerm(1.0, (0.0, 0.0), (0.0, 0.0))])
 
 
-def symmetric_phi(gamma: Lattice, kappa: float = math.pi):
-    """Phase polynomial kappa*(m x - n y) of the symmetric gauge, as (const, cx, cy)."""
-    n, m = gamma
-    return (0.0, kappa * m, -kappa * n)
-
-
-def project_act(
-    psi: GaussianSection,
-    gamma: Lattice,
-    phi_family: Callable[[Lattice], tuple[float, float, float]] | None = None,
-) -> GaussianSection:
-    """Projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``.
-
-    ``phi_family`` maps gamma to the coefficients (const, cx, cy) of a linear
-    phase function; gauges with non-linear phases leave the Gaussian family
-    and are rejected.
-    """
-    if phi_family is None:
-        phi_family = symmetric_phi
-    parts = phi_family(gamma)
-    if len(parts) != 3:
-        raise UnsupportedGaugeError("phase function must be linear (const, cx, cy)")
-    const, cx, cy = parts
+def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
+    """Projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``, symmetric gauge."""
     s = psi.s
     n, m = gamma
     out = []
     for t in psi.terms:
         # gamma^* psi translates the center; e^{i k.gamma} folds into the
-        # coefficient; the linear phase s*(cx x + cy y) folds into the wave.
-        coeff = t.coeff * cmath.exp(1j * (t.wave[0] * n + t.wave[1] * m + s * const))
+        # coefficient; the phase s pi (m x - n y) folds into the wave.
+        coeff = t.coeff * cmath.exp(1j * (t.wave[0] * n + t.wave[1] * m))
         center = (t.center[0] - n, t.center[1] - m)
-        wave = (t.wave[0] + s * cx, t.wave[1] + s * cy)
+        wave = (t.wave[0] + s * (math.pi * m), t.wave[1] - s * (math.pi * n))
         out.append(GaussianTerm(coeff, center, wave))
     return GaussianSection(s, out)
 
@@ -162,12 +141,7 @@ def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
     return total / psi.s
 
 
-def module_inner(
-    psi: GaussianSection,
-    phi: GaussianSection,
-    radius: int,
-    phi_family: Callable[[Lattice], tuple[float, float, float]] | None = None,
-) -> AlgebraElement:
+def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> AlgebraElement:
     """Algebra-valued inner product truncated to the sup-norm ball.
 
     Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``; summation runs in
@@ -178,7 +152,7 @@ def module_inner(
         raise ValueError("truncation radius must be >= 1")
     coeffs = {}
     for gamma in ball_points(radius):
-        value = l2_inner(project_act(psi, gamma, phi_family), phi)
+        value = l2_inner(project_act(psi, gamma), phi)
         if value != 0:
             coeffs[gamma] = value
     return AlgebraElement(coeffs)

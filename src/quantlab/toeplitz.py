@@ -4,6 +4,9 @@ Symbols are trigonometric polynomials f(x, y) = sum c_{jk} e^{2 pi i (jx+ky)}.
 The Toeplitz matrix of f at flux N compresses pointwise multiplication to the
 numerical kernel of the lattice Dolbeault operator; with the kernel basis
 orthonormal in the grid inner product this is ``Theta^* diag(f) Theta``.
+T(f) does not depend on the gauge of the Dolbeault operator: a gauge change
+multiplies Theta by the diagonal unitary G, and G^* diag(f) G = diag(f).  The
+basis is read in the Landau gauge.
 
 Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
@@ -122,11 +125,9 @@ class ToeplitzMatrix:
         return self.entries.shape[0]
 
 
-def holomorphic_basis(
-    n_flux: int, grid: int, gauge: str = "landau", tol: float = 1e-6
-) -> np.ndarray:
-    """Orthonormal numerical kernel basis at (N, M), read off the cached kernel solve."""
-    basis = _kernel_basis(n_flux, grid, gauge, tol)
+def holomorphic_basis(n_flux: int, grid: int, tol: float = 1e-6) -> np.ndarray:
+    """Orthonormal Landau-gauge kernel basis at (N, M), read off the cached kernel solve."""
+    basis = _kernel_basis(n_flux, grid, "landau", tol)
     if basis.shape[1] == 0:
         raise DependencyError(
             f"no holomorphic sections available at flux {n_flux}, grid {grid}"
@@ -134,11 +135,9 @@ def holomorphic_basis(
     return basis
 
 
-def toeplitz(
-    f: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
-) -> ToeplitzMatrix:
+def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> ToeplitzMatrix:
     """Compression of multiplication by f to the holomorphic-section basis."""
-    basis = holomorphic_basis(n_flux, grid, gauge)
+    basis = holomorphic_basis(n_flux, grid)
     values = f.sample(grid)
     entries = basis.conj().T @ (values[:, None] * basis)
     return ToeplitzMatrix(n_flux=n_flux, grid=grid, entries=entries)
@@ -148,48 +147,40 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def product_defect(
-    f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
-) -> float:
+def product_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
     """Operator norm of T(f) T(g) - T(fg)."""
-    tf = toeplitz(f, n_flux, grid, gauge).entries
-    tg = toeplitz(g, n_flux, grid, gauge).entries
-    tfg = toeplitz(f * g, n_flux, grid, gauge).entries
+    tf = toeplitz(f, n_flux, grid).entries
+    tg = toeplitz(g, n_flux, grid).entries
+    tfg = toeplitz(f * g, n_flux, grid).entries
     return _opnorm(tf @ tg - tfg)
 
 
-def commutator_defect(
-    f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
-) -> float:
+def commutator_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
     """Operator norm of [T(f), T(g)] - (i/N) T({f, g}); needs N >= 1."""
     if n_flux < 1:
         raise ValueError(f"commutator defect divides by the flux; need N >= 1, got {n_flux}")
-    tf = toeplitz(f, n_flux, grid, gauge).entries
-    tg = toeplitz(g, n_flux, grid, gauge).entries
-    tpb = toeplitz(poisson_bracket(f, g), n_flux, grid, gauge).entries
+    tf = toeplitz(f, n_flux, grid).entries
+    tg = toeplitz(g, n_flux, grid).entries
+    tpb = toeplitz(poisson_bracket(f, g), n_flux, grid).entries
     return _opnorm(tf @ tg - tg @ tf - (1j / n_flux) * tpb)
 
 
-def first_order_defect(
-    f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
-) -> float:
+def first_order_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
     """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g)); needs N >= 1."""
     if n_flux < 1:
         raise ValueError(f"first-order defect divides by the flux; need N >= 1, got {n_flux}")
-    tf = toeplitz(f, n_flux, grid, gauge).entries
-    tg = toeplitz(g, n_flux, grid, gauge).entries
+    tf = toeplitz(f, n_flux, grid).entries
+    tg = toeplitz(g, n_flux, grid).entries
     corrected = f * g + gradient_pairing(f, g).scale(1.0 / n_flux)
-    tc = toeplitz(corrected, n_flux, grid, gauge).entries
+    tc = toeplitz(corrected, n_flux, grid).entries
     return _opnorm(tf @ tg - tc)
 
 
-def trace_limit_defect(
-    f: TrigPolynomial, n_flux: int, grid: int, gauge: str = "landau"
-) -> float:
+def trace_limit_defect(f: TrigPolynomial, n_flux: int, grid: int) -> float:
     """|normalized trace of T(f) - mean f| for a real symbol."""
     if not f.is_real():
         raise ValueError("trace limit defect is defined for real symbols")
-    t = toeplitz(f, n_flux, grid, gauge).entries
+    t = toeplitz(f, n_flux, grid).entries
     return float(abs(np.trace(t) / t.shape[0] - f.mean()))
 
 
@@ -215,7 +206,7 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def weyl_relation(n_flux: int, grid: int | None = None, gauge: str = "landau") -> complex:
+def weyl_relation(n_flux: int, grid: int | None = None) -> complex:
     """Group commutator scalar of the polar factors of the two Fourier generators.
 
     Returns the scalar V~ U~ V~* U~* for U~, V~ the unitary polar parts of
@@ -226,8 +217,8 @@ def weyl_relation(n_flux: int, grid: int | None = None, gauge: str = "landau") -
         raise ValueError("weyl relation needs flux >= 2")
     if grid is None:
         grid = max(16, 8 * n_flux)
-    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid, gauge).entries
-    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid, gauge).entries
+    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid).entries
+    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid).entries
     uu = _polar_unitary(tu)
     vv = _polar_unitary(tv)
     w = vv @ uu @ vv.conj().T @ uu.conj().T

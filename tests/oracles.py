@@ -189,9 +189,20 @@ def cyclic_shift(n: int) -> np.ndarray:
     return s
 
 
-def plaquette_phases(lattice) -> np.ndarray:
-    """Product of a FluxLattice's link phases around each plaquette, traversed +y,+x,-y,-x."""
-    ux, uy = lattice.ux, lattice.uy
+def plaquette_phases(pair) -> np.ndarray:
+    """Link phases of ``pair.dplus`` multiplied around each plaquette, traversed +y,+x,-y,-x.
+
+    D+ = (M / sqrt 2) (ux S_x - 1 + i (uy S_y - 1)), so the entry from site
+    (j, k) to (j+1, k) is M ux / sqrt 2 and the one to (j, k+1) is i M uy / sqrt 2.
+    """
+    M, d = pair.grid, pair.dplus.toarray()
+    ux = np.empty((M, M), dtype=complex)
+    uy = np.empty((M, M), dtype=complex)
+    for j in range(M):
+        for k in range(M):
+            site = j * M + k
+            ux[j, k] = d[site, ((j + 1) % M) * M + k] * math.sqrt(2.0) / M
+            uy[j, k] = d[site, j * M + (k + 1) % M] * math.sqrt(2.0) / (1j * M)
     return uy * np.roll(ux, -1, axis=1) * np.conj(np.roll(uy, -1, axis=0)) * np.conj(ux)
 
 

@@ -343,6 +343,11 @@ def test_fluxless_spectral_runs_on_a_fine_grid(capsys):
         (["bargmann", "--s", "-1"], "ValueError"),
         (["heisenberg", "--truncation", "0"], "ValueError"),
         (["toeplitz-sweep", "--fg", "no-such-symbol,cos2piy"], "FileNotFoundError"),
+        # a radius below 1 is a usage error whichever option carries it
+        (["algebra", "--mode", "norm", "--radius", "0"], "TruncationError"),
+        (["algebra", "--mode", "norm-profile", "--radius", "-2"], "TruncationError"),
+        (["module-gram", "--rep-radius", "0"], "TruncationError"),
+        (["module-gram", "--radius", "0"], "ValueError"),
     ],
 )
 def test_invalid_option_value_exits_2_with_record(argv, error, capsys):

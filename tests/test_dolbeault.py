@@ -9,21 +9,20 @@ from quantlab.dolbeault import (
     CURVATURE_SCALE,
     GAUGES,
     build_dolbeault,
-    flux_lattice,
     kernel_basis,
     kernel_dimension,
     spectral_report,
     weitzenbock_residual,
 )
 from quantlab.errors import ConvergenceError, IndeterminateKernelError, ResolutionError
+from quantlab.toeplitz import TrigPolynomial, toeplitz
 
 from oracles import lll_theta_profile, plaquette_phases
 
 
 def test_plaquette_fluxes():
-    for gauge in ("landau", "symmetric-periodic"):
-        lat = flux_lattice(3, 20, gauge)
-        plaquettes = plaquette_phases(lat)
+    for gauge in GAUGES:
+        plaquettes = plaquette_phases(build_dolbeault(3, 20, gauge))
         expected = np.exp(2j * math.pi * 3 / 400)
         assert np.abs(plaquettes - expected).max() < 1e-12
         assert np.angle(plaquettes).sum() == pytest.approx(2 * math.pi * 3, abs=1e-10)
@@ -209,3 +208,10 @@ def test_gauge_invariance_of_spectra():
     sa = np.sort(sla.svdvals(a.dplus.toarray()))
     sb = np.sort(sla.svdvals(b.dplus.toarray()))
     assert np.abs(sa - sb).max() < 1e-9
+    # Toeplitz matrices do not see the gauge: the symmetric-periodic kernel
+    # basis is the Landau one times a diagonal unitary
+    f = TrigPolynomial({(0, 0): 0.3, (1, 0): 0.5 - 0.2j, (-1, 2): 0.25j, (2, -1): -0.4})
+    for n_flux, grid in ((3, 24), (4, 32), (5, 40)):
+        basis = kernel_basis(build_dolbeault(n_flux, grid, "symmetric-periodic"))
+        entries = basis.conj().T @ (f.sample(grid)[:, None] * basis)
+        assert np.abs(entries - toeplitz(f, n_flux, grid).entries).max() < 1e-12

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from quantlab.algebra import AlgebraElement, KappaCocycle, ball_points, involution, multiply
-from quantlab.errors import UnsupportedGaugeError
 from quantlab.sections import (
     GaussianSection,
     GaussianTerm,
@@ -53,11 +52,6 @@ def test_project_act_vacuum_translation():
     ys = rng.normal(size=8)
     direct = np.exp(1j * s * math.pi * (m * xs - n * ys)) * vacuum(s)(xs + n, ys + m)
     assert np.abs(moved(xs, ys) - direct).max() < 1e-12
-
-
-def test_project_act_rejects_nonlinear_phase():
-    with pytest.raises(UnsupportedGaugeError):
-        project_act(vacuum(1.0), (1, 0), phi_family=lambda g: (0.0, 1.0, 2.0, 3.0))
 
 
 def test_projective_twist_law():
