@@ -8,7 +8,9 @@ Conventions used throughout:
   ``sigma_s(g1, g2) = exp(i * s * c(g1, g2))``;
 * basis products follow ``[g1][g2] = sigma_s(g1, g2) [g1 + g2]`` and extend
   bilinearly to finitely supported coefficient maps;
-* cocycles must be normalized, ``c(e, e) = 0``, so that ``[e]`` is the unit.
+* cocycles must be normalized, ``c(e, e) = 0``, so that ``[e]`` is the unit;
+* a cocycle is ``KappaCocycle`` or the ``TabulatedCocycle`` that
+  ``cocycle.cocycle_table`` derives from a potential; both broadcast over arrays.
 
 Truncated regular representations act on the sup-norm ball
 ``{(n, m): |n| <= R, |m| <= R}`` of the lattice.  ``norm_estimate`` returns
@@ -63,26 +65,28 @@ class KappaCocycle:
 
 
 class TabulatedCocycle:
-    """Cocycle given by a finite table on pairs of lattice elements.
+    """Cocycle read from ``values[i, j] = c(points[i], points[j])`` over
+    ``points = ball_points(radius)``, the array ``cocycle.cocycle_grid`` returns.
 
-    Rejected at construction unless normalized (``c(e, e) = 0``), which is
-    what makes ``[e]`` the unit of the algebra.
+    Calls broadcast over integer arrays like ``KappaCocycle``, by ``ball_index``
+    arithmetic; a pair outside the ball raises ``KeyError``.  Rejected at
+    construction unless normalized (``c(e, e) = 0``), which is what makes
+    ``[e]`` the unit of the algebra.
     """
 
-    def __init__(self, values: Mapping[Tuple[Lattice, Lattice], float]):
-        table = {(tuple(k[0]), tuple(k[1])): float(v) for k, v in values.items()}
-        if abs(table.get((E, E), 0.0)) > 1e-12:
+    def __init__(self, values: np.ndarray, radius: int):
+        origin = ball_index(0, 0, radius)
+        if abs(values[origin, origin]) > 1e-12:
             raise ValueError("cocycle not normalized: c(e, e) != 0")
-        self._table = table
+        self.values = values
+        self.radius = radius
 
-    def __call__(self, g1: Lattice, g2: Lattice) -> float:
-        try:
-            return self._table[(g1, g2)]
-        except KeyError:
-            raise KeyError(f"cocycle table has no entry for {(g1, g2)}") from None
-
-    def pairs(self) -> Iterator[Tuple[Lattice, Lattice]]:
-        return iter(self._table)
+    def __call__(self, g1: Lattice, g2: Lattice):
+        coords = np.broadcast_arrays(*g1, *g2)
+        if np.max(np.abs(coords), initial=0) > self.radius:
+            raise KeyError(f"cocycle table of radius {self.radius} has no entry for {(g1, g2)}")
+        n1, m1, n2, m2 = coords
+        return self.values[ball_index(n1, m1, self.radius), ball_index(n2, m2, self.radius)]
 
 
 def sigma(cocycle, s: float, g1: Lattice, g2: Lattice) -> complex:
@@ -250,8 +254,7 @@ def regular_representation(
 
     Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, rows/columns
     whose target leaves the ball are truncated.  The cocycle is called once,
-    on integer arrays over (terms x ball), so it must broadcast over them
-    (``KappaCocycle`` does, ``TabulatedCocycle`` does not).
+    on integer arrays over (terms x ball), so it must broadcast over them.
     """
     return _regular_rep_sparse(a, cocycle, s, radius).toarray()
 

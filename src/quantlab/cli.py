@@ -72,23 +72,21 @@ OPERATION_COVERAGE = {
 }
 
 # public operations no subcommand runs; `cocycle-check` reaches the phases
-# through `cocycle.cocycle_grid` alone
-LIBRARY_ONLY = {
-    "cocycle.exterior_derivative",
-    "cocycle.pullback",
-    "cocycle.solve_phi",
-    "cocycle.derive_cocycle",
-    "cocycle.cocycle_table",
-    "sections.module_trace",
-}
+# through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
+# by a derived cocycle
+LIBRARY_ONLY = {"cocycle.solve_phi", "cocycle.cocycle_table", "sections.module_trace"}
 
 
 def _parse_range(text: str) -> list[int]:
-    """'4..32' -> inclusive integer range; '4,8,16' -> explicit list."""
+    """'4..32' -> inclusive integer range; '4,8,16' -> explicit list; empty is an error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    return values
 
 
 def _subsample(values: list[int], count: int) -> list[int]:

@@ -13,18 +13,18 @@ is then constant on the plane and defines a real group cocycle.
 
 Phases are solved in batches: ``_phases`` takes arrays of translations and
 shifts coefficient arrays by Pascal matrices, so one call covers a whole
-lattice ball, and ``solve_phi`` is a batch of one.
+lattice ball, and ``solve_phi`` is a batch of one.  ``cocycle_grid`` forms the
+combination for every pair of a ball as one array, and ``cocycle_table`` wraps
+that array as the ``TabulatedCocycle`` the twisted algebra reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points, compose
+from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points
 from .errors import CocycleConsistencyError, ExactnessError
 
 MAX_DEGREE = 4
@@ -65,39 +65,11 @@ class PolyXY:
     def zero(cls) -> "PolyXY":
         return cls([[0.0]])
 
-    def _padded_pair(self, other: "PolyXY"):
-        rows = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        cols = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        return _pad(self.coeffs, rows, cols), _pad(other.coeffs, rows, cols)
-
-    def __sub__(self, other: "PolyXY") -> "PolyXY":
-        a, b = self._padded_pair(other)
-        return PolyXY(a - b)
-
-    def dx(self) -> "PolyXY":
-        return PolyXY(_diff(self.coeffs.shape[0]) @ self.coeffs)
-
-    def dy(self) -> "PolyXY":
-        return PolyXY(self.coeffs @ _diff(self.coeffs.shape[1]).T)
-
-    def shift(self, dx: float, dy: float) -> "PolyXY":
-        """Coefficients of p(x + dx, y + dy), by the Pascal shift matrices."""
-        rows, cols = self.coeffs.shape
-        return PolyXY(_pascal(dx, rows) @ self.coeffs @ _pascal(dy, cols).T)
-
-    def __call__(self, x: float, y: float) -> float:
-        return float(
-            np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
-        )
-
     def degree(self) -> int:
         nz = np.argwhere(self.coeffs != 0.0)
         if nz.size == 0:
             return 0
         return int(max(i + j for i, j in nz))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
 
 
 class OneForm:
@@ -121,17 +93,6 @@ def symmetric_gauge(omega0: float = 2 * math.pi) -> OneForm:
 def landau_gauge(omega0: float = 2 * math.pi) -> OneForm:
     """A = omega0 x dy; same curvature as the symmetric gauge."""
     return OneForm(PolyXY([[0.0]]), PolyXY([[0.0], [omega0]]))
-
-
-def exterior_derivative(A: OneForm) -> PolyXY:
-    """dA as the polynomial dQ/dx - dP/dy; callers require it constant."""
-    return A.Q.dx() - A.P.dy()
-
-
-def pullback(A: OneForm, gamma: Lattice) -> OneForm:
-    """Translation pullback: coefficients composed with (x, y) -> (x+n, y+m)."""
-    n, m = gamma
-    return OneForm(A.P.shift(n, m), A.Q.shift(n, m))
 
 
 def _require_zero(residue: np.ndarray, tol: np.ndarray, n, m, message: str) -> None:
@@ -183,37 +144,6 @@ def solve_phi(A: OneForm, gamma: Lattice) -> PolyXY:
     return PolyXY(_phases(A, [gamma[0]], [gamma[1]])[0])
 
 
-DEFAULT_SAMPLES: Tuple[Tuple[float, float], ...] = (
-    (0.0, 0.0),
-    (0.7, -1.3),
-    (-2.1, 0.4),
-    (1.9, 2.2),
-    (-0.6, -0.9),
-    (3.3, -2.7),
-)
-
-
-def derive_cocycle(
-    A: OneForm,
-    g1: Lattice,
-    g2: Lattice,
-    samples: Sequence[Tuple[float, float]] = DEFAULT_SAMPLES,
-) -> float:
-    """Value of phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}, checked for constancy."""
-    # one batch of three phases: (n1, n2, n1 + n2) and (m1, m2, m1 + m2)
-    phi1, phi2, phi12 = map(PolyXY, _phases(A, *zip(g1, g2, compose(g1, g2))))
-    n2, m2 = g2
-    values = [
-        phi2(x, y) + phi1(x + n2, y + m2) - phi12(x, y) for x, y in samples
-    ]
-    spread = max(values) - min(values)
-    if spread > 1e-10:
-        raise CocycleConsistencyError(
-            f"combination not constant for {(g1, g2)}: spread {spread:.3e}"
-        )
-    return values[0]
-
-
 def cocycle_grid(A: OneForm, radius: int):
     """Cocycle values on the full ball x ball pair grid, from one batched solve.
 
@@ -248,13 +178,17 @@ def cocycle_grid(A: OneForm, radius: int):
 
 
 def cocycle_table(A: OneForm, radius: int) -> TabulatedCocycle:
-    """Tabulate the derived cocycle on pairs from the ball of radius 2R.
+    """The derived cocycle on pairs from the ball of radius 2R.
 
     The domain of radius 2R keeps the additive cocycle identity evaluable for all
     triples with entries in the radius-R ball.  Values and their constancy
-    checks come from ``cocycle_grid`` on that domain.
+    checks come from ``cocycle_grid`` on that domain, after the curvature
+    ``dA = dQ/dx - dP/dy`` is checked to be constant coefficient-wise.
     """
-    if exterior_derivative(A).degree() > 0:
+    P, Q = A.P.coeffs, A.Q.coeffs
+    rows, cols = max(P.shape[0], Q.shape[0]), max(P.shape[1], Q.shape[1])
+    curvature = _diff(rows) @ _pad(Q, rows, cols) - _pad(P, rows, cols) @ _diff(cols).T
+    if PolyXY(curvature).degree() > 0:
         raise ExactnessError("potential curvature is not constant")
-    points, values, _ = cocycle_grid(A, 2 * radius)
-    return TabulatedCocycle(dict(zip(itertools.product(points, points), values.ravel())))
+    _, values, _ = cocycle_grid(A, 2 * radius)
+    return TabulatedCocycle(values, 2 * radius)

@@ -175,6 +175,12 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
     Returns (sigma_max, the k values ascending, their orthonormal right
     singular vectors as columns); one cached solve serves every query.
     """
+    if gauge == "symmetric-periodic":
+        # D_symmetric = G D_Landau G^*: the Landau values, and G times its vectors
+        sigma_max, svals, vecs = _kernel_data(n_flux, grid, "landau")
+        vecs = vecs * _symmetric_phase(n_flux, grid).reshape(-1, 1)
+        vecs.flags.writeable = False
+        return sigma_max, svals, vecs
     build_dolbeault(n_flux, grid, gauge)  # validates the arguments
     N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
     modes = np.zeros((M * M, k), dtype=complex)  # (xi_x, xi_y) at N = 0, else (j, p)
@@ -212,8 +218,6 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         svals, (chain, column) = values.ravel()[order], np.divmod(order, m)
         modes[(j * M + p)[chain].T, np.arange(k)] = ritz[chain, :, column].T
     vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
-    if gauge == "symmetric-periodic":
-        vecs *= _symmetric_phase(N, M)[..., None]
     svals.flags.writeable = False
     vecs.flags.writeable = False
     return sigma_max, svals, vecs.reshape(M * M, k)

@@ -19,7 +19,7 @@ from oracles import write_rows_csv
 
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
-    "cocycle": ["exterior_derivative", "pullback", "solve_phi", "derive_cocycle", "cocycle_table"],
+    "cocycle": ["solve_phi", "cocycle_table"],
     "sections": ["project_act", "l2_inner", "module_inner", "module_trace", "gram_positivity"],
     "dolbeault": ["build_dolbeault", "kernel_dimension", "spectral_report", "weitzenbock_residual", "kernel_basis"],
     "toeplitz": [
@@ -348,6 +348,10 @@ def test_fluxless_spectral_runs_on_a_fine_grid(capsys):
         (["algebra", "--mode", "norm-profile", "--radius", "-2"], "TruncationError"),
         (["module-gram", "--rep-radius", "0"], "TruncationError"),
         (["module-gram", "--radius", "0"], "ValueError"),
+        # an empty range checks nothing
+        (["weyl", "--N", "3..2"], "ValueError"),
+        (["bargmann", "--j", "3..1"], "ValueError"),
+        (["toeplitz-sweep", "--N", "5..3"], "ValueError"),
     ],
 )
 def test_invalid_option_value_exits_2_with_record(argv, error, capsys):

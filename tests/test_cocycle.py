@@ -3,22 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from quantlab.algebra import KappaCocycle, ball_points, compose
+from quantlab.algebra import (
+    AlgebraElement,
+    KappaCocycle,
+    TabulatedCocycle,
+    ball_index,
+    ball_points,
+    compose,
+    harper_element,
+    norm_estimate,
+    regular_representation,
+)
 from quantlab.cocycle import (
     OneForm,
     PolyXY,
+    _pad,
+    _pascal,
     _phases,
     cocycle_grid,
     cocycle_table,
-    derive_cocycle,
-    exterior_derivative,
     landau_gauge,
-    pullback,
     solve_phi,
     symmetric_gauge,
 )
 from quantlab import cocycle
 from quantlab.errors import CocycleConsistencyError, ExactnessError
+
+from oracles import regular_representation_loop
 
 rng = np.random.default_rng(20240811)
 
@@ -29,47 +40,28 @@ def random_gamma(bound=4):
     return (int(rng.integers(-bound, bound + 1)), int(rng.integers(-bound, bound + 1)))
 
 
-def test_exterior_derivative_symmetric_gauge():
-    dA = exterior_derivative(symmetric_gauge())
-    assert dA.degree() == 0
-    assert dA(0.0, 0.0) == pytest.approx(TWO_PI, abs=1e-14)
-
-
-def test_exterior_derivative_zero_form():
-    zero = OneForm(PolyXY.zero(), PolyXY.zero())
-    assert exterior_derivative(zero).is_zero()
-
-
-def test_exterior_derivative_landau_gauge():
-    dA = exterior_derivative(landau_gauge())
-    assert dA.degree() == 0
-    assert dA(0.3, -0.7) == pytest.approx(TWO_PI, abs=1e-14)
+def _pullback(c, gamma):
+    """Coefficients of p(x + n, y + m) for the coefficients c of p, by the Pascal matrices."""
+    return _pascal(gamma[0], c.shape[0]) @ c @ _pascal(gamma[1], c.shape[1]).T
 
 
 def test_pullback_constant_form_unchanged():
-    const = OneForm(PolyXY([[1.5]]), PolyXY([[-0.25]]))
-    moved = pullback(const, (3, -2))
-    assert np.allclose(moved.P.coeffs, const.P.coeffs)
-    assert np.allclose(moved.Q.coeffs, const.Q.coeffs)
+    assert np.array_equal(_pullback(np.array([[1.5]]), (3, -2)), [[1.5]])
 
 
 def test_pullback_symmetric_gauge_shift():
-    # pi(x dy - y dx) pulled back by (1,0) is pi((x+1) dy - y dx)
-    moved = pullback(symmetric_gauge(), (1, 0))
-    assert moved.Q(0.0, 0.0) == pytest.approx(math.pi)
-    assert moved.Q(1.0, 0.0) == pytest.approx(2 * math.pi)
-    assert moved.P(0.0, 1.0) == pytest.approx(-math.pi)
+    # pi(x dy - y dx) pulled back by (1, 0) is pi((x + 1) dy - y dx)
+    A = symmetric_gauge()
+    x, y = rng.normal(size=(2, 5))
+    polyval2d = np.polynomial.polynomial.polyval2d
+    assert np.allclose(polyval2d(x, y, _pullback(A.Q.coeffs, (1, 0))), math.pi * (x + 1))
+    assert np.allclose(polyval2d(x, y, _pullback(A.P.coeffs, (1, 0))), -math.pi * y)
 
 
 def test_pullback_is_an_action():
-    A = OneForm(PolyXY(rng.normal(size=(3, 3))), PolyXY(rng.normal(size=(3, 3))))
+    c = rng.normal(size=(3, 3))
     g1, g2 = random_gamma(), random_gamma()
-    twice = pullback(pullback(A, g1), g2)
-    once = pullback(A, compose(g1, g2))
-    a, b = twice.P._padded_pair(once.P)
-    assert np.allclose(a, b, atol=1e-9)
-    a, b = twice.Q._padded_pair(once.Q)
-    assert np.allclose(a, b, atol=1e-9)
+    assert np.allclose(_pullback(_pullback(c, g1), g2), _pullback(c, compose(g1, g2)), atol=1e-9)
 
 
 def test_solve_phi_symmetric_gauge_closed_form():
@@ -83,7 +75,7 @@ def test_solve_phi_symmetric_gauge_closed_form():
 
 
 def test_solve_phi_identity_element():
-    assert solve_phi(symmetric_gauge(), (0, 0)).is_zero(tol=1e-15)
+    assert np.abs(solve_phi(symmetric_gauge(), (0, 0)).coeffs).max() <= 1e-15
 
 
 def test_solve_phi_landau_gauge():
@@ -109,9 +101,8 @@ def test_phases_name_the_first_failing_translation():
 
 
 def test_batched_phases_match_single_solves():
-    # A = (0.3 - y + 3x^2 y) dx + (x + x^3) dy, curvature 2
+    # A = (0.3 - y + 3x^2 y) dx + (x + x^3) dy, curvature 2 + 3x^2 - 3x^2 = 2
     A = OneForm(PolyXY([[0.3, -1.0], [0.0, 0.0], [0.0, 3.0]]), PolyXY([[0.0], [1.0], [0.0], [1.0]]))
-    assert exterior_derivative(A).degree() == 0
     gammas = [(0, 0), (1, -2), (-3, 1), (2, 2)]
     batch = _phases(A, [g[0] for g in gammas], [g[1] for g in gammas])
     for phi, gamma in zip(batch, gammas):
@@ -120,9 +111,13 @@ def test_batched_phases_match_single_solves():
 
 def _plus_exact(A, fx, fy):
     """A + df, with df = fx dx + fy dy given by coefficient arrays."""
-    p, dp = A.P._padded_pair(PolyXY(fx))
-    q, dq = A.Q._padded_pair(PolyXY(fy))
-    return OneForm(PolyXY(p + dp), PolyXY(q + dq))
+
+    def add(a, b):
+        b = np.asarray(b, dtype=float)
+        rows, cols = max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
+        return PolyXY(_pad(a, rows, cols) + _pad(b, rows, cols))
+
+    return OneForm(add(A.P.coeffs, fx), add(A.Q.coeffs, fy))
 
 
 @pytest.mark.parametrize(
@@ -166,21 +161,18 @@ def test_cocycle_grid_rejects_negative_radius():
         cocycle_grid(symmetric_gauge(), -1)
 
 
-def test_derive_cocycle_generators():
-    value = derive_cocycle(symmetric_gauge(), (1, 0), (0, 1))
-    assert value == pytest.approx(-math.pi, abs=1e-12)
-
-
-def test_derive_cocycle_identity_argument():
-    assert derive_cocycle(symmetric_gauge(), (2, -1), (0, 0)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-
-
-def test_derive_cocycle_many_sample_points():
-    samples = [(0.0, 0.0), (1.1, 0.3), (-0.4, 2.2), (0.9, -1.7), (2.3, 0.05)]
-    value = derive_cocycle(symmetric_gauge(), (2, 1), (-1, 3), samples=samples)
-    assert value == pytest.approx(math.pi * (1 * -1 - 2 * 3), abs=1e-10)
+@pytest.mark.parametrize(
+    "g1, g2, value",
+    [
+        pytest.param((1, 0), (0, 1), -math.pi, id="generators"),
+        pytest.param((2, -1), (0, 0), 0.0, id="identity-argument"),
+        pytest.param((2, 1), (-1, 3), math.pi * (1 * -1 - 2 * 3), id="general-pair"),
+    ],
+)
+def test_cocycle_grid_entries(g1, g2, value):
+    radius = max(map(abs, g1 + g2))
+    _, vals, _ = cocycle_grid(symmetric_gauge(), radius)
+    assert vals[ball_index(*g1, radius), ball_index(*g2, radius)] == pytest.approx(value, abs=1e-12)
 
 
 def test_landau_gauge_antisymmetrization_matches_symmetric():
@@ -200,17 +192,24 @@ def test_cocycle_grid_closed_form():
     assert np.abs(vals - expected).max() < 1e-10
 
 
+def _ball_arrays(radius):
+    """The points of ``ball_points(radius)`` as a column and a row of (n, m) arrays."""
+    n, m = np.array(ball_points(radius)).T
+    return (n[:, None], m[:, None]), (n, m)
+
+
 def test_cocycle_table_symmetric_gauge():
-    kc = KappaCocycle()
     table = cocycle_table(symmetric_gauge(), 3)
-    for g1, g2 in table.pairs():
-        assert table(g1, g2) == pytest.approx(kc(g1, g2), abs=1e-10)
+    assert table.radius == 6
+    pairs = _ball_arrays(6)
+    assert np.abs(table(*pairs) - KappaCocycle()(*pairs)).max() <= 1e-10
+    assert table((2, -1), (-6, 4)) == pytest.approx(KappaCocycle()((2, -1), (-6, 4)), abs=1e-10)
 
 
 def test_cocycle_table_zero_potential():
     zero = OneForm(PolyXY.zero(), PolyXY.zero())
     table = cocycle_table(zero, 2)
-    assert all(abs(table(g1, g2)) < 1e-14 for g1, g2 in table.pairs())
+    assert np.abs(table(*_ball_arrays(4))).max() < 1e-14
 
 
 def test_cocycle_table_landau_identity_on_ball():
@@ -233,20 +232,71 @@ def test_cocycle_table_landau_identity_on_ball():
 
 
 def test_tabulated_cocycle_rejects_unnormalized():
-    from quantlab.algebra import TabulatedCocycle
-
     with pytest.raises(ValueError):
-        TabulatedCocycle({((0, 0), (0, 0)): 1.0})
+        TabulatedCocycle(np.ones((1, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        ((5, 0), (0, 0)),
+        ((0, 0), (0, -5)),
+        ((np.array([0, 1, 5]), np.array([0, 0, 0])), (np.array([1, 2, 3]), 0)),
+        ((0, 0), (np.array([[0], [4]]), np.array([0, -5]))),
+    ],
+)
+def test_tabulated_cocycle_rejects_pairs_outside_the_table(g1, g2):
+    table = cocycle_table(landau_gauge(), 2)
+    with pytest.raises(KeyError, match="radius 4"):
+        table(g1, g2)
+
+
+@pytest.mark.parametrize("radius", [0, 2])
+def test_cocycle_table_rejects_nonconstant_curvature(radius):
+    # dA = x dx^dy
+    bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
+    with pytest.raises(ExactnessError, match="curvature"):
+        cocycle_table(bad, radius)
 
 
 def test_gauge_covariance_of_antisymmetrization():
     # any two potentials with the same constant curvature agree after
     # antisymmetrization: their cocycles differ by a symmetric coboundary
+    # A = -1.5 pi y dx + 0.5 pi x dy: dA = (0.5 pi + 1.5 pi) dx^dy, as for the symmetric gauge
     skew = OneForm(
         PolyXY([[0.0, -1.5 * math.pi]]), PolyXY([[0.0], [0.5 * math.pi]])
     )
-    assert exterior_derivative(skew)(0.0, 0.0) == pytest.approx(TWO_PI)
     pts, vals, _ = cocycle_grid(skew, 3)
     pts2, vals2, _ = cocycle_grid(symmetric_gauge(), 3)
     assert pts == pts2
     assert np.abs((vals - vals.T) - (vals2 - vals2.T)).max() < 1e-10
+
+
+# the twisted algebra over the cocycles derived from the two gauges
+@pytest.fixture(scope="module")
+def tables():
+    return {"symmetric": cocycle_table(symmetric_gauge(), 3), "landau": cocycle_table(landau_gauge(), 3)}
+
+
+@pytest.mark.parametrize("gauge", ["symmetric", "landau"])
+def test_derived_cocycle_regular_representation_matches_the_loop_oracle(tables, gauge):
+    terms = {g: complex(*rng.normal(size=2)) for g in ball_points(2) if rng.random() < 0.5}
+    a, s = AlgebraElement(terms), 0.37
+    matrix = regular_representation(a, tables[gauge], s, 3)
+    reference = regular_representation_loop(a, tables[gauge], s, 3)
+    assert np.abs(matrix - reference).max() <= 1e-13
+
+
+def test_landau_and_symmetric_cocycles_differ_by_a_coboundary(tables):
+    # c_Landau - c_symmetric = b(g1) + b(g2) - b(g1 + g2) with b(n, m) = pi n m
+    (n1, m1), (n2, m2) = pairs = _ball_arrays(6)
+    delta_b = math.pi * (n1 * m1 + n2 * m2 - (n1 + n2) * (m1 + m2))
+    assert np.abs(tables["landau"](*pairs) - tables["symmetric"](*pairs) - delta_b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.2, 0.3, 0.5, 0.7])
+def test_harper_norm_is_the_same_for_derived_and_closed_form_cocycles(tables, s):
+    kappa = KappaCocycle()
+    expected = norm_estimate(harper_element(kappa, s), kappa, s, 3)
+    for table in tables.values():
+        assert abs(norm_estimate(harper_element(table, s), table, s, 3) - expected) <= 1e-12

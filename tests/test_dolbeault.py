@@ -147,6 +147,29 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_flux,grid", [(0, 16), (3, 20)])
+def test_symmetric_kernel_is_the_cached_landau_solve_times_the_site_phase(monkeypatch, n_flux, grid):
+    solves = []
+    solve = dolbeault._chain_triplets
+
+    def counted(*args):
+        solves.append(args[-1])
+        return solve(*args)
+
+    monkeypatch.setattr(dolbeault, "_chain_triplets", counted)
+    dolbeault._kernel_data.cache_clear()
+    landau = dolbeault._kernel_data(n_flux, grid, "landau")
+    assert len(solves) == (1 if n_flux else 0)
+    sigma_max, svals, vecs = dolbeault._kernel_data(n_flux, grid, "symmetric-periodic")
+    assert len(solves) == (1 if n_flux else 0)
+    # bit-identical to multiplying the Landau vectors by G on the (M, M) grid in place
+    expected = landau[2].reshape(grid, grid, -1).copy()
+    expected *= dolbeault._symmetric_phase(n_flux, grid)[..., None]
+    assert np.array_equal(vecs, expected.reshape(grid * grid, -1))
+    assert sigma_max == landau[0] and svals is landau[1]
+    assert not vecs.flags.writeable
+
+
 def test_chain_solve_raises_when_the_iteration_cap_is_hit(monkeypatch):
     monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
