@@ -74,7 +74,7 @@ OPERATION_COVERAGE = {
 # public operations no subcommand runs; `cocycle-check` reaches the phases
 # through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
 # by a derived cocycle
-LIBRARY_ONLY = {"cocycle.solve_phi", "cocycle.cocycle_table", "sections.module_trace"}
+LIBRARY_ONLY = {"cocycle.solve_phi", "cocycle.cocycle_table"}
 
 
 def _parse_range(text: str) -> list[int]:
@@ -87,6 +87,14 @@ def _parse_range(text: str) -> list[int]:
     if not values:
         raise ValueError(f"empty range {text!r}")
     return values
+
+
+def _finite_float(text: str) -> float:
+    """Float option value; NaN or +-inf would switch off the gate or check it feeds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _subsample(values: list[int], count: int) -> list[int]:
@@ -218,7 +226,7 @@ def _cmd_algebra(args) -> int:
             {"claim": "algebra-norm", "norm": value, "radius": args.radius, "l1_bound": a.l1_norm()},
         )
     else:  # norm-profile
-        grid = [float(v) for v in args.s_grid.split(",")]
+        grid = [_finite_float(v) for v in args.s_grid.split(",")]
         profile = algebra.norm_profile(
             a, grid, kc, args.radius, continuity_threshold=args.continuity_threshold
         )
@@ -266,7 +274,6 @@ def _cmd_spectral(args) -> int:
     payload = {
         "claim": "dolbeault-spectral-report",
         "kernel_dim": rep.kernel_dim,
-        "coker_dim": rep.coker_dim,
         "sigma_min_nonzero": rep.sigma_min_nonzero,
         "gap_degree1": rep.gap_degree1,
         "parametrix_norm": rep.parametrix_norm,
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cocycle-check", help="derive the cocycle and check identities")
     p.add_argument("--potential", default="symmetric", choices=("symmetric", "landau"))
-    p.add_argument("--omega0", type=float, default=2.0 * math.pi)
+    p.add_argument("--omega0", type=_finite_float, default=2.0 * math.pi)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_cocycle_check)
@@ -395,16 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("mult", "trace", "norm", "norm-profile"))
     p.add_argument("--a", default="harper", help="element JSON (inline or path) or 'harper'")
     p.add_argument("--b", default="harper")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--kappa", type=float, default=math.pi)
+    p.add_argument("--s", type=_finite_float, default=0.5)
+    p.add_argument("--kappa", type=_finite_float, default=math.pi)
     p.add_argument("--radius", type=int, default=20)
     p.add_argument("--s-grid", default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p.add_argument("--continuity-threshold", type=float, default=None)
+    p.add_argument("--continuity-threshold", type=_finite_float, default=None)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_algebra)
 
     p = sub.add_parser("module-gram", help="module inner products and positivity")
-    p.add_argument("--s", type=float, default=2.0)
+    p.add_argument("--s", type=_finite_float, default=2.0)
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--rep-radius", type=int, default=6)
     p.add_argument("--sections", help="path with one section JSON per line")
@@ -415,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-flux", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--gauge", default="landau", choices=GAUGES)
-    p.add_argument("--slack", type=float, default=0.1)
+    p.add_argument("--slack", type=_finite_float, default=0.1)
     p.add_argument("--export-kernel", help="write the kernel basis as CSV (re/im columns)")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_spectral)
@@ -437,21 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bargmann", help="vacuum Fourier overlaps vs the closed form")
     p.add_argument("--j", default="0..3")
     p.add_argument("--k", default="0..3")
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bargmann)
 
     p = sub.add_parser("heisenberg", help="generator commutation on the oscillator ladder")
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.add_argument("--truncation", type=int, default=60)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_heisenberg)
 
     p = sub.add_parser("index", help="closed-form surface index and trace values (report-only)")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--vol", type=float, default=None)
-    p.add_argument("--d0", type=float, default=0.0)
+    p.add_argument("--s", type=_finite_float, required=True)
+    p.add_argument("--vol", type=_finite_float, default=None)
+    p.add_argument("--d0", type=_finite_float, default=0.0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_index)
 

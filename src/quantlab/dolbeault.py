@@ -89,12 +89,10 @@ class DolbeaultPair:
 @dataclass(frozen=True)
 class SpectralReport:
     kernel_dim: int
-    coker_dim: int
     sigma_min_nonzero: float
     gap_degree1: float
     parametrix_norm: float
     spectrum_degree0: tuple
-    spectrum_degree1: tuple
 
 
 def _cyclic_step(n: int) -> sp.csr_matrix:
@@ -228,7 +226,9 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
 
     Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
     unitary FFT).  Raises if a singular value is within a factor 10 of the
-    threshold (either side), so an ambiguous kernel fails loudly.
+    threshold (either side), so an ambiguous kernel fails loudly, and if none
+    is below it: the grid does not resolve the kernel (at N = 0 the constants
+    have sigma = 0 exactly, so only N > 0 can fail this way).
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
@@ -244,11 +244,15 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
             "singular value %.3e within a decade of threshold %.3e"
             % (ambiguous[0], threshold)
         )
+    if svals[0] >= threshold:
+        raise ResolutionError(
+            f"kernel unresolved: lowest singular value {svals[0]:.3e} above threshold {threshold:.3e}"
+        )
     return vecs[:, : np.count_nonzero(svals < threshold)]
 
 
 def kernel_dimension(pair: DolbeaultPair, tol: float = 1e-6) -> int:
-    """Count singular values of D_plus below tol * sigma_max; ambiguous counts raise."""
+    """Count singular values of D_plus below tol * sigma_max; an ambiguous count or empty kernel raises."""
     return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol).shape[1]
 
 
@@ -269,16 +273,15 @@ def spectral_report(
     continuum gap is CURVATURE_SCALE * N, far above that bound, so the
     slack only absorbs discretization error.
     """
-    if slack <= 0:
+    if not 0.0 < slack < math.inf:
         raise ValueError("slack must be positive")
     n = pair.n_flux
     dim_kernel = kernel_dimension(pair, tol)
     _, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
-    # of zero included: the one solve serves both degrees, coker_dim included
+    # of zero included: the one solve serves both degrees; _kernel_basis has
+    # checked that the computed values reach above the kernel
     vals = svals0**2
-    if vals.size == dim_kernel:
-        raise GapBoundError("no nonzero degree-1 spectrum resolved")
     gap = float(vals[dim_kernel])
     bound = n * (1.0 - slack)
     if n > 0 and gap < bound:
@@ -286,12 +289,10 @@ def spectral_report(
     spectrum = tuple(float(v) for v in vals)
     return SpectralReport(
         kernel_dim=dim_kernel,
-        coker_dim=dim_kernel,
         sigma_min_nonzero=float(svals0[dim_kernel]),
         gap_degree1=gap,
         parametrix_norm=gap**-0.5,  # gap >= (tol * sigma_max)^2 > 0
         spectrum_degree0=spectrum,
-        spectrum_degree1=spectrum,
     )
 
 

@@ -33,10 +33,6 @@ class GapBoundError(QuantLabError):
     """Spectral gap fell below the asserted curvature bound."""
 
 
-class DependencyError(QuantLabError):
-    """A required upstream artifact (e.g. kernel basis) is unavailable."""
-
-
 class DegenerateToeplitzError(QuantLabError):
     """Polar decomposition of a Toeplitz generator is singular."""
 

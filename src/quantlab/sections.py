@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Lattice, ball_points, trace
+from .algebra import AlgebraElement, Lattice, ball_points
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,6 @@ def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> Alg
         if value != 0:
             coeffs[gamma] = value
     return AlgebraElement(coeffs)
-
-
-def module_trace(psi: GaussianSection, cocycle, s: float, radius: int) -> float:
-    """Trace of the self-pairing; equals the plain L^2 norm by construction."""
-    gram = module_inner(psi, psi, radius)
-    return trace(gram, cocycle, s).real
 
 
 def gram_positivity(

@@ -49,16 +49,8 @@ def numeric_index_crosscheck(n_flux: int, grid: int, gauge: str = "landau") -> d
     pair = build_dolbeault(n_flux, grid, gauge)
     dim = kernel_dimension(pair)
     formula = l2_index(genus=1, vol=1.0, s=float(n_flux))
-    if n_flux == 0:
-        return {
-            "n_flux": 0,
-            "grid": grid,
-            "kernel_dim": dim,
-            "index_formula": formula,
-            "match": False,
-            "flat_case_flagged": True,
-        }
-    if dim != round(formula):
+    flat = n_flux == 0
+    if not flat and dim != round(formula):
         raise IndexViolationError(
             f"kernel dimension {dim} != index formula {formula} at flux {n_flux}"
         )
@@ -67,6 +59,6 @@ def numeric_index_crosscheck(n_flux: int, grid: int, gauge: str = "landau") -> d
         "grid": grid,
         "kernel_dim": dim,
         "index_formula": formula,
-        "match": True,
-        "flat_case_flagged": False,
+        "match": not flat,
+        "flat_case_flagged": flat,
     }

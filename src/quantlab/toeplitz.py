@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ import scipy.linalg as sla
 
 from .algebra import AlgebraElement, convolve, reflect
 from .dolbeault import _kernel_basis
-from .errors import DegenerateToeplitzError, DependencyError
+from .errors import DegenerateToeplitzError
 
 
 class TrigPolynomial(AlgebraElement):
@@ -114,33 +113,15 @@ def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
-    n_flux: int
-    grid: int
-    entries: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def holomorphic_basis(n_flux: int, grid: int, tol: float = 1e-6) -> np.ndarray:
     """Orthonormal Landau-gauge kernel basis at (N, M), read off the cached kernel solve."""
-    basis = _kernel_basis(n_flux, grid, "landau", tol)
-    if basis.shape[1] == 0:
-        raise DependencyError(
-            f"no holomorphic sections available at flux {n_flux}, grid {grid}"
-        )
-    return basis
+    return _kernel_basis(n_flux, grid, "landau", tol)
 
 
-def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> ToeplitzMatrix:
+def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> np.ndarray:
     """Compression of multiplication by f to the holomorphic-section basis."""
     basis = holomorphic_basis(n_flux, grid)
-    values = f.sample(grid)
-    entries = basis.conj().T @ (values[:, None] * basis)
-    return ToeplitzMatrix(n_flux=n_flux, grid=grid, entries=entries)
+    return basis.conj().T @ (f.sample(grid)[:, None] * basis)
 
 
 def _opnorm(a: np.ndarray) -> float:
@@ -149,9 +130,9 @@ def _opnorm(a: np.ndarray) -> float:
 
 def product_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
     """Operator norm of T(f) T(g) - T(fg)."""
-    tf = toeplitz(f, n_flux, grid).entries
-    tg = toeplitz(g, n_flux, grid).entries
-    tfg = toeplitz(f * g, n_flux, grid).entries
+    tf = toeplitz(f, n_flux, grid)
+    tg = toeplitz(g, n_flux, grid)
+    tfg = toeplitz(f * g, n_flux, grid)
     return _opnorm(tf @ tg - tfg)
 
 
@@ -159,9 +140,9 @@ def commutator_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: i
     """Operator norm of [T(f), T(g)] - (i/N) T({f, g}); needs N >= 1."""
     if n_flux < 1:
         raise ValueError(f"commutator defect divides by the flux; need N >= 1, got {n_flux}")
-    tf = toeplitz(f, n_flux, grid).entries
-    tg = toeplitz(g, n_flux, grid).entries
-    tpb = toeplitz(poisson_bracket(f, g), n_flux, grid).entries
+    tf = toeplitz(f, n_flux, grid)
+    tg = toeplitz(g, n_flux, grid)
+    tpb = toeplitz(poisson_bracket(f, g), n_flux, grid)
     return _opnorm(tf @ tg - tg @ tf - (1j / n_flux) * tpb)
 
 
@@ -169,10 +150,10 @@ def first_order_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: 
     """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g)); needs N >= 1."""
     if n_flux < 1:
         raise ValueError(f"first-order defect divides by the flux; need N >= 1, got {n_flux}")
-    tf = toeplitz(f, n_flux, grid).entries
-    tg = toeplitz(g, n_flux, grid).entries
+    tf = toeplitz(f, n_flux, grid)
+    tg = toeplitz(g, n_flux, grid)
     corrected = f * g + gradient_pairing(f, g).scale(1.0 / n_flux)
-    tc = toeplitz(corrected, n_flux, grid).entries
+    tc = toeplitz(corrected, n_flux, grid)
     return _opnorm(tf @ tg - tc)
 
 
@@ -180,7 +161,7 @@ def trace_limit_defect(f: TrigPolynomial, n_flux: int, grid: int) -> float:
     """|normalized trace of T(f) - mean f| for a real symbol."""
     if not f.is_real():
         raise ValueError("trace limit defect is defined for real symbols")
-    t = toeplitz(f, n_flux, grid).entries
+    t = toeplitz(f, n_flux, grid)
     return float(abs(np.trace(t) / t.shape[0] - f.mean()))
 
 
@@ -217,8 +198,8 @@ def weyl_relation(n_flux: int, grid: int | None = None) -> complex:
         raise ValueError("weyl relation needs flux >= 2")
     if grid is None:
         grid = max(16, 8 * n_flux)
-    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid).entries
-    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid).entries
+    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid)
+    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid)
     uu = _polar_unitary(tu)
     vv = _polar_unitary(tv)
     w = vv @ uu @ vv.conj().T @ uu.conj().T

@@ -20,7 +20,7 @@ from oracles import write_rows_csv
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
     "cocycle": ["solve_phi", "cocycle_table"],
-    "sections": ["project_act", "l2_inner", "module_inner", "module_trace", "gram_positivity"],
+    "sections": ["project_act", "l2_inner", "module_inner", "gram_positivity"],
     "dolbeault": ["build_dolbeault", "kernel_dimension", "spectral_report", "weitzenbock_residual", "kernel_basis"],
     "toeplitz": [
         "toeplitz",
@@ -322,11 +322,14 @@ def test_usage_error_exits_2():
 
 
 def test_failure_record_on_bad_spectral_request(capsys):
-    code = main(["spectral", "--n-flux", "4", "--grid", "8"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert out["status"] == "failed"
-    assert out["error"] == "ResolutionError"
+    # grid 8 is below build_dolbeault's floor 4N; grid 16 passes it, but
+    # its lowest singular value is not below the kernel threshold
+    for grid in ("8", "16"):
+        code = main(["spectral", "--n-flux", "4", "--grid", grid])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["status"] == "failed"
+        assert out["error"] == "ResolutionError"
 
 
 def test_fluxless_spectral_runs_on_a_fine_grid(capsys):
@@ -385,6 +388,41 @@ def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):
     config.write_text(json.dumps({"slack": 0}))
     assert main(["--config", str(config)] + argv) == 2
     assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
+
+
+NON_FINITE_RUNS = [
+    (["spectral", "--n-flux", "1", "--grid", "16"], "slack"),
+    (["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"], "continuity-threshold"),
+    (["index", "--g", "2", "--s", "3"], "s"),
+    (["algebra", "--mode", "norm", "--radius", "3"], "s"),
+    (["cocycle-check", "--radius", "1"], "omega0"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, key", NON_FINITE_RUNS, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_non_finite_float_rejected_on_argv_and_in_config(argv, key, value, tmp_path, capsys):
+    # NaN and +-inf would switch off a gate or fail as something else
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{key}={value}"])
+    assert exc.value.code == 2
+    assert f"--{key}: invalid _finite_float value: '{value}'" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["--config", str(config)] + argv) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "config-error" and f"--{key}: invalid _finite_float" in out["message"]
+
+
+@pytest.mark.parametrize("s_grid", ["0.0,nan", "inf", "0.5,-inf"])
+def test_non_finite_s_grid_value_rejected_on_argv_and_in_config(s_grid, tmp_path, capsys):
+    argv = ["algebra", "--mode", "norm-profile", "--radius", "3"]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"s_grid": s_grid}))
+    for run in (argv + [f"--s-grid={s_grid}"], ["--config", str(config)] + argv):
+        assert main(run) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "usage-error" and "not a finite number" in out["message"]
 
 
 def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):

@@ -11,7 +11,6 @@ from quantlab.sections import (
     gram_positivity,
     l2_inner,
     module_inner,
-    module_trace,
     project_act,
     vacuum,
 )
@@ -72,6 +71,9 @@ def test_projective_twist_law():
 def test_l2_inner_vacuum_normalization():
     for s in (0.5, 1.0, 2.0, 3.7):
         assert l2_inner(vacuum(s), vacuum(s)) == pytest.approx(1.0 / s, abs=1e-14)
+        # the pairing is sesquilinear: scaling by z scales the norm by |z|^2
+        scaled = vacuum(s).scale(0.5 - 2.0j)
+        assert l2_inner(scaled, scaled) == pytest.approx(abs(0.5 - 2.0j) ** 2 / s, rel=1e-14)
 
 
 def test_l2_inner_far_separated_bound():
@@ -172,19 +174,6 @@ def test_module_inner_right_linearity():
             for g in ball_points(inner_radius)
         )
         assert worst < 1e-12
-
-
-def test_module_trace_vacuum():
-    assert module_trace(vacuum(2.0), KC, 2.0, 5) == pytest.approx(0.5, abs=1e-13)
-
-
-def test_module_trace_scaling_and_consistency():
-    s = 1.6
-    psi = random_section(s)
-    base = module_trace(psi, KC, s, 6)
-    scaled = module_trace(psi.scale(0.5 - 2.0j), KC, s, 6)
-    assert scaled == pytest.approx(abs(0.5 - 2.0j) ** 2 * base, rel=1e-12)
-    assert base == pytest.approx(l2_inner(psi, psi).real, abs=1e-12)
 
 
 def test_gram_positivity_vacuum():

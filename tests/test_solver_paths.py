@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import quantlab
+from quantlab import errors
 
 SOURCES = sorted(Path(quantlab.__file__).parent.glob("*.py"))
 
@@ -17,3 +18,16 @@ def test_no_arpack_call_in_the_library():
         if re.search(r"eigsh|svds|Arpack", line)
     ]
     assert hits == []
+
+
+def test_every_error_type_is_raised_in_the_library():
+    # an error type nothing raises is a dead guard that callers still catch
+    kinds = [
+        name
+        for name, kind in vars(errors).items()
+        if isinstance(kind, type) and issubclass(kind, errors.QuantLabError)
+        and kind is not errors.QuantLabError
+    ]
+    assert kinds
+    text = "\n".join(path.read_text() for path in SOURCES)
+    assert [name for name in kinds if not re.search(rf"\braise {name}\(", text)] == []
