@@ -97,6 +97,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Integer option value of at least 1; a grid rule below 1 pins max(16, rule * N) to 16."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _subsample(values: list[int], count: int) -> list[int]:
     if count >= len(values) or count < 2:
         return values
@@ -300,7 +308,10 @@ def _cmd_toeplitz_sweep(args) -> int:
     fname, gname = args.fg.split(",", 1)
     f = _load_symbol(fname)
     g = _load_symbol(gname)
-    flux_values = _subsample(_parse_range(args.N), args.samples)
+    flux_values = _parse_range(args.N)
+    if min(flux_values) < 1:
+        raise ValueError(f"toeplitz-sweep needs flux N >= 1, got {min(flux_values)}")
+    flux_values = _subsample(flux_values, args.samples)
     cells = [_sweep_cell(f, g, n, args.grid_rule) for n in flux_values]
     rows = []
     for claim in (
@@ -431,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fg", default="cos2pix,cos2piy", help="two symbols, comma separated")
     p.add_argument("--N", default="4..32")
     p.add_argument("--samples", type=int, default=7)
-    p.add_argument("--grid-rule", type=int, default=8, help="grid = max(16, rule * N)")
+    p.add_argument("--grid-rule", type=_positive_int, default=8, help="grid = max(16, rule * N)")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_toeplitz_sweep)
 
     p = sub.add_parser("weyl", help="noncommutative-torus scalar of the polar factors")
     p.add_argument("--N", default="2..12")
-    p.add_argument("--grid-rule", type=int, default=8)
+    p.add_argument("--grid-rule", type=_positive_int, default=8)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_weyl)
 

@@ -24,15 +24,23 @@ Two lattice facts shape the numerics:
 
 Solver (magnetic translations, Zak 1964).  In the Landau gauge a unitary FFT
 along k (momentum p) splits D_plus into g = gcd(N, M) cyclic bidiagonal
-chains of length M^2/g, stepping (j, p) -> (j+1, p) and crossing the seam as
-(M-1, p) -> (0, p-N), with off-diagonal b = M/sqrt(2) and diagonal
-b (-1 + i (e^{i theta} - 1)), theta = 2 pi (p/M - N j/M^2).  A block subspace
-iteration with one sparse LU of the shifted normal matrix B^* B + 1 finds the
-lowest singular triplets of all chains; Rayleigh-Ritz is an SVD of B Q, so
-singular values carry eps * sigma_max error like a dense SVD and every copy
-of a repeated value is found.  sigma_max is the top of the same chains: with
-each chain's columns in zig-zag order 0, L-1, 1, L-2, ... B^* B is a band of
-width 2, and ``algebra._gram_top`` brackets its top eigenvalue to 1e-12
+chains of length L = M^2/g, stepping (j, p) -> (j+1, p) and crossing the seam
+as (M-1, p) -> (0, p-N), with off-diagonal b = M/sqrt(2) and diagonal
+b (-1 + i (e^{i theta} - 1)); at chain c, position s = t M + j,
+theta = 2 pi (p/M - N j/M^2) = 2 pi u / M^2 with the integer
+u = (c M - N s) mod M^2, from which the diagonal is computed.  Magnetic
+translations carry the chains onto one another: with d = gcd(N, M^2) and
+c0 = d / g, chain c is chain r = c mod c0 rolled by Delta_c, where
+N Delta_c = (c - r) M (mod M^2), so its diagonal (equal integers u) and
+matrix are r's permuted, bit for bit, and its singular vectors are r's
+rolled.  Only the c0 representatives are solved: one chain whenever N | M.
+A block subspace iteration with one sparse LU of the shifted normal matrix
+B^* B + 1 finds their lowest singular triplets; Rayleigh-Ritz is an SVD of
+B Q, so singular values carry eps * sigma_max error like a dense SVD and
+every copy of a repeated value is found.  sigma_max is the top of the same
+representative chains: with each chain's columns in zig-zag order 0, L-1, 1,
+L-2, ... B^* B is a band of width 2, and ``algebra._gram_top`` brackets its
+top eigenvalue to 1e-12
 relative by banded Cholesky factorizations, starting from the bound
 (max |diagonal| + b)^2 and raising ConvergenceError if the bracket stays
 open.  At zero flux the doubler zero would land on the momentum grid
@@ -108,7 +116,11 @@ def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
     """Assemble D_plus at flux N on the M x M grid.
 
-    Requires M >= max(4, 4N) so the lowest magnetic band is resolved.
+    Requires M >= max(4, 4N), without which the lowest magnetic band cannot
+    be resolved.  The floor is necessary, not sufficient: of the 152 grids
+    N = 1..8, M = 4N..8N, 30 pass it and then raise from the kernel query
+    (13 ResolutionError, 17 IndeterminateKernelError), e.g. (1, 8), (2, 14),
+    (3, 18), (4, 20), (6, 25); N = 7 and 8 resolve from M = 4N.
     """
     if n_flux < 0:
         raise ValueError("flux must be non-negative")
@@ -140,6 +152,35 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
         dplus = site @ dplus @ site.conj()
     dplus = dplus.tocsr()
     return DolbeaultPair(dplus=dplus, n_flux=n_flux, grid=grid, gauge=gauge)
+
+
+def _chain_classes(n_flux: int, grid: int):
+    """Magnetic-translation classes of the g = gcd(N, M) Landau chains at N > 0.
+
+    Returns (c0, rep, shift): chain c is chain rep[c] = c mod c0 with its
+    sites rolled by shift[c], where c0 = d / g for d = gcd(N, M^2) (that is
+    d / gcd(d, M)) and N shift[c] = (c - rep[c]) M (mod M^2).  So chain c's
+    diagonal is np.roll(rep's, shift[c]) exactly, and as the cyclic step
+    commutes with a roll, so are its matrix and its singular vectors.
+    """
+    N, M = n_flux, grid
+    g, d = math.gcd(N, M), math.gcd(N, M * M)
+    c0, chain = d // g, np.arange(g)
+    shift = (chain // c0) * (M // g) * pow(N // d, -1, M * M // d) % (M * M // d)
+    return c0, chain % c0, shift
+
+
+def _chain_diagonal(n_flux: int, grid: int, chain: np.ndarray) -> np.ndarray:
+    """Diagonals of the Landau chains ``chain``, one row of length M^2 / g each.
+
+    Position s of chain c has b (-1 + i (e^{i theta} - 1)), b = M / sqrt(2),
+    theta = 2 pi u / M^2 for the integer u = (c M - N s) mod M^2: equal u
+    give bit-identical entries.
+    """
+    N, M = n_flux, grid
+    u = (chain[:, None] * M - N * np.arange(M * M // math.gcd(N, M))) % (M * M)
+    b = M / math.sqrt(2.0)
+    return b * (-1.0 + 1j * (np.exp(2j * math.pi * u / (M * M)) - 1.0))
 
 
 def _chain_triplets(chains: sp.csr_matrix, lu, g: int, m: int):
@@ -195,23 +236,27 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         t, j = np.divmod(np.arange(L), M)
         p = (np.arange(g)[:, None] - N * t) % M
         b = M / math.sqrt(2.0)
-        diag = b * (-1.0 + 1j * (np.exp(2j * math.pi * (p / M - N * j / (M * M))) - 1.0))
-        chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(g), _cyclic_step(L))).tocsr()
+        c0, rep, shift = _chain_classes(N, M)
+        diag = _chain_diagonal(N, M, np.arange(c0))
+        chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(c0), _cyclic_step(L))).tocsr()
         # zig-zag columns 0, L-1, 1, L-2, ... make each cyclic chain's
         # tridiagonal-plus-corner normal matrix a band of width 2
         half, odd = np.divmod(np.arange(L), 2)
         zigzag = np.where(odd, L - 1 - half, half)
-        perm = (L * np.arange(g)[:, None] + zigzag).ravel()
+        perm = (L * np.arange(c0)[:, None] + zigzag).ravel()
         sigma_max = math.sqrt(_gram_top(chains[:, perm], (np.abs(diag).max() + b) ** 2))
         normal = (chains.getH() @ chains).tocsc()
-        lu = spla.splu(normal + sp.identity(M * M, format="csc"))
+        lu = spla.splu(normal + sp.identity(c0 * L, format="csc"))
         m = min(L, -(-k // g) + 2)  # an even share of k per chain, and two spare
-        values, ritz = _chain_triplets(chains, lu, g, m)
+        values, ritz = _chain_triplets(chains, lu, c0, m)
         # what a chain leaves out lies above its m-th value, so the merged
         # lowest k are certain once they sit at or below every chain's m-th
-        while m < L and np.sort(values, axis=None)[k - 1] > values[:, -1].min():
+        while m < L and np.sort(values[rep], axis=None)[k - 1] > values[:, -1].min():
             m = min(L, 2 * m)
-            values, ritz = _chain_triplets(chains, lu, g, m)
+            values, ritz = _chain_triplets(chains, lu, c0, m)
+        # every chain is its representative's matrix rolled by its shift
+        values = values[rep]
+        ritz = ritz[rep[:, None], (np.arange(L) - shift[:, None]) % L]
         order = np.argsort(values, axis=None, kind="stable")[:k]
         svals, (chain, column) = values.ravel()[order], np.divmod(order, m)
         modes[(j * M + p)[chain].T, np.arange(k)] = ritz[chain, :, column].T

@@ -390,6 +390,37 @@ def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
 
 
+@pytest.mark.parametrize("rule", ["0", "-3"])
+@pytest.mark.parametrize("command", [["toeplitz-sweep", "--N", "4"], ["weyl", "--N", "2"]])
+def test_grid_rule_below_1_rejected_on_argv_and_in_config(command, rule, tmp_path, capsys):
+    # a rule below 1 pinned the grid to 16: a ResolutionError at N = 4, a silent pass at N = 2
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--grid-rule={rule}"])
+    assert exc.value.code == 2
+    assert f"--grid-rule: invalid _positive_int value: '{rule}'" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"grid_rule": int(rule)}))
+    assert main(["--config", str(config)] + command) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "config-error" and "--grid-rule: invalid _positive_int" in out["message"]
+
+
+@pytest.mark.parametrize(
+    "flux, samples, lowest",
+    [("0,4,8", "2", 0), ("0", "1", 0), ("-2..4", "7", -2)],
+)
+def test_toeplitz_sweep_rejects_flux_below_1_before_solving(flux, samples, lowest, monkeypatch, capsys):
+    # the check comes before the subsample's geomspace and before any kernel solve
+    def no_solve(*args):
+        raise AssertionError("solved before the flux was checked")
+
+    monkeypatch.setattr(dolbeault, "_kernel_data", no_solve)
+    assert main(["toeplitz-sweep", f"--N={flux}", "--samples", samples]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "usage-error"
+    assert out["message"] == f"toeplitz-sweep needs flux N >= 1, got {lowest}"
+
+
 NON_FINITE_RUNS = [
     (["spectral", "--n-flux", "1", "--grid", "16"], "slack"),
     (["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"], "continuity-threshold"),

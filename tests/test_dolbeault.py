@@ -125,11 +125,13 @@ def test_degree1_spectrum_lists_every_copy_of_the_first_level(n_flux, grid):
     assert rep.kernel_dim == n_flux
 
 
-@pytest.mark.parametrize("n_flux,grid", [(2, 16), (3, 16), (3, 20), (4, 18)])
+@pytest.mark.parametrize("n_flux,grid", [(2, 16), (3, 16), (3, 20), (4, 18), (8, 36), (6, 27)])
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     # (3, 16) is one chain, (4, 18) has gcd(N, M) = 2 < N chains that are
-    # not isospectral, so the merge across chains is exercised
+    # not isospectral, so the merge across chains is exercised; (8, 36) has
+    # two classes of two chains, (6, 27) three chains in one class with N not
+    # dividing M, so both expand rolled representatives
     dense = build_dolbeault(n_flux, grid, gauge).dplus.toarray()
     sigma_max, svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
     reference = np.linalg.svd(dense, compute_uv=False)
@@ -142,6 +144,36 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     if (n_flux, grid) == (2, 16):
         # the commensuration splitting behind the indeterminacy guard
         assert svals[:2] == pytest.approx([3.74e-7, 3.74e-7], rel=1e-3)
+
+
+def test_every_chain_is_its_representative_rolled():
+    # all 152 grids N = 1..8, M = 4N..8N: the roll of the representative's
+    # diagonal is chain c's diagonal bit for bit, so its matrix is the same
+    kinds = {"one class": 0, "partial": 0, "all distinct": 0}
+    for n_flux in range(1, 9):
+        for grid in range(4 * n_flux, 8 * n_flux + 1):
+            g = math.gcd(n_flux, grid)
+            c0, rep, shift = dolbeault._chain_classes(n_flux, grid)
+            diag = dolbeault._chain_diagonal(n_flux, grid, np.arange(g))
+            for c in range(g):
+                assert np.array_equal(diag[c], np.roll(diag[rep[c]], shift[c]))
+            assert sorted(set(rep)) == list(range(c0))
+            kinds["one class" if c0 == 1 else "all distinct" if c0 == g else "partial"] += 1
+    assert kinds == {"one class": 136, "partial": 4, "all distinct": 12}
+
+
+def test_one_chain_solve_serves_a_single_class(monkeypatch):
+    # at (9, 72) the nine chains of length 576 are one class: one is solved
+    lengths = []
+    solve = dolbeault._chain_triplets
+
+    def counted(chains, lu, g, m):
+        lengths.append((g, chains.shape[0]))
+        return solve(chains, lu, g, m)
+
+    monkeypatch.setattr(dolbeault, "_chain_triplets", counted)
+    dolbeault._kernel_data.__wrapped__(9, 72, "landau")  # bypass the cache
+    assert lengths == [(1, 576)]
 
 
 def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
