@@ -209,9 +209,9 @@ def involution(a: AlgebraElement, cocycle, s: float) -> AlgebraElement:
     return reflect(a, lambda g: sigma(cocycle, s, g, inverse(g)).conjugate())
 
 
-def trace(a: AlgebraElement, cocycle, s: float) -> complex:
-    """Canonical tracial state: unit-normalized coefficient at the identity."""
-    return sigma(cocycle, s, E, E) * a.coefficient(E)
+def trace(a: AlgebraElement) -> complex:
+    """Canonical tracial state tau(a) = a(e); no twist enters, as [e] is the unit."""
+    return a.coefficient(E)
 
 
 def ball_points(radius: int) -> list[Lattice]:

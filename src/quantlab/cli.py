@@ -106,7 +106,8 @@ def _positive_int(text: str) -> int:
 
 
 def _subsample(values: list[int], count: int) -> list[int]:
-    if count >= len(values) or count < 2:
+    """At most ``count`` >= 1 of ``values``, nearest to a geometric spacing; 1 keeps the first."""
+    if count >= len(values):
         return values
     picks = np.unique(
         np.round(np.geomspace(values[0], values[-1], count)).astype(int)
@@ -225,7 +226,7 @@ def _cmd_algebra(args) -> int:
         product = algebra.multiply(a, _load_element(args.b), kc, args.s)
         _emit_json(args.output, {"claim": "algebra-product", "result": json.loads(product.to_json())})
     elif args.mode == "trace":
-        value = algebra.trace(a, kc, args.s)
+        value = algebra.trace(a)
         _emit_json(args.output, {"claim": "algebra-trace", "re": value.real, "im": value.imag})
     elif args.mode == "norm":
         value = algebra.norm_estimate(a, kc, args.s, args.radius)
@@ -273,7 +274,7 @@ def _cmd_spectral(args) -> int:
     pair = build_dolbeault(args.n_flux, args.grid, args.gauge)
     rep = spectral_report(pair, slack=args.slack)
     resid = weitzenbock_residual(pair)
-    cross = surface_index.numeric_index_crosscheck(args.n_flux, args.grid, args.gauge)
+    cross = surface_index.numeric_index_crosscheck(args.n_flux, args.grid)
     if args.export_kernel:
         basis = kernel_basis(pair)  # one row per site, grid row-major
         header = [f"{part}{col}" for col in range(basis.shape[1]) for part in ("re", "im")]
@@ -282,7 +283,6 @@ def _cmd_spectral(args) -> int:
     payload = {
         "claim": "dolbeault-spectral-report",
         "kernel_dim": rep.kernel_dim,
-        "sigma_min_nonzero": rep.sigma_min_nonzero,
         "gap_degree1": rep.gap_degree1,
         "parametrix_norm": rep.parametrix_norm,
         "curvature_commutator_residual": resid,
@@ -374,16 +374,18 @@ def _cmd_heisenberg(args) -> int:
         "zero_mode_residual": report["zero_mode_residual"],
     }
     _emit_json(args.output, payload)
-    worst = max(payload["scalar_deviation"], payload["commutator_residual"])
+    worst = max(
+        payload["scalar_deviation"], payload["commutator_residual"], payload["zero_mode_residual"]
+    )
     return 0 if worst <= 1e-8 else 1
 
 
 def _cmd_index(args) -> int:
     payload = {
         "claim": "surface-index",
-        "l2_index": surface_index.l2_index(args.g, args.vol, args.s, args.d0),
+        "l2_index": surface_index.l2_index(args.g, args.vol, args.s),
     }
-    if args.g >= 2 and args.d0 == 0.0 and args.vol == float(args.g - 1):
+    if args.g >= 2 and args.vol == float(args.g - 1):
         payload["natsume_nest"] = surface_index.natsume_nest_trace(args.g, args.s)
     _emit_json(args.output, payload)
     return 0
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toeplitz-sweep", help="defect decay sweep over the flux (report-only)")
     p.add_argument("--fg", default="cos2pix,cos2piy", help="two symbols, comma separated")
     p.add_argument("--N", default="4..32")
-    p.add_argument("--samples", type=int, default=7)
+    p.add_argument("--samples", type=_positive_int, default=7, help="flux values kept, >= 1")
     p.add_argument("--grid-rule", type=_positive_int, default=8, help="grid = max(16, rule * N)")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_toeplitz_sweep)
@@ -469,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--vol", type=_finite_float, default=None)
-    p.add_argument("--d0", type=_finite_float, default=0.0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_index)
 

@@ -66,8 +66,8 @@ residual is measured on the numerical kernel basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,22 +82,45 @@ GAUGES = ("landau", "symmetric-periodic")
 
 _MAX_ITERATIONS = 300  # block subspace iterations per chain solve
 _RESIDUAL_TOL = 1e-10  # on |(B^* B + 1)^-1 v - mu v| for each wanted Ritz pair
+KERNEL_TOL = 1e-6  # the kernel is the singular values below KERNEL_TOL * sigma_max
 
 
 @dataclass(frozen=True)
 class DolbeaultPair:
-    """Degree-0 -> degree-1 block of the lattice Dolbeault operator."""
+    """Degree-0 -> degree-1 block of the lattice Dolbeault operator, assembled on first read."""
 
-    dplus: sp.csr_matrix = field(repr=False)
     n_flux: int
     grid: int
     gauge: str
+
+    @cached_property
+    def dplus(self) -> sp.csr_matrix:
+        M, eye = self.grid, sp.identity(self.grid)
+        if self.n_flux == 0:
+            # exact spectral derivative F^* diag(i xi) F along each axis
+            freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
+            d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
+            grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
+        else:
+            # Landau link phases on (j, k) -> (j+1, k) and (j, k) -> (j, k+1)
+            phi, step = 2.0 * math.pi * self.n_flux / (M * M), _cyclic_step(M)
+            j = np.arange(M)[:, None].astype(float)
+            k = np.arange(M)[None, :].astype(float)
+            ux = np.ones((M, M), dtype=complex)
+            ux[M - 1, :] = np.exp(1j * phi * M * k[0])
+            uy = np.exp(-1j * phi * j) * np.ones((1, M))
+            grad_x = M * (sp.diags(ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
+            grad_y = M * (sp.diags(uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
+        dplus = (grad_x + 1j * grad_y) / math.sqrt(2.0)
+        if self.gauge == "symmetric-periodic":
+            site = sp.diags(_symmetric_phase(self.n_flux, M).ravel())
+            dplus = site @ dplus @ site.conj()
+        return dplus.tocsr()
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     kernel_dim: int
-    sigma_min_nonzero: float
     gap_degree1: float
     parametrix_norm: float
     spectrum_degree0: tuple
@@ -114,7 +137,7 @@ def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
 
 
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
-    """Assemble D_plus at flux N on the M x M grid.
+    """D_plus at flux N on the M x M grid, its sparse matrix assembled when first read.
 
     Requires M >= max(4, 4N), without which the lowest magnetic band cannot
     be resolved.  The floor is necessary, not sufficient: of the 152 grids
@@ -130,28 +153,7 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
         )
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
-    M, eye = grid, sp.identity(grid)
-    if n_flux == 0:
-        # exact spectral derivative F^* diag(i xi) F along each axis
-        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-        d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
-        grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
-    else:
-        # Landau link phases on (j, k) -> (j+1, k) and (j, k) -> (j, k+1)
-        phi, step = 2.0 * math.pi * n_flux / (M * M), _cyclic_step(M)
-        j = np.arange(M)[:, None].astype(float)
-        k = np.arange(M)[None, :].astype(float)
-        ux = np.ones((M, M), dtype=complex)
-        ux[M - 1, :] = np.exp(1j * phi * M * k[0])
-        uy = np.exp(-1j * phi * j) * np.ones((1, M))
-        grad_x = M * (sp.diags(ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
-        grad_y = M * (sp.diags(uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
-    dplus = (grad_x + 1j * grad_y) / math.sqrt(2.0)
-    if gauge == "symmetric-periodic":
-        site = sp.diags(_symmetric_phase(n_flux, M).ravel())
-        dplus = site @ dplus @ site.conj()
-    dplus = dplus.tocsr()
-    return DolbeaultPair(dplus=dplus, n_flux=n_flux, grid=grid, gauge=gauge)
+    return DolbeaultPair(n_flux, grid, gauge)
 
 
 def _chain_classes(n_flux: int, grid: int):
@@ -269,6 +271,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
 def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
     """Read-only cached vectors with singular value below tol * sigma_max.
 
+    tol is KERNEL_TOL unless ``kernel_dimension`` is given another.
     Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
     unitary FFT).  Raises if a singular value is within a factor 10 of the
     threshold (either side), so an ambiguous kernel fails loudly, and if none
@@ -296,19 +299,17 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
     return vecs[:, : np.count_nonzero(svals < threshold)]
 
 
-def kernel_dimension(pair: DolbeaultPair, tol: float = 1e-6) -> int:
-    """Count singular values of D_plus below tol * sigma_max; an ambiguous count or empty kernel raises."""
+def kernel_dimension(pair: DolbeaultPair, tol: float = KERNEL_TOL) -> int:
+    """Kernel count below tol * sigma_max, tol = KERNEL_TOL by default; ambiguous or empty raises."""
     return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol).shape[1]
 
 
-def kernel_basis(pair: DolbeaultPair, tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, shape (M^2, dim_kernel)."""
-    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol)
+def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
+    """Orthonormal basis (M^2, dim_kernel) of the kernel below KERNEL_TOL * sigma_max."""
+    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, KERNEL_TOL)
 
 
-def spectral_report(
-    pair: DolbeaultPair, slack: float = 0.1, tol: float = 1e-6
-) -> SpectralReport:
+def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     """Kernel size, degree-1 gap, and parametrix norm with the curvature bound.
 
     gap_degree1 is the smallest *nonzero* eigenvalue of D+ D+*: the zero
@@ -321,7 +322,7 @@ def spectral_report(
     if not 0.0 < slack < math.inf:
         raise ValueError("slack must be positive")
     n = pair.n_flux
-    dim_kernel = kernel_dimension(pair, tol)
+    dim_kernel = kernel_dimension(pair)
     _, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
     # of zero included: the one solve serves both degrees; _kernel_basis has
@@ -334,9 +335,8 @@ def spectral_report(
     spectrum = tuple(float(v) for v in vals)
     return SpectralReport(
         kernel_dim=dim_kernel,
-        sigma_min_nonzero=float(svals0[dim_kernel]),
         gap_degree1=gap,
-        parametrix_norm=gap**-0.5,  # gap >= (tol * sigma_max)^2 > 0
+        parametrix_norm=gap**-0.5,  # gap >= (KERNEL_TOL * sigma_max)^2 > 0
         spectrum_degree0=spectrum,
     )
 

@@ -3,13 +3,11 @@
 For a genus-g surface with ``vol = integral of omega / 2 pi`` the index of
 the twisted Dolbeault operator expands as
 
-    s * vol + (1 - g) - d0 / 2,
+    s * vol + (1 - g),
 
-the linear Todd term contributing 1 - g and the exponential term
-s * vol - d0 / 2 (d0 is the degree of the auxiliary line bundle; the d0 != 0
-branch is experimental, see natsume_nest_trace).  On the torus (g = 1,
-vol = 1) at integer s = N this is the flux count N; under the genus-g
-normalization vol = g - 1 it reduces to (s - 1)(g - 1).
+the linear Todd term contributing 1 - g and the exponential term s * vol.
+On the torus (g = 1, vol = 1) at integer s = N this is the flux count N;
+under the genus-g normalization vol = g - 1 it reduces to (s - 1)(g - 1).
 """
 
 from __future__ import annotations
@@ -18,12 +16,12 @@ from .dolbeault import build_dolbeault, kernel_dimension
 from .errors import IndexViolationError
 
 
-def l2_index(genus: int, vol: float, s: float, d0: float = 0.0) -> float:
+def l2_index(genus: int, vol: float, s: float) -> float:
     if vol <= 0:
         raise ValueError("volume must be positive")
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    return s * vol + (1.0 - genus) - d0 / 2.0
+    return s * vol + (1.0 - genus)
 
 
 def natsume_nest_trace(genus: int, s: float) -> float:
@@ -39,14 +37,15 @@ def natsume_nest_trace(genus: int, s: float) -> float:
     return value
 
 
-def numeric_index_crosscheck(n_flux: int, grid: int, gauge: str = "landau") -> dict:
+def numeric_index_crosscheck(n_flux: int, grid: int) -> dict:
     """Compare the lattice kernel dimension with the torus index formula.
 
-    At zero flux the formula counts the holomorphic Euler characteristic (0)
-    while the lattice kernel holds the constants (1); that known flat-case
-    discrepancy is flagged, not failed.
+    The kernel is counted in the Landau gauge; every gauge's kernel is the
+    Landau one times a site phase.  At zero flux the formula counts the
+    holomorphic Euler characteristic (0) while the lattice kernel holds the
+    constants (1); that known flat-case discrepancy is flagged, not failed.
     """
-    pair = build_dolbeault(n_flux, grid, gauge)
+    pair = build_dolbeault(n_flux, grid)
     dim = kernel_dimension(pair)
     formula = l2_index(genus=1, vol=1.0, s=float(n_flux))
     flat = n_flux == 0

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .algebra import AlgebraElement, convolve, reflect
-from .dolbeault import _kernel_basis
+from .dolbeault import KERNEL_TOL, _kernel_basis
 from .errors import DegenerateToeplitzError
 
 
@@ -44,9 +44,9 @@ class TrigPolynomial(AlgebraElement):
     def conj(self) -> "TrigPolynomial":
         return reflect(self, lambda m: 1.0)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
         return all(
-            abs(c - self.coefficient((-j, -k)).conjugate()) <= tol
+            abs(c - self.coefficient((-j, -k)).conjugate()) <= 1e-12
             for (j, k), c in self._terms.items()
         )
 
@@ -113,9 +113,9 @@ def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     )
 
 
-def holomorphic_basis(n_flux: int, grid: int, tol: float = 1e-6) -> np.ndarray:
+def holomorphic_basis(n_flux: int, grid: int) -> np.ndarray:
     """Orthonormal Landau-gauge kernel basis at (N, M), read off the cached kernel solve."""
-    return _kernel_basis(n_flux, grid, "landau", tol)
+    return _kernel_basis(n_flux, grid, "landau", KERNEL_TOL)
 
 
 def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> np.ndarray:
@@ -165,11 +165,11 @@ def trace_limit_defect(f: TrigPolynomial, n_flux: int, grid: int) -> float:
     return float(abs(np.trace(t) / t.shape[0] - f.mean()))
 
 
-def fit_loglog_slope(ns: Sequence[float], values: Sequence[float], floor: float = 1e-14) -> float:
-    """Least-squares slope of log(value) against log(n), ignoring dead zeros."""
+def fit_loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:
+    """Least-squares slope of log(value) against log(n), ignoring dead zeros (<= 1e-14)."""
     xs, ys = [], []
     for n, v in zip(ns, values):
-        if v > floor:
+        if v > 1e-14:
             xs.append(math.log(float(n)))
             ys.append(math.log(float(v)))
     if len(xs) < 2:
@@ -187,7 +187,7 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def weyl_relation(n_flux: int, grid: int | None = None) -> complex:
+def weyl_relation(n_flux: int, grid: int) -> complex:
     """Group commutator scalar of the polar factors of the two Fourier generators.
 
     Returns the scalar V~ U~ V~* U~* for U~, V~ the unitary polar parts of
@@ -196,8 +196,6 @@ def weyl_relation(n_flux: int, grid: int | None = None) -> complex:
     """
     if n_flux < 2:
         raise ValueError("weyl relation needs flux >= 2")
-    if grid is None:
-        grid = max(16, 8 * n_flux)
     tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid)
     tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid)
     uu = _polar_unitary(tu)
@@ -212,15 +210,15 @@ def weyl_relation(n_flux: int, grid: int | None = None) -> complex:
     return scalar
 
 
-def bargmann_matrix_element(j: int, k: int, s: float, nodes: int = 160) -> complex:
+def bargmann_matrix_element(j: int, k: int, s: float) -> complex:
     """Vacuum expectation of e^{-2 pi i (jx + ky)} over the plane, by quadrature.
 
-    Gauss-Hermite in each axis after rescaling u = sqrt(pi s) x; converges to
-    the closed form s^-1 exp(-pi (j^2 + k^2) / s) for the Gaussian vacuum.
+    160-node Gauss-Hermite per axis after u = sqrt(pi s) x; converges to the
+    closed form s^-1 exp(-pi (j^2 + k^2) / s) for the Gaussian vacuum.
     """
     if s <= 0:
         raise ValueError("width parameter s must be positive")
-    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u, w = np.polynomial.hermite.hermgauss(160)
     root = math.sqrt(math.pi * s)
 
     def axis(freq: int) -> complex:
@@ -270,7 +268,7 @@ def heisenberg_generator_check(s: float, truncation: int = 60) -> dict:
 
     # zero mode on a grid patch, spectral differentiation
     n_grid = 256
-    half = max(6.0, 6.0 / math.sqrt(s))
+    half = 6.0 / math.sqrt(s)  # psi = exp(-18 pi) ~ 3e-25 at the box edge, for every s
     coords = -half + 2.0 * half * np.arange(n_grid) / n_grid
     xg = coords[:, None]
     yg = coords[None, :]

@@ -301,9 +301,9 @@ def test_criterion_12_property_suites():
     checks["involution axiom"] = (
         max(abs(ab_star.coefficient(g) - ba_star.coefficient(g)) for g in keys) <= 1e-12
     )
-    tr_ab = trace(multiply(a, b, KC, s), KC, s)
-    tr_ba = trace(multiply(b, a, KC, s), KC, s)
-    gram = trace(multiply(involution(a, KC, s), a, KC, s), KC, s)
+    tr_ab = trace(multiply(a, b, KC, s))
+    tr_ba = trace(multiply(b, a, KC, s))
+    gram = trace(multiply(involution(a, KC, s), a, KC, s))
     checks["trace axiom"] = abs(tr_ab - tr_ba) <= 1e-12 and gram.real >= 0
 
     psi = vacuum(1.3)

@@ -104,18 +104,18 @@ def test_involution_of_generator_product():
 
 
 def test_trace_normalization_and_offdiagonal():
-    assert trace(AlgebraElement.unit(), KC, 0.8) == pytest.approx(1.0)
+    assert trace(AlgebraElement.unit()) == pytest.approx(1.0)
     uv = multiply(AlgebraElement.basis(U), AlgebraElement.basis(V), KC, 0.8)
-    assert trace(uv, KC, 0.8) == 0.0
+    assert trace(uv) == 0.0
 
 
 def test_trace_is_tracial_and_positive():
     s = 0.63
     a, b = random_element(), random_element()
-    ab = trace(multiply(a, b, KC, s), KC, s)
-    ba = trace(multiply(b, a, KC, s), KC, s)
+    ab = trace(multiply(a, b, KC, s))
+    ba = trace(multiply(b, a, KC, s))
     assert abs(ab - ba) < 1e-12
-    norm_sq = trace(multiply(involution(a, KC, s), a, KC, s), KC, s)
+    norm_sq = trace(multiply(involution(a, KC, s), a, KC, s))
     parseval = sum(abs(z) ** 2 for z in a.terms.values())
     assert norm_sq.imag == pytest.approx(0.0, abs=1e-13)
     assert norm_sq.real == pytest.approx(parseval, abs=1e-12)

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -339,6 +340,42 @@ def test_fluxless_spectral_runs_on_a_fine_grid(capsys):
     assert out["kernel_dim"] == 1
 
 
+def test_spectral_json_keys_and_parametrix_norm(capsys):
+    assert main(["spectral", "--n-flux", "2", "--grid", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {
+        "claim",
+        "kernel_dim",
+        "gap_degree1",
+        "parametrix_norm",
+        "curvature_commutator_residual",
+        "index_crosscheck",
+    }
+    assert out["parametrix_norm"] == out["gap_degree1"] ** -0.5
+
+
+def test_symmetric_spectral_crosscheck_counts_the_kernel(capsys):
+    argv = ["spectral", "--gauge", "symmetric-periodic", "--n-flux", "3", "--grid", "24"]
+    assert main(argv) == 0
+    cross = json.loads(capsys.readouterr().out)["index_crosscheck"]
+    assert cross["kernel_dim"] == 3 and cross["match"] is True
+
+
+def test_spectral_assembles_dplus_once(monkeypatch, capsys):
+    assemble, calls = dolbeault.DolbeaultPair.dplus.func, []
+
+    def counted(pair):
+        calls.append((pair.n_flux, pair.grid, pair.gauge))
+        return assemble(pair)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(dolbeault.DolbeaultPair, "dplus")
+    monkeypatch.setattr(dolbeault.DolbeaultPair, "dplus", prop)
+    assert main(["spectral", "--n-flux", "2", "--grid", "16"]) == 0
+    capsys.readouterr()
+    assert calls == [(2, 16, "landau")]
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -403,6 +440,27 @@ def test_grid_rule_below_1_rejected_on_argv_and_in_config(command, rule, tmp_pat
     assert main(["--config", str(config)] + command) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "config-error" and "--grid-rule: invalid _positive_int" in out["message"]
+
+
+def test_toeplitz_sweep_one_sample_is_the_first_flux(capsys):
+    assert main(["toeplitz-sweep", "--N", "4..6", "--samples", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 4 and {r.split(",")[1] for r in rows} == {"4"}
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_samples_below_1_rejected_on_argv_and_in_config(samples, tmp_path, capsys):
+    # a count below 1 has no first value to keep; it must not mean "all of --N"
+    command = ["toeplitz-sweep", "--N", "4..6"]
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"--samples={samples}"])
+    assert exc.value.code == 2
+    assert f"--samples: invalid _positive_int value: '{samples}'" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"samples": int(samples)}))
+    assert main(["--config", str(config)] + command) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "config-error" and "--samples: invalid _positive_int" in out["message"]
 
 
 @pytest.mark.parametrize(
@@ -541,7 +599,7 @@ def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
     assert all(float(r.split(",")[-1]) > 1e-8 for r in rows[1:])
 
 
-@pytest.mark.parametrize("which", ["scalar", "commutator"])
+@pytest.mark.parametrize("which", ["scalar", "commutator", "zero_mode"])
 def test_heisenberg_gate_fails_past_1e_8(which, monkeypatch, capsys):
     check = toeplitz.heisenberg_generator_check
 
@@ -550,7 +608,7 @@ def test_heisenberg_gate_fails_past_1e_8(which, monkeypatch, capsys):
         if which == "scalar":
             report["group_commutator_scalar"] = report["group_commutator_expected"] + 2e-8
         else:
-            report["commutator_residual"] = 2e-8
+            report[f"{which}_residual"] = 2e-8
         return report
 
     monkeypatch.setattr(toeplitz, "heisenberg_generator_check", off_by)
@@ -558,7 +616,7 @@ def test_heisenberg_gate_fails_past_1e_8(which, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["claim"] == "heisenberg-generators"
-    key = "scalar_deviation" if which == "scalar" else "commutator_residual"
+    key = "scalar_deviation" if which == "scalar" else f"{which}_residual"
     assert out[key] == pytest.approx(2e-8, rel=1e-6)
 
 

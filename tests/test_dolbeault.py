@@ -254,6 +254,14 @@ def test_kernel_basis_orthonormal():
     assert np.abs(gram - np.eye(3)).max() < 1e-10
 
 
+def test_dplus_assembled_on_first_read():
+    pair = build_dolbeault(3, 24)
+    assert kernel_dimension(pair) == 3
+    assert "dplus" not in vars(pair)
+    assert pair.dplus.shape == (24 * 24, 24 * 24)
+    assert vars(pair)["dplus"] is pair.dplus
+
+
 def test_kernel_density_matches_theta_oracle():
     # basis-independent density against quasi-periodic Gaussian sums; the
     # forward stencil lives on half-offset effective sites

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quantlab.dolbeault import build_dolbeault, kernel_basis
 from quantlab.toeplitz import (
     TrigPolynomial,
     bargmann_matrix_element,
@@ -12,6 +13,7 @@ from quantlab.toeplitz import (
     fit_loglog_slope,
     gradient_pairing,
     heisenberg_generator_check,
+    holomorphic_basis,
     named_symbol,
     poisson_bracket,
     product_defect,
@@ -233,6 +235,12 @@ def test_trace_of_operator_product_converges():
     assert values[-1] < values[0]
 
 
+def test_holomorphic_basis_is_the_landau_kernel_basis():
+    for n_flux, grid in ((1, 16), (3, 24)):
+        basis = holomorphic_basis(n_flux, grid)
+        assert np.array_equal(basis, kernel_basis(build_dolbeault(n_flux, grid)))
+
+
 def test_weyl_relation_small_flux():
     assert weyl_relation(2, 16) == pytest.approx(-1.0, abs=1e-10)
     z4 = weyl_relation(4, 32)
@@ -241,7 +249,7 @@ def test_weyl_relation_small_flux():
 
 def test_weyl_relation_unit_modulus_and_value():
     for n in (3, 5, 8):
-        z = weyl_relation(n)
+        z = weyl_relation(n, max(16, 8 * n))
         assert abs(abs(z) - 1.0) < 1e-10
         dev = min(
             abs(z - cmath.exp(2j * math.pi / n)), abs(z - cmath.exp(-2j * math.pi / n))
@@ -272,6 +280,9 @@ def test_heisenberg_generator_check():
 
     report2 = heisenberg_generator_check(2.0, truncation=60)
     assert report2["group_commutator_scalar"] == pytest.approx(-1.0, abs=1e-6)
+
+    # the plane box scales with the Gaussian, so a narrow vacuum is resolved too
+    assert heisenberg_generator_check(100.0)["zero_mode_residual"] <= 1e-10
 
 
 def test_bracket_and_pairing_normalisation_against_fft_derivatives():
