@@ -27,8 +27,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 import warnings
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as la
@@ -129,9 +130,6 @@ class AlgebraElement:
     def coefficient(self, g: Lattice) -> complex:
         return self._terms.get((int(g[0]), int(g[1])), 0.0)
 
-    def support(self) -> Iterator[Lattice]:
-        return iter(sorted(self._terms))
-
     def support_radius(self) -> int:
         if not self._terms:
             return 0
@@ -169,8 +167,38 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, text: str) -> "AlgebraElement":
-        records = json.loads(text)
-        return cls({(r["n"], r["m"]): complex(r["re"], r["im"]) for r in records})
+        rows = json_records(json.loads(text), {"n": int, "m": int, "re": float, "im": float})
+        return cls({(n, m): complex(re, im) for n, m, re, im in rows})
+
+
+def json_records(records, fields: Mapping[str, type], defaults: Mapping[str, float] | None = None) -> list:
+    """Values of ``fields`` from decoded JSON ``records``, one tuple per record.
+
+    ``records`` must be a list of objects; each field must be present (or
+    have an entry in ``defaults``) and a finite number, integral where its
+    type is ``int``.  Raises ``ValueError`` naming the first record at fault.
+    """
+    if not isinstance(records, list):
+        raise ValueError(f"expected a list of records, got {type(records).__name__}")
+    defaults = defaults or {}
+    rows = []
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"record {i} is not an object: {record!r}")
+        row = []
+        for key, kind in fields.items():
+            value = record.get(key, defaults.get(key))
+            if value is None:
+                raise ValueError(f"record {i} has no {key!r}")
+            # the magnitude test also fails for NaN, and for integers no float can hold
+            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"record {i}: {key!r} is not a finite number: {value!r}")
+            if kind is int and value != int(value):
+                raise ValueError(f"record {i}: {key!r} is not an integer: {value!r}")
+            row.append(kind(value))
+        rows.append(tuple(row))
+    return rows
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement, weight) -> AlgebraElement:

@@ -10,7 +10,7 @@ cell is a claim tag, a header name or a pre-joined integer label.
 Exit codes: 0 success; 1 a gated claim past its bound, or a numerical check
 or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
 ``--help`` text marks report-only subcommands); 2 a usage or configuration
-error (a bad option value or an unreadable input file), with a
+error (a bad option value, or an unreadable or malformed input file), with a
 ``usage-error`` or ``config-error`` record on stdout; argparse prints its own
 message for malformed command lines.  ``--config`` values are option tokens
 checked by the same parser as the command line.
@@ -160,9 +160,11 @@ def _load_symbol(name_or_path: str) -> toeplitz.TrigPolynomial:
         return toeplitz.named_symbol(name_or_path)
     with open(name_or_path) as fh:
         data = json.load(fh)
-    return toeplitz.TrigPolynomial(
-        {(r["j"], r["k"]): complex(r["re"], r.get("im", 0.0)) for r in data["modes"]}
-    )
+    if not isinstance(data, dict) or "modes" not in data:
+        raise ValueError(f"symbol file {name_or_path!r} must hold an object with a 'modes' list")
+    fields = {"j": int, "k": int, "re": float, "im": float}
+    rows = algebra.json_records(data["modes"], fields, defaults={"im": 0.0})
+    return toeplitz.TrigPolynomial({(j, k): complex(re, im) for j, k, re, im in rows})
 
 
 def _identity_residual(values: np.ndarray, radius: int) -> float:
@@ -252,9 +254,9 @@ def _cmd_module_gram(args) -> int:
     else:
         secs = [sections.vacuum(args.s)]
     report = sections.gram_positivity(secs, kc, args.s, args.radius, args.rep_radius)
-    gram = sections.module_inner(secs[0], secs[0], args.radius)
     vac_dev = None
     if not args.sections:
+        gram = sections.module_inner(secs[0], secs[0], args.radius)
         vac_dev = max(
             abs(z - math.exp(-(math.pi * args.s / 2.0) * (n * n + m * m)) / args.s)
             for (n, m), z in gram.terms.items()
@@ -381,11 +383,12 @@ def _cmd_heisenberg(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    vol = float(max(args.g - 1, 1)) if args.vol is None else args.vol
     payload = {
         "claim": "surface-index",
-        "l2_index": surface_index.l2_index(args.g, args.vol, args.s),
+        "l2_index": surface_index.l2_index(args.g, vol, args.s),
     }
-    if args.g >= 2 and args.vol == float(args.g - 1):
+    if args.g >= 2 and vol == float(args.g - 1):
         payload["natsume_nest"] = surface_index.natsume_nest_trace(args.g, args.s)
     _emit_json(args.output, payload)
     return 0
@@ -520,8 +523,6 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, args)
-        if getattr(args, "vol", 0.0) is None:
-            args.vol = float(max(args.g - 1, 1))
         return args.func(args)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
@@ -531,7 +532,7 @@ def main(argv=None) -> int:
     except QuantLabError as exc:
         return _report_error("failed", exc, 1)
     except (ValueError, OSError) as exc:
-        # a bad option value or an unreadable input file, not a failed check
+        # a bad option value, or an unreadable or malformed input file, not a failed check
         return _report_error("usage-error", exc, 2)
 
 

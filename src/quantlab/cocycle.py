@@ -50,35 +50,22 @@ def _diff(size: int) -> np.ndarray:
     return np.diag(np.arange(1.0, size), 1)
 
 
-class PolyXY:
-    """Dense bivariate real polynomial; ``coeffs[i, j]`` multiplies x^i y^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        if arr.ndim != 2:
-            raise ValueError("coefficient array must be 2-dimensional")
-        self.coeffs = arr
-
-    @classmethod
-    def zero(cls) -> "PolyXY":
-        return cls([[0.0]])
-
-    def degree(self) -> int:
-        nz = np.argwhere(self.coeffs != 0.0)
-        if nz.size == 0:
-            return 0
-        return int(max(i + j for i, j in nz))
+def _degree(c: np.ndarray) -> int:
+    """Total degree of the polynomial whose ``c[i, j]`` multiplies x^i y^j; 0 for zero."""
+    i, j = np.nonzero(c)
+    return int((i + j).max(initial=0))
 
 
 class OneForm:
-    """One-form P dx + Q dy with polynomial coefficients of degree <= 4."""
+    """One-form P dx + Q dy; ``P[i, j]`` and ``Q[i, j]`` multiply x^i y^j, degree <= 4."""
 
     __slots__ = ("P", "Q")
 
-    def __init__(self, P: PolyXY, Q: PolyXY):
-        if P.degree() > MAX_DEGREE or Q.degree() > MAX_DEGREE:
+    def __init__(self, P, Q):
+        P, Q = (np.atleast_2d(np.asarray(c, dtype=float)) for c in (P, Q))
+        if P.ndim != 2 or Q.ndim != 2:
+            raise ValueError("coefficient arrays must be 2-dimensional")
+        if max(_degree(P), _degree(Q)) > MAX_DEGREE:
             raise ValueError(f"polynomial degree capped at {MAX_DEGREE}")
         self.P = P
         self.Q = Q
@@ -87,12 +74,12 @@ class OneForm:
 def symmetric_gauge(omega0: float = 2 * math.pi) -> OneForm:
     """A = (omega0/2)(x dy - y dx); curvature omega0 dx^dy."""
     half = omega0 / 2.0
-    return OneForm(PolyXY([[0.0, -half]]), PolyXY([[0.0], [half]]))
+    return OneForm([[0.0, -half]], [[0.0], [half]])
 
 
 def landau_gauge(omega0: float = 2 * math.pi) -> OneForm:
     """A = omega0 x dy; same curvature as the symmetric gauge."""
-    return OneForm(PolyXY([[0.0]]), PolyXY([[0.0], [omega0]]))
+    return OneForm([[0.0]], [[0.0], [omega0]])
 
 
 def _require_zero(residue: np.ndarray, tol: np.ndarray, n, m, message: str) -> None:
@@ -112,7 +99,7 @@ def _phases(A: OneForm, n, m) -> np.ndarray:
     ``d(phi) = A - gamma^* A`` coefficient-wise within ``1e-12`` times the
     largest coefficient of the difference (at least 1).
     """
-    P, Q = A.P.coeffs, A.Q.coeffs
+    P, Q = A.P, A.Q
     rows = max(P.shape[0] + 1, Q.shape[0])
     cols = max(P.shape[1], Q.shape[1] + 1)
     frame = np.stack([_pad(P, rows, cols), _pad(Q, rows, cols)])
@@ -139,9 +126,9 @@ def _phases(A: OneForm, n, m) -> np.ndarray:
     return phi
 
 
-def solve_phi(A: OneForm, gamma: Lattice) -> PolyXY:
-    """Phase function with d(phi) = A - gamma^* A and phi(0, 0) = 0."""
-    return PolyXY(_phases(A, [gamma[0]], [gamma[1]])[0])
+def solve_phi(A: OneForm, gamma: Lattice) -> np.ndarray:
+    """Coefficients ``[i, j]`` (of x^i y^j) of phi with d(phi) = A - gamma^* A and phi(0, 0) = 0."""
+    return _phases(A, [gamma[0]], [gamma[1]])[0]
 
 
 def cocycle_grid(A: OneForm, radius: int):
@@ -185,10 +172,10 @@ def cocycle_table(A: OneForm, radius: int) -> TabulatedCocycle:
     checks come from ``cocycle_grid`` on that domain, after the curvature
     ``dA = dQ/dx - dP/dy`` is checked to be constant coefficient-wise.
     """
-    P, Q = A.P.coeffs, A.Q.coeffs
+    P, Q = A.P, A.Q
     rows, cols = max(P.shape[0], Q.shape[0]), max(P.shape[1], Q.shape[1])
     curvature = _diff(rows) @ _pad(Q, rows, cols) - _pad(P, rows, cols) @ _diff(cols).T
-    if PolyXY(curvature).degree() > 0:
+    if _degree(curvature) > 0:
         raise ExactnessError("potential curvature is not constant")
     _, values, _ = cocycle_grid(A, 2 * radius)
     return TabulatedCocycle(values, 2 * radius)

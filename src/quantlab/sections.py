@@ -19,100 +19,82 @@ with Gaussian tail decay in the truncation radius R.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Lattice, ball_points
-
-
-@dataclass(frozen=True)
-class GaussianTerm:
-    coeff: complex
-    center: tuple[float, float]
-    wave: tuple[float, float]
+from .algebra import AlgebraElement, Lattice, ball_points, json_records
 
 
 class GaussianSection:
-    """Finite sum of Gaussian terms sharing one width parameter ``s``."""
+    """Finite sum of Gaussian terms sharing one width parameter ``s``.
 
-    __slots__ = ("s", "terms")
+    Term t has coefficient ``coeffs[t]``, center ``centers[t] = (mux, muy)``
+    and wave vector ``waves[t] = (kx, ky)``: arrays of shapes (T,), (T, 2)
+    and (T, 2), T >= 1.  The two real arrays are C-contiguous, so
+    ``.view(complex)`` reads them as complex coordinates mux + i muy and
+    kx + i ky, of shape (T, 1).
+    """
 
-    def __init__(self, s: float, terms: Sequence[GaussianTerm]):
+    __slots__ = ("s", "coeffs", "centers", "waves")
+
+    def __init__(self, s: float, coeffs, centers, waves):
         if s <= 0:
             raise ValueError("width parameter s must be positive")
-        if not terms:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        centers = np.ascontiguousarray(centers, dtype=float)
+        waves = np.ascontiguousarray(waves, dtype=float)
+        if coeffs.size == 0:
             raise ValueError("section needs at least one term")
+        if coeffs.ndim != 1 or centers.shape != (len(coeffs), 2) or waves.shape != centers.shape:
+            raise ValueError(
+                f"term arrays disagree: coeffs {coeffs.shape}, centers {centers.shape}, "
+                f"waves {waves.shape}; expected (T,), (T, 2), (T, 2)"
+            )
         self.s = float(s)
-        self.terms = tuple(terms)
-
-    def scale(self, z: complex) -> "GaussianSection":
-        return GaussianSection(
-            self.s, [GaussianTerm(z * t.coeff, t.center, t.wave) for t in self.terms]
-        )
+        self.coeffs, self.centers, self.waves = coeffs, centers, waves
 
     def __call__(self, x, y):
-        s = self.s
-        total = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for t in self.terms:
-            total += t.coeff * np.exp(
-                -(math.pi * s / 2.0)
-                * ((x - t.center[0]) ** 2 + (y - t.center[1]) ** 2)
-                + 1j * (t.wave[0] * x + t.wave[1] * y)
-            )
-        return total
-
-    def to_json(self) -> str:
-        records = [
-            {
-                "re": t.coeff.real,
-                "im": t.coeff.imag,
-                "mux": t.center[0],
-                "muy": t.center[1],
-                "kx": t.wave[0],
-                "ky": t.wave[1],
-                "s": self.s,
-            }
-            for t in self.terms
-        ]
-        return json.dumps(records)
+        x, y = np.asarray(x)[..., None], np.asarray(y)[..., None]
+        (mux, muy), (kx, ky) = self.centers.T, self.waves.T
+        r2 = (x - mux) ** 2 + (y - muy) ** 2
+        return np.exp(-(math.pi * self.s / 2.0) * r2 + 1j * (kx * x + ky * y)) @ self.coeffs
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianSection":
-        records = json.loads(text)
-        widths = {r["s"] for r in records}
-        if len(widths) != 1:
+        """Section from a JSON list of term records ``{re, im, mux, muy, kx, ky, s}``."""
+        fields = dict.fromkeys(("re", "im", "mux", "muy", "kx", "ky", "s"), float)
+        rows = json_records(json.loads(text), fields)
+        if not rows:
+            raise ValueError("section needs at least one term")
+        terms = np.array(rows)
+        if (terms[:, 6] != terms[0, 6]).any():
             raise ValueError("all terms of a section must share the width s")
-        terms = [
-            GaussianTerm(
-                complex(r["re"], r["im"]), (r["mux"], r["muy"]), (r["kx"], r["ky"])
-            )
-            for r in records
-        ]
-        return cls(widths.pop(), terms)
+        return cls(terms[0, 6], terms[:, 0] + 1j * terms[:, 1], terms[:, 2:4], terms[:, 4:6])
 
 
 def vacuum(s: float) -> GaussianSection:
-    return GaussianSection(s, [GaussianTerm(1.0, (0.0, 0.0), (0.0, 0.0))])
+    return GaussianSection(s, [1.0], [[0.0, 0.0]], [[0.0, 0.0]])
 
 
 def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
-    """Projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``, symmetric gauge."""
-    s = psi.s
+    """Projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``, symmetric gauge.
+
+    In complex coordinates, with g = n + i m: gamma^* psi moves the centers
+    by -g; e^{i k.gamma} folds into the coefficients; the phase
+    s pi (m x - n y) adds s pi (m - i n) = -i s pi g to the waves.
+    """
     n, m = gamma
-    out = []
-    for t in psi.terms:
-        # gamma^* psi translates the center; e^{i k.gamma} folds into the
-        # coefficient; the phase s pi (m x - n y) folds into the wave.
-        coeff = t.coeff * cmath.exp(1j * (t.wave[0] * n + t.wave[1] * m))
-        center = (t.center[0] - n, t.center[1] - m)
-        wave = (t.wave[0] + s * (math.pi * m), t.wave[1] - s * (math.pi * n))
-        out.append(GaussianTerm(coeff, center, wave))
-    return GaussianSection(s, out)
+    g = complex(n, m)
+    s, (kx, ky) = psi.s, psi.waves.T
+    return GaussianSection(
+        s,
+        psi.coeffs * np.exp(1j * (kx * n + ky * m)),
+        (psi.centers.view(complex) - g).view(float),
+        (psi.waves.view(complex) - 1j * s * math.pi * g).view(float),
+    )
 
 
 def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
@@ -121,24 +103,20 @@ def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
     With a = pi s / 2, each term pair contributes (pi / 2a) exp(-(a/2)|dmu|^2
     - |dk|^2 / 8a + i dk . mid): dmu and mid are the difference and midpoint
     of the centers, dk the difference of the wave vectors; pi / 2a = 1 / s.
+    The T1 x T2 term pairs form one array, in complex coordinates.
     """
     if psi.s != phi.s:
         raise ValueError("sections must share the width parameter s")
     a = math.pi * psi.s / 2.0
-    half_a, eighth_inv_a = 0.5 * a, 0.125 / a
-    total = 0.0 + 0.0j
-    for t1 in psi.terms:
-        (x1, y1), (kx1, ky1) = t1.center, t1.wave
-        c1 = t1.coeff.conjugate()
-        for t2 in phi.terms:
-            (x2, y2), (kx2, ky2) = t2.center, t2.wave
-            dx, dy, dkx, dky = x1 - x2, y1 - y2, kx2 - kx1, ky2 - ky1
-            exponent = complex(
-                -half_a * (dx * dx + dy * dy) - eighth_inv_a * (dkx * dkx + dky * dky),
-                0.5 * (dkx * (x1 + x2) + dky * (y1 + y2)),
-            )
-            total += c1 * t2.coeff * cmath.exp(exponent)
-    return total / psi.s
+    z1, k1 = psi.centers.view(complex), psi.waves.view(complex)  # (T1, 1)
+    z2, k2 = phi.centers.view(complex).T, phi.waves.view(complex).T  # (1, T2)
+    dz, dk_bar = z1 - z2, (k2 - k1).conj()
+    exponent = (
+        (-0.5 * a) * (dz * dz.conj()).real
+        - (0.125 / a) * (dk_bar * dk_bar.conj()).real
+        + 0.5j * (dk_bar * (z1 + z2)).real
+    )
+    return complex(np.vdot(psi.coeffs, np.exp(exponent) @ phi.coeffs)) / psi.s
 
 
 def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> AlgebraElement:

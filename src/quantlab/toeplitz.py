@@ -35,8 +35,6 @@ class TrigPolynomial(AlgebraElement):
 
     __slots__ = ()
 
-    modes = AlgebraElement.terms
-
     def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         """Pointwise product of symbols: the untwisted convolution of modes."""
         return convolve(self, other, lambda m1, m2: 1.0)

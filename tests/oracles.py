@@ -84,14 +84,9 @@ def l2_inner_loop(psi, phi) -> complex:
         )
 
     total = 0.0 + 0.0j
-    for t1 in psi.terms:
-        for t2 in phi.terms:
-            total += (
-                t1.coeff.conjugate()
-                * t2.coeff
-                * inner_1d(t1.center[0], t2.center[0], t1.wave[0], t2.wave[0])
-                * inner_1d(t1.center[1], t2.center[1], t1.wave[1], t2.wave[1])
-            )
+    for c1, (x1, y1), (kx1, ky1) in zip(psi.coeffs, psi.centers, psi.waves):
+        for c2, (x2, y2), (kx2, ky2) in zip(phi.coeffs, phi.centers, phi.waves):
+            total += c1.conjugate() * c2 * inner_1d(x1, x2, kx1, kx2) * inner_1d(y1, y2, ky1, ky2)
     return total
 
 
@@ -177,7 +172,7 @@ def sample_loop(f, grid: int) -> np.ndarray:
     x = coords[:, None]
     y = coords[None, :]
     out = np.zeros((grid, grid), dtype=complex)
-    for (j, k), c in f.modes.items():
+    for (j, k), c in f.terms.items():
         out += c * np.exp(2j * math.pi * (j * x + k * y))
     return out.ravel()
 

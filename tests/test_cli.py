@@ -417,6 +417,56 @@ def test_out_of_range_value_exits_2_without_traceback(argv, capsys):
     assert out["error"] == "ValueError"
 
 
+ELEMENT_TERM = {"n": 0, "m": 0, "re": 1.0, "im": 0.0}
+SECTION_TERM = {"re": 1.0, "im": 0.0, "mux": 0.0, "muy": 0.0, "kx": 0.0, "ky": 0.0, "s": 2.0}
+SYMBOL_MODE = {"j": 1, "k": 0, "re": 0.5, "im": 0.0}
+
+
+def _edit(record, **changes):
+    """``record`` with ``changes`` applied; a change to None drops the key."""
+    out = {**record, **changes}
+    return {k: v for k, v in out.items() if v is not None}
+
+
+MALFORMED_RECORDS = [
+    # (subcommand, decoded JSON input, fragment of the error message)
+    ("algebra", {"n": 0}, "expected a list of records, got dict"),
+    ("algebra", [ELEMENT_TERM, 3], "record 1 is not an object"),
+    ("algebra", [_edit(ELEMENT_TERM, im=None)], "record 0 has no 'im'"),
+    ("algebra", [_edit(ELEMENT_TERM, re=math.nan)], "'re' is not a finite number"),
+    ("algebra", [_edit(ELEMENT_TERM, n=0.5)], "'n' is not an integer"),
+    ("algebra", [_edit(ELEMENT_TERM, m="1")], "'m' is not a finite number"),
+    ("algebra", [_edit(ELEMENT_TERM, re=10**400)], "'re' is not a finite number"),
+    ("module-gram", SECTION_TERM, "expected a list of records, got dict"),
+    ("module-gram", [[1.0]], "record 0 is not an object"),
+    ("module-gram", [_edit(SECTION_TERM, s=None)], "record 0 has no 's'"),
+    ("module-gram", [_edit(SECTION_TERM, re=math.inf)], "'re' is not a finite number"),
+    ("toeplitz-sweep", [SYMBOL_MODE], "must hold an object with a 'modes' list"),
+    ("toeplitz-sweep", {"modes": SYMBOL_MODE}, "expected a list of records, got dict"),
+    ("toeplitz-sweep", {"modes": ["mode"]}, "record 0 is not an object"),
+    ("toeplitz-sweep", {"modes": [_edit(SYMBOL_MODE, k=None)]}, "record 0 has no 'k'"),
+    ("toeplitz-sweep", {"modes": [_edit(SYMBOL_MODE, re=-math.inf)]}, "'re' is not a finite number"),
+    ("toeplitz-sweep", {"modes": [_edit(SYMBOL_MODE, j=0.5)]}, "'j' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("command, data, message", MALFORMED_RECORDS)
+def test_malformed_json_input_exits_2_with_record(command, data, message, tmp_path, capsys):
+    # int() used to truncate 0.5 to 0, and a missing key escaped as a traceback
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data) + "\n")
+    argv = {
+        "algebra": ["algebra", "--mode", "trace", "--a", json.dumps(data)],
+        "module-gram": ["module-gram", "--radius", "2", "--rep-radius", "1", "--sections", str(path)],
+        "toeplitz-sweep": ["toeplitz-sweep", "--N", "4", "--samples", "1", "--fg", f"{path},cos2pix"],
+    }[command]
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "usage-error" and out["error"] == "ValueError"
+    assert message in out["message"]
+
+
 def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):
     argv = ["spectral", "--n-flux", "1", "--grid", "16"]
     assert main(argv + ["--slack", "-1"]) == 2

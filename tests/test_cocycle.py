@@ -16,7 +16,6 @@ from quantlab.algebra import (
 )
 from quantlab.cocycle import (
     OneForm,
-    PolyXY,
     _pad,
     _pascal,
     _phases,
@@ -54,8 +53,8 @@ def test_pullback_symmetric_gauge_shift():
     A = symmetric_gauge()
     x, y = rng.normal(size=(2, 5))
     polyval2d = np.polynomial.polynomial.polyval2d
-    assert np.allclose(polyval2d(x, y, _pullback(A.Q.coeffs, (1, 0))), math.pi * (x + 1))
-    assert np.allclose(polyval2d(x, y, _pullback(A.P.coeffs, (1, 0))), -math.pi * y)
+    assert np.allclose(polyval2d(x, y, _pullback(A.Q, (1, 0))), math.pi * (x + 1))
+    assert np.allclose(polyval2d(x, y, _pullback(A.P, (1, 0))), -math.pi * y)
 
 
 def test_pullback_is_an_action():
@@ -67,7 +66,7 @@ def test_pullback_is_an_action():
 def test_solve_phi_symmetric_gauge_closed_form():
     # phi = pi (m x - n y): x-coefficient pi m, y-coefficient -pi n, nothing else
     for n, m in [(1, 0), (0, 1), (2, 3), (-4, 1)]:
-        c = solve_phi(symmetric_gauge(), (n, m)).coeffs
+        c = solve_phi(symmetric_gauge(), (n, m))
         assert c[1, 0] == pytest.approx(math.pi * m, abs=1e-12)
         assert c[0, 1] == pytest.approx(-math.pi * n, abs=1e-12)
         c[1, 0] = c[0, 1] = 0.0
@@ -75,12 +74,12 @@ def test_solve_phi_symmetric_gauge_closed_form():
 
 
 def test_solve_phi_identity_element():
-    assert np.abs(solve_phi(symmetric_gauge(), (0, 0)).coeffs).max() <= 1e-15
+    assert np.abs(solve_phi(symmetric_gauge(), (0, 0))).max() <= 1e-15
 
 
 def test_solve_phi_landau_gauge():
     # phi = -2 pi n y for gamma = (n, m) = (3, -2)
-    c = solve_phi(landau_gauge(), (3, -2)).coeffs
+    c = solve_phi(landau_gauge(), (3, -2))
     assert c[0, 1] == pytest.approx(-TWO_PI * 3, abs=1e-12)
     c[0, 1] = 0.0
     assert np.abs(c).max() <= 1e-13
@@ -88,13 +87,26 @@ def test_solve_phi_landau_gauge():
 
 def test_solve_phi_rejects_nonconstant_curvature():
     # dA = x dx^dy is not translation invariant, so A - gamma^*A is not closed
-    bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
+    bad = OneForm([[0.0]], [[0.0], [0.0], [0.5]])
     with pytest.raises(ExactnessError):
         solve_phi(bad, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "P, Q",
+    [
+        ([[0.0]], [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),  # y^5 dy
+        ([[0.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 2.0]], [[0.0]]),  # 2 x^3 y^2 dx
+        (np.zeros((1, 1, 1)), [[0.0]]),  # not a coefficient table
+    ],
+)
+def test_one_form_rejects_degree_above_4_and_non_2d_arrays(P, Q):
+    with pytest.raises(ValueError):
+        OneForm(P, Q)
+
+
 def test_phases_name_the_first_failing_translation():
-    bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
+    bad = OneForm([[0.0]], [[0.0], [0.0], [0.5]])
     # y-translations leave A unchanged; (1, 0) is the first that fails
     with pytest.raises(ExactnessError, match=r"gamma=\(1, 0\)"):
         _phases(bad, [0, 0, 1, 2], [0, 2, 0, 0])
@@ -102,11 +114,11 @@ def test_phases_name_the_first_failing_translation():
 
 def test_batched_phases_match_single_solves():
     # A = (0.3 - y + 3x^2 y) dx + (x + x^3) dy, curvature 2 + 3x^2 - 3x^2 = 2
-    A = OneForm(PolyXY([[0.3, -1.0], [0.0, 0.0], [0.0, 3.0]]), PolyXY([[0.0], [1.0], [0.0], [1.0]]))
+    A = OneForm([[0.3, -1.0], [0.0, 0.0], [0.0, 3.0]], [[0.0], [1.0], [0.0], [1.0]])
     gammas = [(0, 0), (1, -2), (-3, 1), (2, 2)]
     batch = _phases(A, [g[0] for g in gammas], [g[1] for g in gammas])
     for phi, gamma in zip(batch, gammas):
-        assert np.array_equal(phi, solve_phi(A, gamma).coeffs)
+        assert np.array_equal(phi, solve_phi(A, gamma))
 
 
 def _plus_exact(A, fx, fy):
@@ -115,9 +127,9 @@ def _plus_exact(A, fx, fy):
     def add(a, b):
         b = np.asarray(b, dtype=float)
         rows, cols = max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])
-        return PolyXY(_pad(a, rows, cols) + _pad(b, rows, cols))
+        return _pad(a, rows, cols) + _pad(b, rows, cols)
 
-    return OneForm(add(A.P.coeffs, fx), add(A.Q.coeffs, fy))
+    return OneForm(add(A.P, fx), add(A.Q, fy))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +219,7 @@ def test_cocycle_table_symmetric_gauge():
 
 
 def test_cocycle_table_zero_potential():
-    zero = OneForm(PolyXY.zero(), PolyXY.zero())
+    zero = OneForm([[0.0]], [[0.0]])
     table = cocycle_table(zero, 2)
     assert np.abs(table(*_ball_arrays(4))).max() < 1e-14
 
@@ -254,7 +266,7 @@ def test_tabulated_cocycle_rejects_pairs_outside_the_table(g1, g2):
 @pytest.mark.parametrize("radius", [0, 2])
 def test_cocycle_table_rejects_nonconstant_curvature(radius):
     # dA = x dx^dy
-    bad = OneForm(PolyXY.zero(), PolyXY([[0.0], [0.0], [0.5]]))
+    bad = OneForm([[0.0]], [[0.0], [0.0], [0.5]])
     with pytest.raises(ExactnessError, match="curvature"):
         cocycle_table(bad, radius)
 
@@ -263,9 +275,7 @@ def test_gauge_covariance_of_antisymmetrization():
     # any two potentials with the same constant curvature agree after
     # antisymmetrization: their cocycles differ by a symmetric coboundary
     # A = -1.5 pi y dx + 0.5 pi x dy: dA = (0.5 pi + 1.5 pi) dx^dy, as for the symmetric gauge
-    skew = OneForm(
-        PolyXY([[0.0, -1.5 * math.pi]]), PolyXY([[0.0], [0.5 * math.pi]])
-    )
+    skew = OneForm([[0.0, -1.5 * math.pi]], [[0.0], [0.5 * math.pi]])
     pts, vals, _ = cocycle_grid(skew, 3)
     pts2, vals2, _ = cocycle_grid(symmetric_gauge(), 3)
     assert pts == pts2

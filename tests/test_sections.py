@@ -7,7 +7,6 @@ import pytest
 from quantlab.algebra import AlgebraElement, KappaCocycle, ball_points, involution, multiply
 from quantlab.sections import (
     GaussianSection,
-    GaussianTerm,
     gram_positivity,
     l2_inner,
     module_inner,
@@ -22,30 +21,45 @@ KC = KappaCocycle()
 
 
 def random_section(s, n_terms=2, spread=1.0):
-    terms = [
-        GaussianTerm(
+    draws = [
+        (
             complex(*rng.normal(size=2)),
-            tuple(rng.normal(scale=spread, size=2)),
-            tuple(rng.normal(scale=2.0, size=2)),
+            rng.normal(scale=spread, size=2),
+            rng.normal(scale=2.0, size=2),
         )
         for _ in range(n_terms)
     ]
-    return GaussianSection(s, terms)
+    return GaussianSection(s, *zip(*draws))
 
 
 def test_project_act_identity():
-    psi = vacuum(1.7)
+    psi = offset_section(np.random.default_rng(17), 1.7, 3)  # own stream: later draws unchanged
     moved = project_act(psi, (0, 0))
-    assert moved.terms == psi.terms
+    for name in ("coeffs", "centers", "waves"):
+        assert np.array_equal(getattr(moved, name), getattr(psi, name))
+
+
+@pytest.mark.parametrize(
+    "coeffs, centers, waves",
+    [
+        ([1.0, 2.0], [[0.0, 0.0]], [[0.0, 0.0]]),  # two coefficients, one center
+        ([1.0], [[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),  # one center, two waves
+        ([1.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),  # three coordinates
+        ([[1.0]], [[0.0, 0.0]], [[0.0, 0.0]]),  # 2-D coefficients
+        ([], np.zeros((0, 2)), np.zeros((0, 2))),  # no term
+    ],
+)
+def test_section_rejects_malformed_term_arrays(coeffs, centers, waves):
+    with pytest.raises(ValueError):
+        GaussianSection(1.0, coeffs, centers, waves)
 
 
 def test_project_act_vacuum_translation():
     s = 1.4
     n, m = 2, -3
     moved = project_act(vacuum(s), (n, m))
-    term = moved.terms[0]
-    assert term.center == (-n, -m)
-    assert term.wave == pytest.approx((s * math.pi * m, -s * math.pi * n))
+    assert np.array_equal(moved.centers, [[-n, -m]])
+    assert moved.waves[0] == pytest.approx((s * math.pi * m, -s * math.pi * n))
     # pointwise against the defining formula e^{i s phi(x)} psi(x + gamma)
     xs = rng.normal(size=8)
     ys = rng.normal(size=8)
@@ -62,24 +76,23 @@ def test_projective_twist_law():
         lhs = project_act(project_act(psi, g1), g2)
         rhs = project_act(psi, (g1[0] + g2[0], g1[1] + g2[1]))
         twist = cmath.exp(1j * s * KC(g1, g2))
-        for t1, t2 in zip(lhs.terms, rhs.terms):
-            assert abs(t1.coeff - twist * t2.coeff) < 1e-12
-            assert t1.center == pytest.approx(t2.center)
-            assert t1.wave == pytest.approx(t2.wave)
+        assert np.abs(lhs.coeffs - twist * rhs.coeffs).max() < 1e-12
+        assert lhs.centers == pytest.approx(rhs.centers)
+        assert lhs.waves == pytest.approx(rhs.waves)
 
 
 def test_l2_inner_vacuum_normalization():
     for s in (0.5, 1.0, 2.0, 3.7):
         assert l2_inner(vacuum(s), vacuum(s)) == pytest.approx(1.0 / s, abs=1e-14)
         # the pairing is sesquilinear: scaling by z scales the norm by |z|^2
-        scaled = vacuum(s).scale(0.5 - 2.0j)
+        scaled = GaussianSection(s, [0.5 - 2.0j], [[0.0, 0.0]], [[0.0, 0.0]])
         assert l2_inner(scaled, scaled) == pytest.approx(abs(0.5 - 2.0j) ** 2 / s, rel=1e-14)
 
 
 def test_l2_inner_far_separated_bound():
     s, d = 1.0, 8.0
     near = vacuum(s)
-    far = GaussianSection(s, [GaussianTerm(1.0, (d, 0.0), (0.0, 0.0))])
+    far = GaussianSection(s, [1.0], [[d, 0.0]], [[0.0, 0.0]])
     bound = math.exp(-math.pi * s * d * d / 4.0)
     assert abs(l2_inner(near, far)) <= bound * (1.0 + 1e-12)
 
@@ -95,20 +108,20 @@ def test_l2_inner_against_quadrature():
 
 def offset_section(gen, s, n_terms):
     """Random terms with centres up to 1.5 off the origin and wave vectors up to 2."""
-    terms = [
-        GaussianTerm(
+    draws = [
+        (
             complex(*gen.normal(size=2)),
-            tuple(gen.uniform(-1.5, 1.5, size=2)),
-            tuple(gen.uniform(-2.0, 2.0, size=2)),
+            gen.uniform(-1.5, 1.5, size=2),
+            gen.uniform(-2.0, 2.0, size=2),
         )
         for _ in range(n_terms)
     ]
-    return GaussianSection(s, terms)
+    return GaussianSection(s, *zip(*draws))
 
 
 def pairing_scale(psi, phi):
     """(sum |c|)(sum |c'|) / s, a bound on every term-pair contribution."""
-    return sum(abs(t.coeff) for t in psi.terms) * sum(abs(t.coeff) for t in phi.terms) / psi.s
+    return np.abs(psi.coeffs).sum() * np.abs(phi.coeffs).sum() / psi.s
 
 
 @pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 4.0])
@@ -184,11 +197,11 @@ def test_gram_positivity_vacuum():
 def test_gram_positivity_far_separated_pair():
     s = 1.5
     a = vacuum(s)
-    b = GaussianSection(s, [GaussianTerm(1.0, (0.45, 0.45), (0.0, 0.0))])
+    b = GaussianSection(s, [1.0], [[0.45, 0.45]], [[0.0, 0.0]])
     joint = gram_positivity([a, b], KC, s, 5, 4)
     assert joint["min_eigenvalue"] >= -1e-9
     # far-separated copies decouple: spectrum is near the union of singles
-    far = GaussianSection(s, [GaussianTerm(1.0, (40.0, 0.0), (0.0, 0.0))])
+    far = GaussianSection(s, [1.0], [[40.0, 0.0]], [[0.0, 0.0]])
     split = gram_positivity([a, far], KC, s, 5, 4)
     single = gram_positivity([a], KC, s, 5, 4)
     assert split["max_eigenvalue"] == pytest.approx(single["max_eigenvalue"], rel=1e-6)
@@ -209,14 +222,31 @@ def test_truncation_tail_dominates_radius_increment():
     new_coeffs = [
         abs(z) for g, z in large.terms.items() if g not in small.terms
     ]
-    scale = sum(abs(t.coeff) for t in psi.terms) ** 2
+    scale = np.abs(psi.coeffs).sum() ** 2
     tail = math.exp(-(math.pi * s / 2.0) * 4**2)
     assert max(new_coeffs, default=0.0) <= 20.0 * scale * tail
 
 
-def test_section_serialization_roundtrip():
-    psi = random_section(1.9, n_terms=3)
-    back = GaussianSection.from_json(psi.to_json())
-    assert back.s == psi.s
-    for t1, t2 in zip(psi.terms, back.terms):
-        assert t1 == t2
+def test_section_from_json_records():
+    text = (
+        '[{"re": 1.5, "im": -0.25, "mux": 0.5, "muy": -1, "kx": 2, "ky": 0.125, "s": 1.9},'
+        ' {"re": 0, "im": 3, "mux": -2.5, "muy": 0, "kx": -1, "ky": 4, "s": 1.9}]'
+    )
+    psi = GaussianSection.from_json(text)
+    assert psi.s == 1.9
+    assert np.array_equal(psi.coeffs, [1.5 - 0.25j, 3j])
+    assert np.array_equal(psi.centers, [[0.5, -1.0], [-2.5, 0.0]])
+    assert np.array_equal(psi.waves, [[2.0, 0.125], [-1.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '[{"re": 1, "im": 0, "mux": 0, "muy": 0, "kx": 0, "ky": 0, "s": 1},'
+        ' {"re": 1, "im": 0, "mux": 0, "muy": 0, "kx": 0, "ky": 0, "s": 2}]',
+    ],
+)
+def test_section_from_json_rejects_no_terms_and_mixed_widths(text):
+    with pytest.raises(ValueError):
+        GaussianSection.from_json(text)

@@ -66,11 +66,11 @@ def test_trig_polynomial_algebra():
 def test_poisson_bracket_antisymmetry_and_leibniz():
     f, g, h = random_symbol(), random_symbol(), random_symbol()
     anti = poisson_bracket(f, g) + poisson_bracket(g, f)
-    assert all(abs(c) < 1e-12 for c in anti.modes.values())
+    assert all(abs(c) < 1e-12 for c in anti.terms.values())
     lhs = poisson_bracket(f, g * h)
     rhs = poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
     diff = lhs - rhs
-    assert all(abs(c) < 1e-10 for c in diff.modes.values())
+    assert all(abs(c) < 1e-10 for c in diff.terms.values())
 
 
 def test_gradient_pairing_antisymmetrization_identity():
@@ -78,7 +78,7 @@ def test_gradient_pairing_antisymmetrization_identity():
     lhs = gradient_pairing(f, g) - gradient_pairing(g, f)
     rhs = poisson_bracket(f, g).scale(1j)
     diff = lhs - rhs
-    assert all(abs(c) < 1e-10 for c in diff.modes.values())
+    assert all(abs(c) < 1e-10 for c in diff.terms.values())
 
 
 def test_toeplitz_unital():
