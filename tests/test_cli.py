@@ -468,13 +468,17 @@ def test_malformed_json_input_exits_2_with_record(command, data, message, tmp_pa
 
 
 def test_nonpositive_slack_rejected_on_argv_and_in_config(tmp_path, capsys):
+    # at slack >= 1 the gap bound N (1 - slack) is <= 0, so the gate could not fail
     argv = ["spectral", "--n-flux", "1", "--grid", "16"]
-    assert main(argv + ["--slack", "-1"]) == 2
-    assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"slack": 0}))
-    assert main(["--config", str(config)] + argv) == 2
-    assert json.loads(capsys.readouterr().out)["message"] == "slack must be positive"
+    for slack in (-1, 0, 1, 5):
+        assert main(argv + ["--slack", str(slack)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "usage-error" and out["message"] == "slack must lie in (0, 1)"
+        config.write_text(json.dumps({"slack": slack}))
+        assert main(["--config", str(config)] + argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "usage-error" and out["message"] == "slack must lie in (0, 1)"
 
 
 @pytest.mark.parametrize("rule", ["0", "-3"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from quantlab import algebra, dolbeault
 from quantlab.dolbeault import (
@@ -93,11 +95,12 @@ def test_spectral_report_gap_and_parametrix():
         assert rep.parametrix_norm <= (0.9 * n_flux) ** -0.5
 
 
-@pytest.mark.parametrize("slack", [math.nan, math.inf])
+@pytest.mark.parametrize("slack", [math.nan, math.inf, 1.0, 5.0])
 def test_spectral_report_rejects_a_slack_that_is_not_finite(slack):
-    # the CLI rejects these before the library; zero and negative slacks are
-    # covered by test_nonpositive_slack_rejected_on_argv_and_in_config
-    with pytest.raises(ValueError, match="slack must be positive"):
+    # the CLI rejects NaN and inf before the library; at slack >= 1 the gap
+    # bound is <= 0; zero and negative slacks are covered by
+    # test_nonpositive_slack_rejected_on_argv_and_in_config
+    with pytest.raises(ValueError, match=r"slack must lie in \(0, 1\)"):
         spectral_report(build_dolbeault(1, 16), slack=slack)
 
 
@@ -224,6 +227,37 @@ def test_chain_solve_raises_when_the_iteration_cap_is_hit(monkeypatch):
     monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
         dolbeault._kernel_data.__wrapped__(3, 24, "landau")  # bypass the cache
+
+
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 24)])
+def test_chain_solve_fits_in_16_rayleigh_ritz_steps(monkeypatch, n_flux, grid):
+    # one LU solve per step needed 31 and 32 steps here; three solves need 11 and 12
+    monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 16)
+    dolbeault._kernel_data.__wrapped__(n_flux, grid, "landau")  # bypass the cache
+
+
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (8, 36)])
+def test_returned_chain_pairs_meet_the_residual_certificate(monkeypatch, n_flux, grid):
+    # recomputed with a fresh factorization: |(B^* B + 1)^-1 v - v / (1 + sigma^2)|
+    # for every pair returned, at one chain and at two classes of two chains
+    calls = []
+    solve = dolbeault._chain_triplets
+
+    def recorded(chains, lu, g, m):
+        values, ritz = solve(chains, lu, g, m)
+        calls.append((chains, g, values, ritz))
+        return values, ritz
+
+    monkeypatch.setattr(dolbeault, "_chain_triplets", recorded)
+    dolbeault._kernel_data.__wrapped__(n_flux, grid, "landau")  # bypass the cache
+    assert calls
+    for chains, g, values, ritz in calls:
+        n, m = chains.shape[0], values.shape[1]
+        assert ritz.shape == (g, n // g, m)
+        normal = (chains.getH() @ chains + sp.identity(n)).tocsc()
+        x = spla.splu(normal).solve(ritz.reshape(n, m)).reshape(ritz.shape)
+        residual = np.linalg.norm(x - ritz / (1.0 + values[:, None, :] ** 2), axis=1)
+        assert residual.max() <= dolbeault._RESIDUAL_TOL
 
 
 def test_sigma_max_raises_when_its_bracket_stays_open(monkeypatch):
