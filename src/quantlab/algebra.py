@@ -35,6 +35,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from ._blas import one_blas_thread
 from .errors import ContinuityError, ConvergenceError, TruncationError
 
 Lattice = Tuple[int, int]
@@ -308,6 +309,13 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
     otherwise the geometric mean of those two distances above the lower end.
     Raises ``ConvergenceError`` if the bracket is still open after
     ``_NORM_MAX_STEPS`` factorizations.
+
+    The loop runs on one BLAS thread (``_blas.one_blas_thread``).  Its bands are
+    narrow (width 54 for the Harper element at R = 13), and there a second
+    OpenBLAS thread costs more than it saves: one R = 13 factorization took
+    3.4-3.5 ms on two threads and 1.2-1.5 ms on one (2-core machine).  Two
+    threads break even near R = 20-30 and win from about R = 40 (32 against
+    39 ms per factorization, 110-122 against 136-154 ms at R = 60).
     """
     if mat.nnz == 0:
         return 0.0
@@ -329,30 +337,31 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
     lo, residual = rayleigh(x)
     hi, failed = 2.0 * bound, -math.inf  # upper end; highest shift that did not factor
     t = bound * (1.0 + _NORM_REL_WIDTH / 4)
-    for _ in range(_NORM_MAX_STEPS):
-        shifted = band.copy(order="F")
-        shifted[width] += t
-        try:
-            factor = la.cholesky_banded(shifted, overwrite_ab=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            failed = t
-        else:
-            hi = min(hi, t)
-            for _ in range(_NORM_SOLVES):
-                x = la.cho_solve_banded((factor, False), x, check_finite=False)
-                x /= np.linalg.norm(x)
-                value, res = rayleigh(x)
-                if value > lo:
-                    lo, residual = value, res
-        if hi - lo <= _NORM_REL_WIDTH * hi:
-            return lo
-        t = lo + max(residual, _NORM_REL_WIDTH * hi / 2)
-        if not failed < t < hi:
-            t = lo + math.sqrt(max(failed - lo, _NORM_REL_WIDTH * hi / 2) * (hi - lo))
-    raise ConvergenceError(
-        "norm bracket [%.17g, %.17g] still open after %d factorizations"
-        % (math.sqrt(lo), math.sqrt(hi), _NORM_MAX_STEPS)
-    )
+    with one_blas_thread():
+        for _ in range(_NORM_MAX_STEPS):
+            shifted = band.copy(order="F")
+            shifted[width] += t
+            try:
+                factor = la.cholesky_banded(shifted, overwrite_ab=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                failed = t
+            else:
+                hi = min(hi, t)
+                for _ in range(_NORM_SOLVES):
+                    x = la.cho_solve_banded((factor, False), x, check_finite=False)
+                    x /= np.linalg.norm(x)
+                    value, res = rayleigh(x)
+                    if value > lo:
+                        lo, residual = value, res
+            if hi - lo <= _NORM_REL_WIDTH * hi:
+                return lo
+            t = lo + max(residual, _NORM_REL_WIDTH * hi / 2)
+            if not failed < t < hi:
+                t = lo + math.sqrt(max(failed - lo, _NORM_REL_WIDTH * hi / 2) * (hi - lo))
+        raise ConvergenceError(
+            "norm bracket [%.17g, %.17g] still open after %d factorizations"
+            % (math.sqrt(lo), math.sqrt(hi), _NORM_MAX_STEPS)
+        )
 
 
 def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
@@ -378,8 +387,11 @@ def norm_profile(
 
     When ``continuity_threshold`` is given, adjacent profile values are
     required to differ by at most that much; this witnesses (but does not
-    prove) continuity of the field of norms in ``s``.
+    prove) continuity of the field of norms in ``s``.  A threshold below 0
+    bounds nothing and raises ``ValueError``.
     """
+    if continuity_threshold is not None and continuity_threshold < 0:
+        raise ValueError(f"continuity threshold must be at least 0, got {continuity_threshold!r}")
     profile = [(float(s), norm_estimate(a, cocycle, s, radius)) for s in s_grid]
     if continuity_threshold is not None:
         for (s0, n0), (s1, n1) in zip(profile, profile[1:]):

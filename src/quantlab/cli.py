@@ -132,10 +132,15 @@ def _write_rows(path: str | None, header: list[str], rows: Iterable) -> None:
     Floats are written as ``repr(float(v))`` and other cells with ``str``.
     Cells are never quoted: every string cell is a claim tag, a header name or
     an integer label joined ahead of time, such as ``cocycle-check``'s ``"n,m"``.
+    A row given as a ``str`` is whole lines, each ending in a newline, that
+    the caller formatted by this rule; it is written as it is.
     """
     with _target(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+                continue
             cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
             fh.write(",".join(cells) + "\n")
 
@@ -193,11 +198,12 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
 def _cmd_cocycle_check(args) -> int:
     gauge = cocycle.symmetric_gauge if args.potential == "symmetric" else cocycle.landau_gauge
     points, values, residual = cocycle.cocycle_grid(gauge(args.omega0), args.radius)
-    labels = [f"{n},{m}" for n, m in points]  # the n, m cells of each ball point, joined once
+    # one ball point's lines in one join: "cocycle-value,n1,m1" + ",n2,m2," + repr(value)
+    heads = [f"cocycle-value,{n},{m}" for n, m in points]
+    cells = [f",{n},{m}," for n, m in points]
     rows = (
-        (f"cocycle-value,{l1},{l2}", value)
-        for l1, row in zip(labels, values)
-        for l2, value in zip(labels, row.tolist())
+        head + ("\n" + head).join(map(str.__add__, cells, map(repr, row.tolist()))) + "\n"
+        for head, row in zip(heads, values)
     )
     closed_dev = None
     if args.potential == "symmetric":

@@ -37,7 +37,12 @@ rolled.  Only the c0 representatives are solved: one chain whenever N | M.
 A block subspace iteration with one sparse LU of the shifted normal matrix
 B^* B + 1 finds their lowest singular triplets; the block takes three LU
 solves between Rayleigh-Ritz steps, and convergence is tested on the first
-of them.  Rayleigh-Ritz is an SVD of B Q, so singular values carry
+of them.  The loop runs on one BLAS thread (``_blas.one_blas_thread``):
+its QRs and SVDs are of L x 2m blocks, too small for a second OpenBLAS
+thread to pay (a complex QR of a 576 x 12 block took 0.23 ms on two
+threads and 0.11-0.16 ms on one, on a 2-core machine; for the banded
+factorizations of ``_gram_top`` two threads win only from about R = 40).
+Rayleigh-Ritz is an SVD of B Q, so singular values carry
 eps * sigma_max error like a dense SVD and every copy of a repeated value
 is found.  sigma_max is the top of the same representative chains: with
 each chain's columns in zig-zag order 0, L-1, 1, L-2, ... B^* B is a band
@@ -74,6 +79,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._blas import one_blas_thread
 from .algebra import _gram_top
 from .errors import ConvergenceError, GapBoundError, IndeterminateKernelError, ResolutionError
 
@@ -202,20 +208,21 @@ def _chain_triplets(chains: sp.csr_matrix, lu, g: int, m: int):
     n = chains.shape[0]
     L, q = n // g, min(n // g, 2 * m)
     x = np.random.default_rng(0).standard_normal((g, L, q))
-    for _ in range(_MAX_ITERATIONS):
-        basis = np.linalg.qr(x)[0]
-        bq = (chains @ basis.reshape(n, q)).reshape(g, L, q)
-        _, svals, wh = np.linalg.svd(np.linalg.qr(bq, mode="r"))  # the SVD of B Q
-        svals, ritz = svals[:, ::-1], basis @ wh[:, ::-1].conj().transpose(0, 2, 1)
-        x = lu.solve(ritz.reshape(n, q)).reshape(g, L, q)
-        residual = np.linalg.norm(x - ritz / (1.0 + svals[:, None, :] ** 2), axis=1)
-        if residual[:, :m].max() <= _RESIDUAL_TOL:
-            return svals[:, :m], ritz[:, :, :m]
-        for _ in range(_SOLVES_PER_STEP - 1):
-            x = lu.solve(x.reshape(n, q)).reshape(g, L, q)
-    raise ConvergenceError(
-        f"chain iteration above residual {_RESIDUAL_TOL:.0e} after {_MAX_ITERATIONS} steps"
-    )
+    with one_blas_thread():
+        for _ in range(_MAX_ITERATIONS):
+            basis = np.linalg.qr(x)[0]
+            bq = (chains @ basis.reshape(n, q)).reshape(g, L, q)
+            _, svals, wh = np.linalg.svd(np.linalg.qr(bq, mode="r"))  # the SVD of B Q
+            svals, ritz = svals[:, ::-1], basis @ wh[:, ::-1].conj().transpose(0, 2, 1)
+            x = lu.solve(ritz.reshape(n, q)).reshape(g, L, q)
+            residual = np.linalg.norm(x - ritz / (1.0 + svals[:, None, :] ** 2), axis=1)
+            if residual[:, :m].max() <= _RESIDUAL_TOL:
+                return svals[:, :m], ritz[:, :, :m]
+            for _ in range(_SOLVES_PER_STEP - 1):
+                x = lu.solve(x.reshape(n, q)).reshape(g, L, q)
+        raise ConvergenceError(
+            f"chain iteration above residual {_RESIDUAL_TOL:.0e} after {_MAX_ITERATIONS} steps"
+        )
 
 
 @lru_cache(maxsize=24)

@@ -95,13 +95,17 @@ def write_rows_csv(path, header, rows) -> None:
 
     Floats are written as ``repr(float(v))``.  A string cell holding commas
     (a pre-joined label) is split into its cells first, and ``csv.writer``
-    renders each one, quoting any that needs it.
+    renders each one, quoting any that needs it.  A row given as a string
+    (whole pre-formatted lines) is split into lines and cells the same way.
     """
     fh = open(path, "w") if path else sys.stdout
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
+            if isinstance(row, str):
+                writer.writerows(line.split(",") for line in row.splitlines())
+                continue
             cells = []
             for v in row:
                 if isinstance(v, float):

@@ -252,6 +252,13 @@ def test_norm_estimate_raises_when_the_bracket_stays_open(monkeypatch):
         norm_estimate(harper_element(KC, 0.0), KC, 0.1, 13)
 
 
+def test_norm_profile_rejects_a_negative_continuity_threshold():
+    h = harper_element(KC, 0.0)
+    with pytest.raises(ValueError, match="continuity threshold must be at least 0"):
+        norm_profile(h, [0.5], KC, 3, continuity_threshold=-1.0)
+    assert norm_profile(h, [0.5], KC, 3, continuity_threshold=0.0) == norm_profile(h, [0.5], KC, 3)
+
+
 def test_norm_of_basis_elements():
     for g in [(0, 0), (1, 0), (2, -3)]:
         for radius in (4, 7):

@@ -568,6 +568,19 @@ def test_non_finite_s_grid_value_rejected_on_argv_and_in_config(s_grid, tmp_path
         assert out["status"] == "usage-error" and "not a finite number" in out["message"]
 
 
+@pytest.mark.parametrize("s_grid", ["0.5", "0.5,0.6"])
+def test_negative_continuity_threshold_rejected_on_argv_and_in_config(s_grid, tmp_path, capsys):
+    # with one s value it bounded nothing, with two it read as a failed continuity claim
+    argv = ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", s_grid]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"continuity_threshold": -1}))
+    for run in (argv + ["--continuity-threshold", "-1"], ["--config", str(config)] + argv):
+        assert main(run) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "usage-error" and out["error"] == "ValueError"
+        assert "continuity threshold must be at least 0" in out["message"]
+
+
 def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
     # one factorization cannot close the sigma_max bracket of a fresh kernel solve
     monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
