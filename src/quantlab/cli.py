@@ -21,11 +21,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -195,6 +196,18 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
     return worst
 
 
+def _row_reprs(values: np.ndarray) -> Iterator[list[str]]:
+    """``repr`` of each float of the 2-D array ``values``, one list per row.
+
+    Each distinct value is formatted once.  Values are keyed by their bits,
+    so 0.0 and -0.0, equal as floats, keep their own text.
+    """
+    text = {}
+    for row in values:
+        bits = row.view(np.int64).tolist()
+        yield [text.get(b) or text.setdefault(b, repr(v)) for b, v in zip(bits, row.tolist())]
+
+
 def _cmd_cocycle_check(args) -> int:
     gauge = cocycle.symmetric_gauge if args.potential == "symmetric" else cocycle.landau_gauge
     points, values, residual = cocycle.cocycle_grid(gauge(args.omega0), args.radius)
@@ -202,8 +215,8 @@ def _cmd_cocycle_check(args) -> int:
     heads = [f"cocycle-value,{n},{m}" for n, m in points]
     cells = [f",{n},{m}," for n, m in points]
     rows = (
-        head + ("\n" + head).join(map(str.__add__, cells, map(repr, row.tolist()))) + "\n"
-        for head, row in zip(heads, values)
+        head + ("\n" + head).join(map(str.__add__, cells, texts)) + "\n"
+        for head, texts in zip(heads, _row_reprs(values))
     )
     closed_dev = None
     if args.potential == "symmetric":
@@ -400,6 +413,7 @@ def _cmd_index(args) -> int:
     return 0
 
 
+@functools.cache  # every `main` call of a process parses with one parser; a build takes 1-2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quantlab",
@@ -520,6 +534,8 @@ def _parse_with_config(parser, argv: list[str], args) -> argparse.Namespace:
         return parser.parse_args(argv + tokens)
     except argparse.ArgumentError as exc:
         raise ConfigError(f"config: {exc}") from None
+    finally:  # the parser is shared by later calls, whose bad options argparse reports
+        parser.exit_on_error = subparser.exit_on_error = True
 
 
 def main(argv=None) -> int:

@@ -14,8 +14,9 @@ is then constant on the plane and defines a real group cocycle.
 Phases are solved in batches: ``_phases`` takes arrays of translations and
 shifts coefficient arrays by Pascal matrices, so one call covers a whole
 lattice ball, and ``solve_phi`` is a batch of one.  ``cocycle_grid`` forms the
-combination for every pair of a ball as one array, and ``cocycle_table`` wraps
-that array as the ``TabulatedCocycle`` the twisted algebra reads.
+combination for every pair of a ball as one array, a block of pairs per
+second argument, and ``cocycle_table`` wraps that array as the
+``TabulatedCocycle`` the twisted algebra reads.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def cocycle_grid(A: OneForm, radius: int):
 
     The phases of the ball of radius 2R are solved at once; for every
     pair the combination ``phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}`` is then
-    formed coefficient-wise as one array.  Returns (points, values, residual)
+    formed coefficient-wise as one array, whose pull-backs take two matrix
+    products per g2 (not two per pair).  Returns (points, values, residual)
     with ``values[i, j] = c(points[i], points[j])``, the constant coefficient,
     and ``residual`` the largest non-constant coefficient over all pairs: the
     measured distance of the combinations from constants, for potentials of
@@ -148,10 +150,14 @@ def cocycle_grid(A: OneForm, radius: int):
     n, m = np.array(points).T
     phi = _phases(A, *np.array(ball_points(2 * radius)).T)
     own = phi[ball_index(n, m, 2 * radius)]
-    rows, cols = own.shape[1:]
-    # g2^* phi_{g1} for every pair (g1, g2): B(n2) phi_{g1} B(m2)^T, then
+    K, rows, cols = own.shape
+    # g2^* phi_{g1} for every pair (g1, g2): B(n2) phi_{g1} B(m2)^T, one row
+    # block per g2 from the phases stacked side by side as [a, g1, b]; then
     # + phi_{g2} - phi_{g1 g2}, in place to keep one pair-sized array alive
-    combo = _pascal(n, rows) @ own[:, None] @ np.swapaxes(_pascal(m, cols), -1, -2)
+    combo = np.empty((K, K, rows, cols))
+    stacked = own.transpose(1, 0, 2).reshape(rows, K * cols)
+    for j, (bn, bm) in enumerate(zip(_pascal(n, rows), _pascal(m, cols))):
+        np.matmul((bn @ stacked).reshape(rows, K, cols), bm.T, out=combo[:, j].transpose(1, 0, 2))
     combo += own
     combo -= phi[ball_index(n[:, None] + n, m[:, None] + m, 2 * radius)]
     values = combo[:, :, 0, 0].copy()

@@ -24,6 +24,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg as la
 
 from .algebra import AlgebraElement, Lattice, ball_points, json_records
 
@@ -147,7 +148,9 @@ def gram_positivity(
 
     The block matrix [rep(<psi_i|psi_j>)] is the compression of a positive
     element, so its smallest eigenvalue must not dip below roundoff plus the
-    Gaussian truncation tail.
+    Gaussian truncation tail.  Only the blocks i <= j are formed, in a
+    Fortran-order array that LAPACK reduces in place from its upper triangle
+    (``lower=False``: the lower blocks stay zero and are never read).
     """
     import warnings
 
@@ -155,7 +158,7 @@ def gram_positivity(
 
     k = len(sections)
     dim = (2 * rep_radius + 1) ** 2
-    big = np.zeros((k * dim, k * dim), dtype=complex)
+    big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
     for i, psi in enumerate(sections):
         for j, phi in enumerate(sections):
             if j < i:
@@ -167,7 +170,7 @@ def gram_positivity(
                 warnings.simplefilter("ignore", UserWarning)
                 block = regular_representation(gram, cocycle, s, rep_radius)
             big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-    eigvals = np.linalg.eigvalsh(big, UPLO="U")  # reads the blocks i <= j only
+    eigvals = la.eigh(big, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False)
     return {
         "sections": k,
         "dimension": k * dim,

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from quantlab.algebra import ball_points, compose, involution, sigma
+from quantlab.cocycle import solve_phi
 from quantlab.sections import module_inner
 
 
@@ -118,6 +119,45 @@ def write_rows_csv(path, header, rows) -> None:
     finally:
         if path:
             fh.close()
+
+
+def cocycle_rows_loop(points, values) -> str:
+    """``cocycle-check``'s CSV text: the header, then one f-string and one ``repr`` per pair."""
+    lines = ["claim,n1,m1,n2,m2,value\n"]
+    for (n1, m1), row in zip(points, values):
+        for (n2, m2), value in zip(points, row):
+            lines.append(f"cocycle-value,{n1},{m1},{n2},{m2},{float(value)!r}\n")
+    return "".join(lines)
+
+
+def cocycle_combination_loop(A, radius: int) -> np.ndarray:
+    """``phi_{g2} + g2^* phi_{g1} - phi_{g1 g2}`` for each pair of the ball, one pair at a time.
+
+    Entry ``[i, j]`` holds the coefficients of the combination on the pair
+    ``(points[i], points[j])``.  The pull-back is ``B(n2) phi_{g1} B(m2)^T``
+    with the shift matrix ``B(d)[a, i] = C(i, a) d^(i - a)`` written out entry
+    by entry, and each phase comes from its own ``solve_phi`` call.
+    """
+
+    def shift(d, size):
+        return np.array(
+            [[math.comb(i, a) * float(d) ** (i - a) if i >= a else 0.0 for i in range(size)]
+             for a in range(size)]
+        )
+
+    points = ball_points(radius)
+    phase = {g: solve_phi(A, g) for g in ball_points(2 * radius)}
+    out = []
+    for g1 in points:
+        rows, cols = phase[g1].shape
+        out.append(
+            [
+                phase[g2] + shift(g2[0], rows) @ phase[g1] @ shift(g2[1], cols).T
+                - phase[compose(g1, g2)]
+                for g2 in points
+            ]
+        )
+    return np.array(out)
 
 
 def gaussian_quadrature_inner(psi, phi, half_width: float = 9.0, points: int = 1200):

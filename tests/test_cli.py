@@ -16,7 +16,7 @@ import quantlab
 from quantlab import algebra, cli, cocycle, dolbeault, sections, surface_index, toeplitz
 from quantlab.cli import LIBRARY_ONLY, OPERATION_COVERAGE, _identity_residual, build_parser, main
 
-from oracles import write_rows_csv
+from oracles import cocycle_rows_loop, write_rows_csv
 
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
@@ -157,6 +157,33 @@ def test_cocycle_check_writes_table(tmp_path, capsys):
     assert len(lines) == 1 + 25 * 25
 
 
+def test_row_reprs_format_each_distinct_value_once(monkeypatch):
+    values = np.array([[0.0, -0.0, 1.5, 0.0], [-0.0, 1.5, 0.1 + 0.2, -0.0], [0.0, 0.0, 0.0, 0.0]])
+    formatted = []
+
+    def counted(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    rows = list(cli._row_reprs(values))
+    assert rows == [[repr(v) for v in row] for row in values.tolist()]
+    assert rows[0][:2] == ["0.0", "-0.0"]
+    # 0.0 and -0.0 are equal floats with different text: keyed apart
+    assert sorted(map(repr, formatted)) == ["-0.0", "0.0", "0.30000000000000004", "1.5"]
+
+
+@pytest.mark.parametrize("potential", ["symmetric", "landau"])
+def test_cocycle_check_rows_equal_the_per_value_repr_oracle(potential, tmp_path, capsys):
+    target = tmp_path / "cocycle.csv"
+    argv = ["cocycle-check", "--radius", "3", "--potential", potential, "--output", str(target)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    gauge = cocycle.symmetric_gauge if potential == "symmetric" else cocycle.landau_gauge
+    points, values, _ = cocycle.cocycle_grid(gauge(), 3)
+    assert target.read_bytes() == cocycle_rows_loop(points, values).encode()
+
+
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5])
 @pytest.mark.parametrize("kind", ["random", "kappa"])
 def test_identity_residual_matches_the_triple_loop(radius, kind):
@@ -293,6 +320,20 @@ def test_config_rejects_what_the_parser_rejects(text, argv, tmp_path, capsys):
     assert code == 2
     assert json.loads(captured.out)["status"] == "config-error"
     assert captured.err == ""
+
+
+def test_config_call_leaves_the_shared_parser_exiting_on_bad_options(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    config = tmp_path / "conf.json"
+    for text in ('{"potential": "bogus"}', '{"potential": "landau"}'):
+        config.write_text(text)
+        main(["--config", str(config), "cocycle-check", "--radius", "1"])
+        capsys.readouterr()
+        # argparse reports a bad option itself, as before any --config call
+        with pytest.raises(SystemExit) as exc:
+            main(["cocycle-check", "--potential", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -28,7 +28,7 @@ from quantlab.cocycle import (
 from quantlab import cocycle
 from quantlab.errors import CocycleConsistencyError, ExactnessError
 
-from oracles import regular_representation_loop
+from oracles import cocycle_combination_loop, regular_representation_loop
 
 rng = np.random.default_rng(20240811)
 
@@ -151,6 +151,29 @@ def test_cocycle_grid_nonlinear_potential(f, fx, fy):
     )
     assert np.abs(vals - expected).max() <= 1e-10
     assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "potential",
+    [
+        symmetric_gauge,
+        landau_gauge,
+        # f = x^3 y: df = 3 x^2 y dx + x^3 dy
+        lambda: _plus_exact(symmetric_gauge(), [[0, 0], [0, 0], [0, 3]], [[0], [0], [0], [1]]),
+    ],
+    ids=["symmetric", "landau", "symmetric+d(x3y)"],
+)
+def test_cocycle_grid_matches_the_per_pair_loop(potential, radius):
+    A = potential()
+    points, values, residual = cocycle_grid(A, radius)
+    combo = cocycle_combination_loop(A, radius)
+    assert points == ball_points(radius)
+    # the same products and sums, but BLAS may order a product's sums per
+    # block shape: a few ulps of the largest coefficient
+    np.testing.assert_allclose(values, combo[:, :, 0, 0], rtol=1e-14, atol=1e-12)
+    combo[:, :, 0, 0] = 0.0
+    assert residual == pytest.approx(np.abs(combo).max(), abs=1e-12)
 
 
 def test_cocycle_grid_residual_sees_every_non_constant_coefficient(monkeypatch):

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from quantlab.algebra import AlgebraElement, KappaCocycle, ball_points, involution, multiply
+from quantlab.algebra import (
+    AlgebraElement,
+    KappaCocycle,
+    ball_points,
+    involution,
+    multiply,
+    regular_representation,
+)
 from quantlab.sections import (
     GaussianSection,
     gram_positivity,
@@ -212,6 +219,30 @@ def test_gram_positivity_three_random_packets():
     secs = [random_section(s, n_terms=2, spread=0.7) for _ in range(3)]
     report = gram_positivity(secs, KC, s, 5, 4)
     assert report["min_eigenvalue"] >= -1e-9
+
+
+def test_gram_positivity_matches_eigvalsh_of_the_full_hermitian_matrix():
+    # overlapping sections couple the blocks, so a solve that read the zero
+    # lower blocks instead of the upper ones would see other eigenvalues
+    s, radius = 1.5, 3
+    secs = [
+        vacuum(s),
+        GaussianSection(s, [1.0, 0.5j], [[0.2, -0.1], [-0.3, 0.25]], [[1.0, -0.5], [0.0, 2.0]]),
+        GaussianSection(s, [0.7 - 0.2j], [[0.35, 0.3]], [[-1.5, 0.5]]),
+    ]
+    report = gram_positivity(secs, KC, s, radius, radius)
+    upper = {
+        (i, j): regular_representation(module_inner(secs[i], secs[j], radius), KC, s, radius)
+        for i in range(3)
+        for j in range(i, 3)
+    }
+    full = np.block(
+        [[upper[i, j] if j >= i else upper[j, i].conj().T for j in range(3)] for i in range(3)]
+    )
+    eigvals = np.linalg.eigvalsh(full)
+    assert report["dimension"] == full.shape[0] == 3 * 49
+    assert report["min_eigenvalue"] == pytest.approx(eigvals[0], rel=1e-9, abs=1e-12)
+    assert report["max_eigenvalue"] == pytest.approx(eigvals[-1], rel=1e-12)
 
 
 def test_truncation_tail_dominates_radius_increment():
