@@ -18,8 +18,7 @@ the exact largest singular value of the compression to the ball, to a
 certified relative bracket of 1e-12 on its square (banded Cholesky
 factorizations of ``t I - A* A``): a finite-rank lower bound for the reduced
 norm, nondecreasing in ``R``.  The bracket is ``_gram_top``, the top
-eigenvalue of ``A* A`` for any sparse ``A`` whose ``A* A`` is banded; the
-Dolbeault kernel solve uses it too, for ``sigma_max``.
+eigenvalue of ``A* A`` for any sparse ``A`` whose ``A* A`` is banded.
 """
 
 from __future__ import annotations

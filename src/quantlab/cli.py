@@ -107,14 +107,11 @@ def _positive_int(text: str) -> int:
 
 
 def _subsample(values: list[int], count: int) -> list[int]:
-    """At most ``count`` >= 1 of ``values``, nearest to a geometric spacing; 1 keeps the first."""
+    """At most ``count`` >= 1 of ``values``, nearest a geometric spacing from min to max."""
     if count >= len(values):
         return values
-    picks = np.unique(
-        np.round(np.geomspace(values[0], values[-1], count)).astype(int)
-    )
-    chosen = sorted({min(values, key=lambda v: abs(v - p)) for p in picks})
-    return chosen
+    picks = np.unique(np.round(np.geomspace(min(values), max(values), count)).astype(int))
+    return sorted({min(values, key=lambda v: abs(v - p)) for p in picks})
 
 
 @contextlib.contextmanager

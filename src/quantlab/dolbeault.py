@@ -40,19 +40,16 @@ solves between Rayleigh-Ritz steps, and convergence is tested on the first
 of them.  The loop runs on one BLAS thread (``_blas.one_blas_thread``):
 its QRs and SVDs are of L x 2m blocks, too small for a second OpenBLAS
 thread to pay (a complex QR of a 576 x 12 block took 0.23 ms on two
-threads and 0.11-0.16 ms on one, on a 2-core machine; for the banded
-factorizations of ``_gram_top`` two threads win only from about R = 40).
-Rayleigh-Ritz is an SVD of B Q, so singular values carry
-eps * sigma_max error like a dense SVD and every copy of a repeated value
-is found.  sigma_max is the top of the same representative chains: with
-each chain's columns in zig-zag order 0, L-1, 1, L-2, ... B^* B is a band
-of width 2, and ``algebra._gram_top`` brackets its top eigenvalue to 1e-12
-relative by banded Cholesky factorizations, starting from the bound
-(max |diagonal| + b)^2 and raising ConvergenceError if the bracket stays
-open.  At zero flux the doubler zero would land on the momentum grid
-whenever 4 | M, so the fluxless operator is the exact spectral derivative,
-symbol (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets
-are read off the symbol.
+threads and 0.11-0.16 ms on one, on a 2-core machine).  Rayleigh-Ritz is
+an SVD of B Q, so singular values carry eps * |D+| error like a dense SVD
+and every copy of a repeated value is found.  The kernel is judged against
+norm_bound = max |diagonal| + b, which by the triangle inequality bounds
+every chain's norm and so |D+|; it is at most 1.04 |D+| (at (1, 4)) and
+is never reported, only scaled into the kernel threshold.  At zero flux
+the doubler zero would land on the momentum grid whenever 4 | M, so the
+fluxless operator is the exact spectral derivative, symbol
+(i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets are
+read off the symbol, and norm_bound is the symbol's maximum, |D+|.
 
 Gauge.  Only D_plus depends on the gauge.  The Landau gauge puts the link
 phase e^{-i phi j} on every +y link and e^{i phi M k} on the +x links that
@@ -80,7 +77,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._blas import one_blas_thread
-from .algebra import _gram_top
 from .errors import ConvergenceError, GapBoundError, IndeterminateKernelError, ResolutionError
 
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
@@ -93,7 +89,7 @@ _MAX_ITERATIONS = 300  # Rayleigh-Ritz steps per chain solve
 # half that saving, four no further saving in time)
 _SOLVES_PER_STEP = 3
 _RESIDUAL_TOL = 1e-10  # on |(B^* B + 1)^-1 v - mu v| for each wanted Ritz pair
-KERNEL_TOL = 1e-6  # the kernel is the singular values below KERNEL_TOL * sigma_max
+KERNEL_TOL = 1e-6  # the kernel is the singular values below KERNEL_TOL * norm_bound
 
 
 @dataclass(frozen=True)
@@ -229,15 +225,16 @@ def _chain_triplets(chains: sp.csr_matrix, lu, g: int, m: int):
 def _kernel_data(n_flux: int, grid: int, gauge: str):
     """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors.
 
-    Returns (sigma_max, the k values ascending, their orthonormal right
+    Returns (norm_bound, the k values ascending, their orthonormal right
     singular vectors as columns); one cached solve serves every query.
+    norm_bound >= |D+|: the exact top at N = 0, at N > 0 max |diagonal| + b.
     """
     if gauge == "symmetric-periodic":
         # D_symmetric = G D_Landau G^*: the Landau values, and G times its vectors
-        sigma_max, svals, vecs = _kernel_data(n_flux, grid, "landau")
+        norm_bound, svals, vecs = _kernel_data(n_flux, grid, "landau")
         vecs = vecs * _symmetric_phase(n_flux, grid).reshape(-1, 1)
         vecs.flags.writeable = False
-        return sigma_max, svals, vecs
+        return norm_bound, svals, vecs
     build_dolbeault(n_flux, grid, gauge)  # validates the arguments
     N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
     modes = np.zeros((M * M, k), dtype=complex)  # (xi_x, xi_y) at N = 0, else (j, p)
@@ -245,7 +242,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
         symbol = np.hypot(freq[:, None], freq[None, :]).ravel() / math.sqrt(2.0)
         order = np.argsort(symbol, kind="stable")[:k]
-        sigma_max, svals = float(symbol.max()), symbol[order]
+        norm_bound, svals = float(symbol.max()), symbol[order]
         modes[order, np.arange(k)] = 1.0
     else:
         # chain c, position s = t*M + j holds site (j, p = c - t*N mod M)
@@ -257,12 +254,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         c0, rep, shift = _chain_classes(N, M)
         diag = _chain_diagonal(N, M, np.arange(c0))
         chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(c0), _cyclic_step(L))).tocsr()
-        # zig-zag columns 0, L-1, 1, L-2, ... make each cyclic chain's
-        # tridiagonal-plus-corner normal matrix a band of width 2
-        half, odd = np.divmod(np.arange(L), 2)
-        zigzag = np.where(odd, L - 1 - half, half)
-        perm = (L * np.arange(c0)[:, None] + zigzag).ravel()
-        sigma_max = math.sqrt(_gram_top(chains[:, perm], (np.abs(diag).max() + b) ** 2))
+        norm_bound = float(np.abs(diag).max()) + b  # triangle inequality on each chain
         normal = (chains.getH() @ chains).tocsc()
         lu = spla.splu(normal + sp.identity(c0 * L, format="csc"))
         m = min(L, -(-k // g) + 2)  # an even share of k per chain, and two spare
@@ -281,23 +273,20 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
     vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
     svals.flags.writeable = False
     vecs.flags.writeable = False
-    return sigma_max, svals, vecs.reshape(M * M, k)
+    return norm_bound, svals, vecs.reshape(M * M, k)
 
 
-def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
-    """Read-only cached vectors with singular value below tol * sigma_max.
+def _kernel_basis(n_flux: int, grid: int, gauge: str) -> np.ndarray:
+    """Read-only cached vectors with singular value below KERNEL_TOL * norm_bound.
 
-    tol is KERNEL_TOL unless ``kernel_dimension`` is given another.
     Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
     unitary FFT).  Raises if a singular value is within a factor 10 of the
     threshold (either side), so an ambiguous kernel fails loudly, and if none
     is below it: the grid does not resolve the kernel (at N = 0 the constants
     have sigma = 0 exactly, so only N > 0 can fail this way).
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    sigma_max, svals, vecs = _kernel_data(n_flux, grid, gauge)
-    threshold = tol * sigma_max
+    norm_bound, svals, vecs = _kernel_data(n_flux, grid, gauge)
+    threshold = KERNEL_TOL * norm_bound
     if svals[-1] < threshold:
         raise IndeterminateKernelError(
             "kernel not separated within the computed low spectrum"
@@ -315,14 +304,14 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str, tol: float) -> np.ndarray:
     return vecs[:, : np.count_nonzero(svals < threshold)]
 
 
-def kernel_dimension(pair: DolbeaultPair, tol: float = KERNEL_TOL) -> int:
-    """Kernel count below tol * sigma_max, tol = KERNEL_TOL by default; ambiguous or empty raises."""
-    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, tol).shape[1]
+def kernel_dimension(pair: DolbeaultPair) -> int:
+    """Kernel count below KERNEL_TOL * norm_bound; ambiguous or empty raises."""
+    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge).shape[1]
 
 
 def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
-    """Orthonormal basis (M^2, dim_kernel) of the kernel below KERNEL_TOL * sigma_max."""
-    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge, KERNEL_TOL)
+    """Orthonormal basis (M^2, dim_kernel) of the kernel below KERNEL_TOL * norm_bound."""
+    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge)
 
 
 def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
@@ -353,7 +342,7 @@ def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     return SpectralReport(
         kernel_dim=dim_kernel,
         gap_degree1=gap,
-        parametrix_norm=gap**-0.5,  # gap >= (KERNEL_TOL * sigma_max)^2 > 0
+        parametrix_norm=gap**-0.5,  # gap >= (KERNEL_TOL * norm_bound)^2 > 0
         spectrum_degree0=spectrum,
     )
 

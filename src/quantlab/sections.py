@@ -151,11 +151,18 @@ def gram_positivity(
     Gaussian truncation tail.  Only the blocks i <= j are formed, in a
     Fortran-order array that LAPACK reduces in place from its upper triangle
     (``lower=False``: the lower blocks stay zero and are never read).
+    Raises ValueError on no sections, or on a section whose width is not
+    the twist s: the pairing acts with the section's own width.
     """
     import warnings
 
     from .algebra import regular_representation
 
+    if not sections:
+        raise ValueError("no sections to pair")
+    for psi in sections:
+        if psi.s != s:
+            raise ValueError(f"section width s = {psi.s!r} differs from the twist s = {s!r}")
     k = len(sections)
     dim = (2 * rep_radius + 1) ** 2
     big = np.zeros((k * dim, k * dim), dtype=complex, order="F")

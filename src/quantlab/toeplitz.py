@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .algebra import AlgebraElement, convolve, reflect
-from .dolbeault import KERNEL_TOL, _kernel_basis
+from .dolbeault import _kernel_basis
 from .errors import DegenerateToeplitzError
 
 
@@ -113,7 +113,7 @@ def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
 
 def holomorphic_basis(n_flux: int, grid: int) -> np.ndarray:
     """Orthonormal Landau-gauge kernel basis at (N, M), read off the cached kernel solve."""
-    return _kernel_basis(n_flux, grid, "landau", KERNEL_TOL)
+    return _kernel_basis(n_flux, grid, "landau")
 
 
 def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> np.ndarray:

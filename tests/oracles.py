@@ -16,6 +16,7 @@ import numpy as np
 
 from quantlab.algebra import ball_points, compose, involution, sigma
 from quantlab.cocycle import solve_phi
+from quantlab.errors import IndeterminateKernelError, ResolutionError
 from quantlab.sections import module_inner
 
 
@@ -219,6 +220,21 @@ def sample_loop(f, grid: int) -> np.ndarray:
     for (j, k), c in f.terms.items():
         out += c * np.exp(2j * math.pi * (j * x + k * y))
     return out.ravel()
+
+
+def dense_kernel_judgement(dense: np.ndarray, tol: float):
+    """The kernel rule applied to a dense SVD, scaled by the exact top singular value.
+
+    Returns the number of singular values below ``tol * top``, or the error
+    type the rule raises: ``IndeterminateKernelError`` when a value lies
+    within a factor 10 of the threshold (either side), ``ResolutionError``
+    when none lies below it.
+    """
+    svals = np.linalg.svd(dense, compute_uv=False)
+    threshold = tol * svals[0]
+    if np.any((threshold / 10.0 < svals) & (svals < threshold * 10.0)):
+        return IndeterminateKernelError
+    return int(np.count_nonzero(svals < threshold)) or ResolutionError
 
 
 def cyclic_shift(n: int) -> np.ndarray:

@@ -84,6 +84,7 @@ def test_both_solver_loops_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(algebra.la, "cholesky_banded", recording(algebra.la.cholesky_banded))
     monkeypatch.setattr(dolbeault.np.linalg, "qr", recording(dolbeault.np.linalg.qr))
+    norm_estimate(harper_element(KC, 0.0), KC, 0.5, 4)
     dolbeault._kernel_data.__wrapped__(3, 24, "landau")  # bypass the cache
     ones = [1] * len(_blas._openblas_thread_setters())
     assert {name for name, _ in seen} == {"cholesky_banded", "qr"}

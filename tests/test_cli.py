@@ -543,6 +543,14 @@ def test_toeplitz_sweep_one_sample_is_the_first_flux(capsys):
     assert len(rows) == 4 and {r.split(",")[1] for r in rows} == {"4"}
 
 
+def test_toeplitz_sweep_samples_span_the_smallest_and_largest_flux(capsys):
+    # the picks ran from the first value given to the last, dropping N = 16
+    assert main(["toeplitz-sweep", "--N", "4,16,8", "--samples", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["4", "16"] * 4
+    assert cli._subsample([4, 16, 8], 1) == [4]
+
+
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_samples_below_1_rejected_on_argv_and_in_config(samples, tmp_path, capsys):
     # a count below 1 has no first value to keep; it must not mean "all of --N"
@@ -623,8 +631,8 @@ def test_negative_continuity_threshold_rejected_on_argv_and_in_config(s_grid, tm
 
 
 def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
-    # one factorization cannot close the sigma_max bracket of a fresh kernel solve
-    monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
+    # one Rayleigh-Ritz step cannot converge the chain iteration of a fresh kernel solve
+    monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
     dolbeault._kernel_data.cache_clear()
     code = main(["spectral", "--n-flux", "1", "--grid", "16"])
     out = json.loads(capsys.readouterr().out)
@@ -749,6 +757,30 @@ def test_cocycle_check_gate_fails_past_1e_10(which, monkeypatch, capsys):
     assert lines[0] == "claim,n1,m1,n2,m2,value"
     assert summary["pairs"] == 25 * 25
     assert summary[f"{which}_residual"] > 1e-10
+
+
+def test_module_gram_sections_of_another_width_than_s_exit_2(tmp_path, capsys):
+    # the twist used --s (default 2.0) while the sections paired with their
+    # own width: a false -0.67 minimum eigenvalue and exit 1
+    path = tmp_path / "sections.jsonl"
+    path.write_text(json.dumps([_edit(SECTION_TERM, s=1.5)]) + "\n")
+    argv = ["module-gram", "--radius", "2", "--rep-radius", "1", "--sections", str(path)]
+    assert main(argv) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "usage-error" and out["error"] == "ValueError"
+    assert out["message"] == "section width s = 1.5 differs from the twist s = 2.0"
+    assert main(argv + ["--s", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_eigenvalue"] >= -1e-9
+
+
+def test_module_gram_empty_sections_file_exits_2(tmp_path, capsys):
+    # it escaped main as an IndexError traceback
+    path = tmp_path / "sections.jsonl"
+    path.write_text("\n")
+    assert main(["module-gram", "--radius", "2", "--rep-radius", "1", "--sections", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "usage-error" and out["error"] == "ValueError"
+    assert out["message"] == "no sections to pair"
 
 
 def test_module_gram_gate_fails_past_minus_1e_9(monkeypatch, capsys):
