@@ -107,7 +107,8 @@ def _positive_int(text: str) -> int:
 
 
 def _subsample(values: list[int], count: int) -> list[int]:
-    """At most ``count`` >= 1 of ``values``, nearest a geometric spacing from min to max."""
+    """At most ``count`` >= 1 distinct ``values``, ascending, nearest a geometric spacing min to max."""
+    values = sorted(set(values))
     if count >= len(values):
         return values
     picks = np.unique(np.round(np.geomspace(min(values), max(values), count)).astype(int))

@@ -34,11 +34,15 @@ c0 = d / g, chain c is chain r = c mod c0 rolled by Delta_c, where
 N Delta_c = (c - r) M (mod M^2), so its diagonal (equal integers u) and
 matrix are r's permuted, bit for bit, and its singular vectors are r's
 rolled.  Only the c0 representatives are solved: one chain whenever N | M.
-A block subspace iteration with one sparse LU of the shifted normal matrix
-B^* B + 1 finds their lowest singular triplets; the block takes three LU
-solves between Rayleigh-Ritz steps, and convergence is tested on the first
-of them.  The loop runs on one BLAS thread (``_blas.one_blas_thread``):
-its QRs and SVDs are of L x 2m blocks, too small for a second OpenBLAS
+A chain B = diag(d) + b S (S the cyclic step) is never assembled: B Q is
+d Q plus b times Q shifted one site along the chain, and the one sparse
+matrix built is the shifted normal matrix B^* B + 1, whose three cyclic
+diagonals are |d|^2 + b^2 + 1 and b conj(d_i) at (i, i+1 mod L) with its
+conjugate at (i+1 mod L, i).  A block subspace iteration with one sparse
+LU of it finds the representatives' lowest singular triplets; the block
+takes three LU solves between Rayleigh-Ritz steps, and convergence is
+tested on the first of them.  The loop runs on one BLAS thread
+(``_blas.one_blas_thread``): its QRs and SVDs are of L x 2m blocks, too small for a second OpenBLAS
 thread to pay (a complex QR of a 576 x 12 block took 0.23 ms on two
 threads and 0.11-0.16 ms on one, on a 2-core machine).  Rayleigh-Ritz is
 an SVD of B Q, so singular values carry eps * |D+| error like a dense SVD
@@ -51,11 +55,12 @@ fluxless operator is the exact spectral derivative, symbol
 (i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets are
 read off the symbol, and norm_bound is the symbol's maximum, |D+|.
 
-Gauge.  Only D_plus depends on the gauge.  The Landau gauge puts the link
+Gauge.  Only D_plus depends on the gauge, and it is only ever applied, by
+``_apply_dplus``, never assembled.  The Landau gauge puts the link
 phase e^{-i phi j} on every +y link and e^{i phi M k} on the +x links that
 cross the seam j = M-1 -> 0, with phi = 2 pi N / M^2 the flux per plaquette.
-The symmetric-periodic operator is built as G D_Landau G^* for the diagonal
-site phase G[j, k] = exp(-i pi N j k / M^2) of ``_symmetric_phase``: the same
+The symmetric-periodic operator is G D_Landau G^* for the diagonal site
+phase G[j, k] = exp(-i pi N j k / M^2) of ``_symmetric_phase``: the same
 singular values, and singular vectors multiplied by G.  A Toeplitz
 compression Theta^* diag(f) Theta does not see G, so everything downstream
 of the kernel is gauge-free.
@@ -70,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,35 +99,11 @@ KERNEL_TOL = 1e-6  # the kernel is the singular values below KERNEL_TOL * norm_b
 
 @dataclass(frozen=True)
 class DolbeaultPair:
-    """Degree-0 -> degree-1 block of the lattice Dolbeault operator, assembled on first read."""
+    """Degree-0 -> degree-1 block of the lattice Dolbeault operator: validated arguments only."""
 
     n_flux: int
     grid: int
     gauge: str
-
-    @cached_property
-    def dplus(self) -> sp.csr_matrix:
-        M, eye = self.grid, sp.identity(self.grid)
-        if self.n_flux == 0:
-            # exact spectral derivative F^* diag(i xi) F along each axis
-            freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-            d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
-            grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
-        else:
-            # Landau link phases on (j, k) -> (j+1, k) and (j, k) -> (j, k+1)
-            phi, step = 2.0 * math.pi * self.n_flux / (M * M), _cyclic_step(M)
-            j = np.arange(M)[:, None].astype(float)
-            k = np.arange(M)[None, :].astype(float)
-            ux = np.ones((M, M), dtype=complex)
-            ux[M - 1, :] = np.exp(1j * phi * M * k[0])
-            uy = np.exp(-1j * phi * j) * np.ones((1, M))
-            grad_x = M * (sp.diags(ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
-            grad_y = M * (sp.diags(uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
-        dplus = (grad_x + 1j * grad_y) / math.sqrt(2.0)
-        if self.gauge == "symmetric-periodic":
-            site = sp.diags(_symmetric_phase(self.n_flux, M).ravel())
-            dplus = site @ dplus @ site.conj()
-        return dplus.tocsr()
 
 
 @dataclass(frozen=True)
@@ -133,18 +114,13 @@ class SpectralReport:
     spectrum_degree0: tuple
 
 
-def _cyclic_step(n: int) -> sp.csr_matrix:
-    """Sparse n x n matrix of v -> v(i + 1 mod n)."""
-    return (sp.eye(n, k=1) + sp.eye(n, k=1 - n)).tocsr()
-
-
 def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
     """Site phases G[j, k] = exp(-i pi N j k / M^2): D_symmetric = G D_Landau G^*."""
     return np.exp(-1j * math.pi * n_flux * np.outer(np.arange(grid), np.arange(grid)) / grid**2)
 
 
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
-    """D_plus at flux N on the M x M grid, its sparse matrix assembled when first read.
+    """D_plus at flux N on the M x M grid, applied as a stencil by ``_apply_dplus``.
 
     Requires M >= max(4, 4N), without which the lowest magnetic band cannot
     be resolved.  The floor is necessary, not sufficient: of the 152 grids
@@ -161,6 +137,44 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
     return DolbeaultPair(n_flux, grid, gauge)
+
+
+def _apply_dplus(pair: DolbeaultPair, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """D+ v, or D+^* v if ``adjoint``, for a (M^2, k) block v of site values.
+
+    At N > 0 the forward differences with the Landau link phases (the seam
+    phase on x, e^{-i phi j} on y), or for the adjoint the transposed
+    stencil; at N = 0 the symbol (i xi_x - xi_y) / sqrt(2), conjugated for
+    the adjoint, through a 2-D FFT.  The symmetric-periodic operator is
+    G D_Landau G^*, so its adjoint is G D_Landau^* G^*.
+    """
+    N, M = pair.n_flux, pair.grid
+    u = v.reshape(M, M, -1)
+    if pair.gauge == "symmetric-periodic":
+        site = _symmetric_phase(N, M)[..., None]
+        u = u * site.conj()
+    if N == 0:
+        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
+        symbol = (1j * freq[:, None] - freq[None, :]) / math.sqrt(2.0)
+        if adjoint:
+            symbol = symbol.conj()
+        out = np.fft.ifft2(symbol[..., None] * np.fft.fft2(u, axes=(0, 1)), axes=(0, 1))
+    else:
+        phi = 2.0 * math.pi * N / (M * M)
+        seam = np.exp(1j * phi * M * np.arange(M))[:, None]  # ux on (M-1, k) -> (0, k), else 1
+        uy = np.exp(-1j * phi * np.arange(M))[:, None, None]  # on every (j, k) -> (j, k+1)
+        if adjoint:  # conj(ux[j-1, k]) u[j-1, k] and conj(uy[j]) u[j, k-1]
+            x, y = np.roll(u, 1, axis=0), uy.conj() * np.roll(u, 1, axis=1)
+            x[0] *= seam.conj()
+            out = x - u - 1j * (y - u)
+        else:  # ux[j, k] u[j+1, k] and uy[j] u[j, k+1]
+            x, y = np.roll(u, -1, axis=0), uy * np.roll(u, -1, axis=1)
+            x[-1] *= seam
+            out = x - u + 1j * (y - u)
+        out *= M / math.sqrt(2.0)
+    if pair.gauge == "symmetric-periodic":
+        out *= site
+    return out.reshape(M * M, -1)
 
 
 def _chain_classes(n_flux: int, grid: int):
@@ -192,22 +206,25 @@ def _chain_diagonal(n_flux: int, grid: int, chain: np.ndarray) -> np.ndarray:
     return b * (-1.0 + 1j * (np.exp(2j * math.pi * u / (M * M)) - 1.0))
 
 
-def _chain_triplets(chains: sp.csr_matrix, lu, g: int, m: int):
+def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
     """Lowest m singular values (ascending) and right vectors of each chain.
 
+    Chain c is B = diag(diag[c]) + b S, S the cyclic step v -> v(i + 1 mod L).
     The g chains iterate as one (g, L, 2m) block; ``lu`` factors B^* B + 1,
     and the block takes _SOLVES_PER_STEP solves with it between Rayleigh-Ritz
     steps.  Convergence is tested on the first of them: the step's pairs are
     returned once each wanted Ritz pair (mu, v) of that inverse has
     |(B^* B + 1)^-1 v - mu v| <= _RESIDUAL_TOL.
     """
-    n = chains.shape[0]
-    L, q = n // g, min(n // g, 2 * m)
+    g, L = diag.shape
+    n, q = g * L, min(L, 2 * m)
     x = np.random.default_rng(0).standard_normal((g, L, q))
     with one_blas_thread():
         for _ in range(_MAX_ITERATIONS):
             basis = np.linalg.qr(x)[0]
-            bq = (chains @ basis.reshape(n, q)).reshape(g, L, q)
+            bq = diag[:, :, None] * basis  # B Q: the diagonal, then b times the next site
+            bq[:, :-1] += b * basis[:, 1:]
+            bq[:, -1] += b * basis[:, 0]
             _, svals, wh = np.linalg.svd(np.linalg.qr(bq, mode="r"))  # the SVD of B Q
             svals, ritz = svals[:, ::-1], basis @ wh[:, ::-1].conj().transpose(0, 2, 1)
             x = lu.solve(ritz.reshape(n, q)).reshape(g, L, q)
@@ -253,17 +270,22 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         b = M / math.sqrt(2.0)
         c0, rep, shift = _chain_classes(N, M)
         diag = _chain_diagonal(N, M, np.arange(c0))
-        chains = (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(c0), _cyclic_step(L))).tocsr()
         norm_bound = float(np.abs(diag).max()) + b  # triangle inequality on each chain
-        normal = (chains.getH() @ chains).tocsc()
-        lu = spla.splu(normal + sp.identity(c0 * L, format="csc"))
+        # B^* B + 1 from its three cyclic diagonals per chain
+        here = np.arange(c0 * L).reshape(c0, L)
+        ahead = np.roll(here, -1, axis=1).ravel()
+        here, upper = here.ravel(), b * diag.conj().ravel()
+        main = (diag.real**2 + diag.imag**2 + (b * b + 1.0)).ravel()
+        entries = np.concatenate([main, upper, upper.conj()])
+        rows, cols = np.concatenate([here, here, ahead]), np.concatenate([here, ahead, here])
+        lu = spla.splu(sp.csc_matrix((entries, (rows, cols)), shape=(c0 * L, c0 * L)))
         m = min(L, -(-k // g) + 2)  # an even share of k per chain, and two spare
-        values, ritz = _chain_triplets(chains, lu, c0, m)
+        values, ritz = _chain_triplets(diag, b, lu, m)
         # what a chain leaves out lies above its m-th value, so the merged
         # lowest k are certain once they sit at or below every chain's m-th
         while m < L and np.sort(values[rep], axis=None)[k - 1] > values[:, -1].min():
             m = min(L, 2 * m)
-            values, ritz = _chain_triplets(chains, lu, c0, m)
+            values, ritz = _chain_triplets(diag, b, lu, m)
         # every chain is its representative's matrix rolled by its shift
         values = values[rep]
         ritz = ritz[rep[:, None], (np.arange(L) - shift[:, None]) % L]
@@ -355,9 +377,12 @@ def weitzenbock_residual(pair: DolbeaultPair) -> float:
     momenta the forward differences see the Brillouin-zone corner and the
     identity degrades by O(1) regardless of refinement.  The residual is
     therefore the operator norm of the defect restricted to the smoothest
-    available states, the numerical kernel, and shrinks like O(M^-2).
+    available states, the numerical kernel, and shrinks like O(M^-2).  D+
+    and D+* are applied to the kernel block as stencils (``_apply_dplus``);
+    at N = 0 the Fourier symbol annihilates the constant kernel exactly.
     """
     theta = kernel_basis(pair)
-    d, dh = pair.dplus, pair.dplus.getH()
-    defect = d @ (dh @ theta) - dh @ (d @ theta) - CURVATURE_SCALE * pair.n_flux * theta
+    d_dh = _apply_dplus(pair, _apply_dplus(pair, theta, adjoint=True))
+    dh_d = _apply_dplus(pair, _apply_dplus(pair, theta), adjoint=True)
+    defect = d_dh - dh_d - CURVATURE_SCALE * pair.n_flux * theta
     return float(np.linalg.norm(defect, 2))

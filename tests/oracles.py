@@ -2,9 +2,11 @@
 
 Each oracle is deliberately written against the raw definitions (explicit
 loops, Bloch reduction, brute-force quadrature) and never calls the code
-path it is used to check.  The last two helpers are reference checks rather
-than oracles: they measure a property (plaquette holonomy, Hermitian
-symmetry of the module pairing) of the library's own output.
+path it is used to check.  ``dplus_matrix`` and ``chain_matrix`` assemble as
+sparse matrices the operators the library only applies as stencils.  The
+last two helpers are reference checks rather than oracles: they measure a
+property (plaquette holonomy of ``dplus_matrix``, Hermitian symmetry of the
+module pairing) that the library's output must have.
 """
 
 import cmath
@@ -13,6 +15,7 @@ import math
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from quantlab.algebra import ball_points, compose, involution, sigma
 from quantlab.cocycle import solve_phi
@@ -244,13 +247,56 @@ def cyclic_shift(n: int) -> np.ndarray:
     return s
 
 
+def _cyclic_step(n: int) -> sp.csr_matrix:
+    """Sparse n x n matrix of v -> v(i + 1 mod n)."""
+    return (sp.eye(n, k=1) + sp.eye(n, k=1 - n)).tocsr()
+
+
+def dplus_matrix(n_flux: int, grid: int, gauge: str = "landau") -> sp.csr_matrix:
+    """The lattice D+ on the M x M grid as a sparse M^2-square matrix, site (j, k) at j*M + k.
+
+    At N = 0 the spectral derivative F^* diag(i xi) F along each axis; at
+    N > 0 the forward differences M (u S - 1) with the Landau link phases
+    ux = e^{i phi M k} on the seam row j = M-1 (1 elsewhere) and
+    uy = e^{-i phi j}, phi = 2 pi N / M^2; D+ = (grad_x + i grad_y) / sqrt 2.
+    The symmetric-periodic operator is G D_Landau G^* with
+    G[j, k] = exp(-i pi N j k / M^2).
+    """
+    M, eye = grid, sp.identity(grid)
+    if n_flux == 0:
+        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
+        d1 = np.fft.ifft(1j * freq[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
+        grad_x, grad_y = sp.kron(d1, eye), sp.kron(eye, d1)
+    else:
+        phi, step = 2.0 * math.pi * n_flux / (M * M), _cyclic_step(M)
+        j = np.arange(M)[:, None].astype(float)
+        k = np.arange(M)[None, :].astype(float)
+        ux = np.ones((M, M), dtype=complex)
+        ux[M - 1, :] = np.exp(1j * phi * M * k[0])
+        uy = np.exp(-1j * phi * j) * np.ones((1, M))
+        grad_x = M * (sp.diags(ux.ravel()) @ sp.kron(step, eye) - sp.identity(M * M))
+        grad_y = M * (sp.diags(uy.ravel()) @ sp.kron(eye, step) - sp.identity(M * M))
+    dplus = (grad_x + 1j * grad_y) / math.sqrt(2.0)
+    if gauge == "symmetric-periodic":
+        phase = np.exp(-1j * math.pi * n_flux * np.outer(np.arange(M), np.arange(M)) / (M * M))
+        site = sp.diags(phase.ravel())
+        dplus = site @ dplus @ site.conj()
+    return dplus.tocsr()
+
+
+def chain_matrix(diag: np.ndarray, b: float) -> sp.csr_matrix:
+    """Block-diagonal matrix of the chains diag(d_c) + b S (S the cyclic step), d_c a row of ``diag``."""
+    chains, length = diag.shape
+    return (sp.diags(diag.ravel()) + b * sp.kron(sp.identity(chains), _cyclic_step(length))).tocsr()
+
+
 def plaquette_phases(pair) -> np.ndarray:
-    """Link phases of ``pair.dplus`` multiplied around each plaquette, traversed +y,+x,-y,-x.
+    """Link phases of ``pair``'s ``dplus_matrix`` multiplied around each plaquette (+y,+x,-y,-x).
 
     D+ = (M / sqrt 2) (ux S_x - 1 + i (uy S_y - 1)), so the entry from site
     (j, k) to (j+1, k) is M ux / sqrt 2 and the one to (j, k+1) is i M uy / sqrt 2.
     """
-    M, d = pair.grid, pair.dplus.toarray()
+    M, d = pair.grid, dplus_matrix(pair.n_flux, pair.grid, pair.gauge).toarray()
     ux = np.empty((M, M), dtype=complex)
     uy = np.empty((M, M), dtype=complex)
     for j in range(M):

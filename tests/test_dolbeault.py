@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from quantlab.dolbeault import (
 from quantlab.errors import ConvergenceError, IndeterminateKernelError, ResolutionError
 from quantlab.toeplitz import TrigPolynomial, toeplitz
 
-from oracles import dense_kernel_judgement, lll_theta_profile, plaquette_phases
+from oracles import (
+    chain_matrix,
+    dense_kernel_judgement,
+    dplus_matrix,
+    lll_theta_profile,
+    plaquette_phases,
+)
 
 
 def test_plaquette_fluxes():
@@ -28,6 +35,65 @@ def test_plaquette_fluxes():
         expected = np.exp(2j * math.pi * 3 / 400)
         assert np.abs(plaquettes - expected).max() < 1e-12
         assert np.angle(plaquettes).sum() == pytest.approx(2 * math.pi * 3, abs=1e-10)
+
+
+# N = 0..3 on the grids 8, 12 and 16 that build_dolbeault accepts
+_STENCIL_GRIDS = [(n, m) for n in range(4) for m in (8, 12, 16) if m >= max(4, 4 * n)]
+
+
+@pytest.mark.parametrize("n_flux,grid", _STENCIL_GRIDS)
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_apply_dplus_matches_the_oracle_matrix(n_flux, grid, gauge):
+    pair = build_dolbeault(n_flux, grid, gauge)
+    dense = dplus_matrix(n_flux, grid, gauge).toarray()
+    norm_bound = dolbeault._kernel_data(n_flux, grid, gauge)[0]
+    rng = np.random.default_rng(grid + 10 * n_flux)
+    v = rng.standard_normal((grid * grid, 5)) + 1j * rng.standard_normal((grid * grid, 5))
+    v /= np.linalg.norm(v, axis=0)
+    forward = dolbeault._apply_dplus(pair, v)
+    adjoint = dolbeault._apply_dplus(pair, v, adjoint=True)
+    assert forward.shape == adjoint.shape == v.shape
+    assert np.abs(forward - dense @ v).max() <= 1e-13 * norm_bound
+    assert np.abs(adjoint - dense.conj().T @ v).max() <= 1e-13 * norm_bound
+
+
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 20), (4, 18), (8, 36), (6, 27)])
+def test_shifted_normal_matrix_matches_the_oracle(monkeypatch, n_flux, grid):
+    # the B^* B + 1 factored for the chain solve, formed from its three
+    # cyclic diagonals, against the product of the oracle chain matrices; it
+    # is the one sparse matrix the solve builds (no chain matrix, no kron)
+    built, factored = [], []
+    splu = dolbeault.spla.splu
+
+    def csc_matrix(*args, **kwargs):
+        built.append(sp.csc_matrix(*args, **kwargs))
+        return built[-1]
+
+    def recorded(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dolbeault, "sp", types.SimpleNamespace(csc_matrix=csc_matrix))
+    monkeypatch.setattr(dolbeault.spla, "splu", recorded)
+    dolbeault._kernel_data.__wrapped__(n_flux, grid, "landau")  # bypass the cache
+    c0 = dolbeault._chain_classes(n_flux, grid)[0]
+    diag = dolbeault._chain_diagonal(n_flux, grid, np.arange(c0))
+    chains = chain_matrix(diag, grid / math.sqrt(2.0))
+    expected = (chains.getH() @ chains + sp.identity(chains.shape[0])).toarray()
+    assert len(factored) == len(built) == 1 and factored[0] is built[0]
+    assert np.abs(factored[0].toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (2, 16), (3, 24)])
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_weitzenbock_residual_matches_a_dense_oracle(n_flux, grid, gauge):
+    pair = build_dolbeault(n_flux, grid, gauge)
+    theta = kernel_basis(pair)
+    d = dplus_matrix(n_flux, grid, gauge).toarray()
+    dh = d.conj().T
+    defect = d @ (dh @ theta) - dh @ (d @ theta) - CURVATURE_SCALE * n_flux * theta
+    expected = np.linalg.norm(defect, 2)
+    assert weitzenbock_residual(pair) == pytest.approx(expected, rel=1e-12)
 
 
 def test_resolution_floor():
@@ -91,7 +157,8 @@ def test_kernel_dimension_matches_the_dense_judgement(n_flux):
     # count, or the error type, is the dense rule's on every grid
     for grid in range(4 * n_flux, 6 * n_flux + 1):
         pair = build_dolbeault(n_flux, grid)
-        expected = dense_kernel_judgement(pair.dplus.toarray(), dolbeault.KERNEL_TOL)
+        dense = dplus_matrix(n_flux, grid).toarray()
+        expected = dense_kernel_judgement(dense, dolbeault.KERNEL_TOL)
         try:
             found = kernel_dimension(pair)
         except (IndeterminateKernelError, ResolutionError) as exc:
@@ -138,8 +205,7 @@ def test_spectral_report_rejects_a_slack_that_is_not_finite(slack):
 
 def test_susy_pairing_of_nonzero_spectra():
     for n_flux, grid in [(1, 16), (2, 16)]:
-        pair = build_dolbeault(n_flux, grid)
-        dense = pair.dplus.toarray()
+        dense = dplus_matrix(n_flux, grid).toarray()
         v0 = np.sort(sla.eigvalsh(dense.conj().T @ dense))
         v1 = np.sort(sla.eigvalsh(dense @ dense.conj().T))
         nz0 = v0[v0 > 1e-6]
@@ -167,7 +233,7 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     # not isospectral, so the merge across chains is exercised; (8, 36) has
     # two classes of two chains, (6, 27) three chains in one class with N not
     # dividing M, so both expand rolled representatives
-    dense = build_dolbeault(n_flux, grid, gauge).dplus.toarray()
+    dense = dplus_matrix(n_flux, grid, gauge).toarray()
     norm_bound, svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
     reference = np.linalg.svd(dense, compute_uv=False)
     assert reference[0] <= norm_bound <= 1.04 * reference[0]
@@ -201,9 +267,9 @@ def test_one_chain_solve_serves_a_single_class(monkeypatch):
     lengths = []
     solve = dolbeault._chain_triplets
 
-    def counted(chains, lu, g, m):
-        lengths.append((g, chains.shape[0]))
-        return solve(chains, lu, g, m)
+    def counted(diag, b, lu, m):
+        lengths.append(diag.shape)
+        return solve(diag, b, lu, m)
 
     monkeypatch.setattr(dolbeault, "_chain_triplets", counted)
     dolbeault._kernel_data.__wrapped__(9, 72, "landau")  # bypass the cache
@@ -216,8 +282,8 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
     shares = []
     solve = dolbeault._chain_triplets
 
-    def uncertain_first_pass(chains, lu, g, m):
-        values, ritz = solve(chains, lu, g, m)
+    def uncertain_first_pass(diag, b, lu, m):
+        values, ritz = solve(diag, b, lu, m)
         if not shares:
             values = values.copy()
             values[0, -1] = 0.0
@@ -226,7 +292,7 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
 
     monkeypatch.setattr(dolbeault, "_chain_triplets", uncertain_first_pass)
     _, svals, _ = dolbeault._kernel_data.__wrapped__(4, 18, "landau")  # bypass the cache
-    reference = np.linalg.svd(build_dolbeault(4, 18).dplus.toarray(), compute_uv=False)
+    reference = np.linalg.svd(dplus_matrix(4, 18).toarray(), compute_uv=False)
     assert len(shares) == 2 and shares[1] > shares[0]
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
 
@@ -269,22 +335,25 @@ def test_chain_solve_fits_in_16_rayleigh_ritz_steps(monkeypatch, n_flux, grid):
 
 @pytest.mark.parametrize("n_flux,grid", [(1, 16), (8, 36)])
 def test_returned_chain_pairs_meet_the_residual_certificate(monkeypatch, n_flux, grid):
-    # recomputed with a fresh factorization: |(B^* B + 1)^-1 v - v / (1 + sigma^2)|
-    # for every pair returned, at one chain and at two classes of two chains
+    # recomputed with a fresh factorization of the oracle chain matrix:
+    # |(B^* B + 1)^-1 v - v / (1 + sigma^2)| for every pair returned, at one
+    # chain and at two classes of two chains
     calls = []
     solve = dolbeault._chain_triplets
 
-    def recorded(chains, lu, g, m):
-        values, ritz = solve(chains, lu, g, m)
-        calls.append((chains, g, values, ritz))
+    def recorded(diag, b, lu, m):
+        values, ritz = solve(diag, b, lu, m)
+        calls.append((diag, b, values, ritz))
         return values, ritz
 
     monkeypatch.setattr(dolbeault, "_chain_triplets", recorded)
     dolbeault._kernel_data.__wrapped__(n_flux, grid, "landau")  # bypass the cache
     assert calls
-    for chains, g, values, ritz in calls:
-        n, m = chains.shape[0], values.shape[1]
-        assert ritz.shape == (g, n // g, m)
+    for diag, b, values, ritz in calls:
+        (g, length), m = diag.shape, values.shape[1]
+        n = g * length
+        assert ritz.shape == (g, length, m)
+        chains = chain_matrix(diag, b)
         normal = (chains.getH() @ chains + sp.identity(n)).tocsc()
         x = spla.splu(normal).solve(ritz.reshape(n, m)).reshape(ritz.shape)
         residual = np.linalg.norm(x - ritz / (1.0 + values[:, None, :] ** 2), axis=1)
@@ -312,14 +381,6 @@ def test_kernel_basis_orthonormal():
     assert np.abs(gram - np.eye(3)).max() < 1e-10
 
 
-def test_dplus_assembled_on_first_read():
-    pair = build_dolbeault(3, 24)
-    assert kernel_dimension(pair) == 3
-    assert "dplus" not in vars(pair)
-    assert pair.dplus.shape == (24 * 24, 24 * 24)
-    assert vars(pair)["dplus"] is pair.dplus
-
-
 def test_kernel_density_matches_theta_oracle():
     # basis-independent density against quasi-periodic Gaussian sums; the
     # forward stencil lives on half-offset effective sites
@@ -344,8 +405,8 @@ def test_gauge_invariance_of_spectra():
     a = build_dolbeault(4, 32, "landau")
     b = build_dolbeault(4, 32, "symmetric-periodic")
     assert kernel_dimension(a) == kernel_dimension(b) == 4
-    sa = np.sort(sla.svdvals(a.dplus.toarray()))
-    sb = np.sort(sla.svdvals(b.dplus.toarray()))
+    sa = np.sort(sla.svdvals(dplus_matrix(4, 32, "landau").toarray()))
+    sb = np.sort(sla.svdvals(dplus_matrix(4, 32, "symmetric-periodic").toarray()))
     assert np.abs(sa - sb).max() < 1e-9
     # Toeplitz matrices do not see the gauge: the symmetric-periodic kernel
     # basis is the Landau one times a diagonal unitary
