@@ -60,10 +60,7 @@ OPERATION_COVERAGE = {
     "dolbeault.weitzenbock_residual": "spectral",
     "dolbeault.kernel_basis": "spectral",
     "toeplitz.toeplitz": "toeplitz-sweep",
-    "toeplitz.product_defect": "toeplitz-sweep",
-    "toeplitz.commutator_defect": "toeplitz-sweep",
-    "toeplitz.first_order_defect": "toeplitz-sweep",
-    "toeplitz.trace_limit_defect": "toeplitz-sweep",
+    "toeplitz.defect_sweep": "toeplitz-sweep",
     "toeplitz.weyl_relation": "weyl",
     "toeplitz.bargmann_matrix_element": "bargmann",
     "toeplitz.heisenberg_generator_check": "heisenberg",
@@ -74,8 +71,17 @@ OPERATION_COVERAGE = {
 
 # public operations no subcommand runs; `cocycle-check` reaches the phases
 # through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
-# by a derived cocycle
-LIBRARY_ONLY = {"cocycle.solve_phi", "cocycle.cocycle_table"}
+# by a derived cocycle.  `toeplitz-sweep` takes all four defects from
+# `toeplitz.defect_sweep`; the single-defect functions stay for library
+# callers, the tests, and the benchmark tracer, which looks each one up by name.
+LIBRARY_ONLY = {
+    "cocycle.solve_phi",
+    "cocycle.cocycle_table",
+    "toeplitz.product_defect",
+    "toeplitz.commutator_defect",
+    "toeplitz.first_order_defect",
+    "toeplitz.trace_limit_defect",
+}
 
 
 def _parse_range(text: str) -> list[int]:
@@ -311,16 +317,13 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
-def _sweep_cell(f, g, n_flux, grid_rule):
-    grid = max(16, grid_rule * n_flux)
-    return {
-        "N": n_flux,
-        "M": grid,
-        "product-defect-decay": toeplitz.product_defect(f, g, n_flux, grid),
-        "commutator-defect-decay": toeplitz.commutator_defect(f, g, n_flux, grid),
-        "first-order-defect-decay": toeplitz.first_order_defect(f, g, n_flux, grid),
-        "trace-limit": toeplitz.trace_limit_defect(f, n_flux, grid),
-    }
+# toeplitz-sweep claim -> key of a toeplitz.defect_sweep cell
+_SWEEP_CLAIMS = {
+    "product-defect-decay": "product",
+    "commutator-defect-decay": "commutator",
+    "first-order-defect-decay": "first_order",
+    "trace-limit": "trace",
+}
 
 
 def _cmd_toeplitz_sweep(args) -> int:
@@ -330,21 +333,15 @@ def _cmd_toeplitz_sweep(args) -> int:
     flux_values = _parse_range(args.N)
     if min(flux_values) < 1:
         raise ValueError(f"toeplitz-sweep needs flux N >= 1, got {min(flux_values)}")
-    flux_values = _subsample(flux_values, args.samples)
-    cells = [_sweep_cell(f, g, n, args.grid_rule) for n in flux_values]
+    cells = [(n, max(16, args.grid_rule * n)) for n in _subsample(flux_values, args.samples)]
+    defects = toeplitz.defect_sweep(f, g, cells)
     rows = []
-    for claim in (
-        "product-defect-decay",
-        "commutator-defect-decay",
-        "first-order-defect-decay",
-        "trace-limit",
-    ):
+    for claim, key in _SWEEP_CLAIMS.items():
         seen_n, seen_v = [], []
-        for cell in cells:
-            seen_n.append(cell["N"])
-            seen_v.append(cell[claim])
-            slope = toeplitz.fit_loglog_slope(seen_n, seen_v)
-            rows.append([claim, cell["N"], cell["M"], cell[claim], slope])
+        for (n, grid), cell in zip(cells, defects):
+            seen_n.append(n)
+            seen_v.append(cell[key])
+            rows.append([claim, n, grid, cell[key], toeplitz.fit_loglog_slope(seen_n, seen_v)])
     _write_rows(args.output, ["claim", "N", "M", "defect", "fitted_slope_so_far"], rows)
     return 0
 

@@ -21,6 +21,7 @@ from quantlab.algebra import ball_points, compose, involution, sigma
 from quantlab.cocycle import solve_phi
 from quantlab.errors import IndeterminateKernelError, ResolutionError
 from quantlab.sections import module_inner
+from quantlab.toeplitz import gradient_pairing, poisson_bracket, toeplitz
 
 
 def twisted_convolution(a_terms, b_terms, kappa, s):
@@ -223,6 +224,31 @@ def sample_loop(f, grid: int) -> np.ndarray:
     for (j, k), c in f.terms.items():
         out += c * np.exp(2j * math.pi * (j * x + k * y))
     return out.ravel()
+
+
+def toeplitz_defects_separate(f, g, n_flux: int, grid: int) -> dict:
+    """The four sweep defects, each assembling its own Toeplitz matrices.
+
+    Ten assemblies and four symbol products per cell; the first-order term is
+    T(fg + G/N) of the combined symbol, not T(fg) + T(G)/N.
+    """
+    def t(symbol):
+        return toeplitz(symbol, n_flux, grid)
+
+    def opnorm(a):
+        return float(np.linalg.norm(a, 2))
+
+    def multiplicativity(symbol):
+        return opnorm(t(f) @ t(g) - t(symbol))
+
+    tf, tg = t(f), t(g)
+    trace_f = t(f)
+    return {
+        "product": multiplicativity(f * g),
+        "commutator": opnorm(tf @ tg - tg @ tf - (1j / n_flux) * t(poisson_bracket(f, g))),
+        "first_order": multiplicativity(f * g + gradient_pairing(f, g).scale(1.0 / n_flux)),
+        "trace": float(abs(np.trace(trace_f) / trace_f.shape[0] - f.mean())),
+    }
 
 
 def dense_kernel_judgement(dense: np.ndarray, tol: float):

@@ -30,12 +30,9 @@ from quantlab.sections import module_inner, project_act, vacuum
 from quantlab.surface_index import l2_index, natsume_nest_trace
 from quantlab.toeplitz import (
     bargmann_matrix_element,
-    commutator_defect,
-    first_order_defect,
+    defect_sweep,
     fit_loglog_slope,
     named_symbol,
-    product_defect,
-    trace_limit_defect,
     weyl_relation,
 )
 
@@ -54,19 +51,10 @@ def _line(num, name, passed, detail, elapsed):
 def _sweep_cells():
     if "cells" not in _sweep_cache:
         f, g = named_symbol("cos2pix"), named_symbol("cos2piy")
-        cells = []
-        for n in SWEEP_FLUX:
-            grid = max(16, 8 * n)
-            cells.append(
-                {
-                    "N": n,
-                    "product": product_defect(f, g, n, grid),
-                    "commutator": commutator_defect(f, g, n, grid),
-                    "first_order": first_order_defect(f, g, n, grid),
-                    "trace": trace_limit_defect(f, n, grid),
-                }
-            )
-        _sweep_cache["cells"] = cells
+        grids = [(n, max(16, 8 * n)) for n in SWEEP_FLUX]
+        _sweep_cache["cells"] = [
+            {"N": n, **defects} for n, defects in zip(SWEEP_FLUX, defect_sweep(f, g, grids))
+        ]
     return _sweep_cache["cells"]
 
 

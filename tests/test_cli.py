@@ -24,6 +24,7 @@ PUBLIC_OPERATIONS = {
     "dolbeault": ["build_dolbeault", "kernel_dimension", "spectral_report", "weitzenbock_residual", "kernel_basis"],
     "toeplitz": [
         "toeplitz",
+        "defect_sweep",
         "product_defect",
         "commutator_defect",
         "first_order_defect",
@@ -578,20 +579,31 @@ def test_samples_below_1_rejected_on_argv_and_in_config(samples, tmp_path, capsy
     assert out["status"] == "config-error" and "--samples: invalid _positive_int" in out["message"]
 
 
+def _no_solve(*args):
+    raise AssertionError("solved before the arguments were checked")
+
+
 @pytest.mark.parametrize(
     "flux, samples, lowest",
     [("0,4,8", "2", 0), ("0", "1", 0), ("-2..4", "7", -2)],
 )
 def test_toeplitz_sweep_rejects_flux_below_1_before_solving(flux, samples, lowest, monkeypatch, capsys):
     # the check comes before the subsample's geomspace and before any kernel solve
-    def no_solve(*args):
-        raise AssertionError("solved before the flux was checked")
-
-    monkeypatch.setattr(dolbeault, "_kernel_data", no_solve)
+    monkeypatch.setattr(dolbeault, "_kernel_data", _no_solve)
     assert main(["toeplitz-sweep", f"--N={flux}", "--samples", samples]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "usage-error"
     assert out["message"] == f"toeplitz-sweep needs flux N >= 1, got {lowest}"
+
+
+def test_toeplitz_sweep_rejects_a_complex_f_before_solving(monkeypatch, capsys):
+    # the trace limit needs a real f; the sweep used to solve the first kernel
+    # and take three defects before the trace-limit defect refused it
+    monkeypatch.setattr(dolbeault, "_kernel_data", _no_solve)
+    assert main(["toeplitz-sweep", "--fg", "exp-2pix,cos2piy", "--N", "4"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "usage-error" and out["error"] == "ValueError"
+    assert out["message"] == "trace limit defect is defined for real symbols"
 
 
 NON_FINITE_RUNS = [

@@ -1,14 +1,18 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import quantlab.toeplitz as toeplitz_module
+from quantlab import dolbeault
 from quantlab.dolbeault import build_dolbeault, kernel_basis
 from quantlab.toeplitz import (
     TrigPolynomial,
     bargmann_matrix_element,
     commutator_defect,
+    defect_sweep,
     first_order_defect,
     fit_loglog_slope,
     gradient_pairing,
@@ -22,7 +26,7 @@ from quantlab.toeplitz import (
     weyl_relation,
 )
 
-from oracles import clock_shift_scalar, cyclic_shift, fft_partials, sample_loop
+from oracles import clock_shift_scalar, cyclic_shift, fft_partials, sample_loop, toeplitz_defects_separate
 
 rng = np.random.default_rng(33)
 
@@ -233,6 +237,64 @@ def test_trace_of_operator_product_converges():
         values.append(abs(np.trace(t @ t) / n - (F * F).mean()))
     assert fit_loglog_slope(SWEEP, values) <= -0.7
     assert values[-1] < values[0]
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_defect_sweep_matches_the_separate_assemblies(seed):
+    local = np.random.default_rng(seed)  # leaves the module rng to the other tests
+
+    def real_symbol():
+        modes = {}
+        for j, k in local.integers(-2, 3, (5, 2)).tolist():
+            z = complex(*local.normal(size=2))
+            modes[(j, k)] = modes.get((j, k), 0.0) + z
+            modes[(-j, -k)] = modes.get((-j, -k), 0.0) + z.conjugate()
+        return TrigPolynomial(modes)
+
+    f, g = real_symbol(), real_symbol()
+    cells = [(1, 16), (2, 16), (3, 24), (5, 40), (6, 60)]
+    for (n, grid), cell in zip(cells, defect_sweep(f, g, cells), strict=True):
+        expected = toeplitz_defects_separate(f, g, n, grid)
+        assert cell.keys() == expected.keys()
+        for key, value in expected.items():
+            assert cell[key] == pytest.approx(value, rel=1e-12, abs=1e-15), (n, grid, key)
+
+
+def test_defect_sweep_assembles_five_matrices_per_cell_and_three_products_per_call(monkeypatch):
+    # the per-defect path assembled ten matrices and formed four products per cell
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(toeplitz_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(toeplitz_module, name, wrapper)
+
+    counted("toeplitz")
+    counted("convolve")
+    cells = [(2, 16), (3, 24), (4, 32)]
+    defect_sweep(F, G, cells)
+    assert calls == {"toeplitz": 5 * len(cells), "convolve": 3}
+
+
+@pytest.mark.parametrize(
+    "f, cells, message",
+    [
+        (named_symbol("exp-2pix"), [(4, 32)], "trace limit defect is defined for real symbols"),
+        (F, [(4, 32), (0, 16)], "commutator defect divides by the flux; need N >= 1, got 0"),
+    ],
+)
+def test_defect_sweep_rejects_before_any_kernel_solve(f, cells, message, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before the symbol and the flux were checked")
+
+    monkeypatch.setattr(dolbeault, "_kernel_data", no_solve)
+    with pytest.raises(ValueError) as exc:
+        defect_sweep(f, G, cells)
+    assert str(exc.value) == message
 
 
 def test_holomorphic_basis_is_the_landau_kernel_basis():
