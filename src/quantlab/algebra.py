@@ -252,14 +252,18 @@ def ball_index(n, m, radius: int):
     return (n + radius) * (2 * radius + 1) + (m + radius)
 
 
-def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
+def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stacklevel: int):
+    """Values, rows, columns (no pair repeats) and dimension of the compression.
+
+    ``stacklevel`` is the caller's, as it would pass it to ``warnings.warn``.
+    """
     if radius <= 0:
         raise TruncationError(f"truncation radius must be positive, got {radius}")
     if a.support_radius() > radius:
         warnings.warn(
             "support radius %d exceeds truncation radius %d; compression is lossy"
             % (a.support_radius(), radius),
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
     dim = (2 * radius + 1) ** 2
     n, m = np.divmod(np.arange(dim), 2 * radius + 1)
@@ -271,8 +275,12 @@ def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp
     term, col = np.nonzero((np.abs(tn) <= radius) & (np.abs(tm) <= radius))
     rows = ball_index(tn[term, col], tm[term, col], radius)
     phase = cocycle((shifts[term, 0], shifts[term, 1]), (n[col], m[col]))
-    vals = coeffs[term] * np.exp(1j * s * phase)
-    return sp.csr_matrix((vals, (rows, col)), shape=(dim, dim))
+    return coeffs[term] * np.exp(1j * s * phase), rows, col, dim
+
+
+def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
+    vals, rows, cols, dim = _regrep_entries(a, cocycle, s, radius, stacklevel=3)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def regular_representation(
@@ -283,8 +291,13 @@ def regular_representation(
     Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, rows/columns
     whose target leaves the ball are truncated.  The cocycle is called once,
     on integer arrays over (terms x ball), so it must broadcast over them.
+    The entries are scattered into a dense array, with no sparse matrix in
+    between; the result is ``_regular_rep_sparse(...).toarray()`` bit for bit.
     """
-    return _regular_rep_sparse(a, cocycle, s, radius).toarray()
+    vals, rows, cols, dim = _regrep_entries(a, cocycle, s, radius, stacklevel=2)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rows, cols] = vals
+    return mat
 
 
 _NORM_REL_WIDTH = 1e-12  # relative width of the certified bracket on ||A||^2

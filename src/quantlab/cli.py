@@ -200,16 +200,16 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
     return worst
 
 
-def _row_reprs(values: np.ndarray) -> Iterator[list[str]]:
-    """``repr`` of each float of the 2-D array ``values``, one list per row.
+def _row_reprs(values: np.ndarray) -> Iterator[np.ndarray]:
+    """``repr`` of each float of the 2-D array ``values``, one object array per row.
 
-    Each distinct value is formatted once.  Values are keyed by their bits,
-    so 0.0 and -0.0, equal as floats, keep their own text.
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so 0.0 and -0.0, equal as floats, keep their own text.
     """
-    text = {}
-    for row in values:
-        bits = row.view(np.int64).tolist()
-        yield [text.get(b) or text.setdefault(b, repr(v)) for b, v in zip(bits, row.tolist())]
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    for row in index.reshape(values.shape):
+        yield texts[row]
 
 
 def _cmd_cocycle_check(args) -> int:
@@ -217,9 +217,9 @@ def _cmd_cocycle_check(args) -> int:
     points, values, residual = cocycle.cocycle_grid(gauge(args.omega0), args.radius)
     # one ball point's lines in one join: "cocycle-value,n1,m1" + ",n2,m2," + repr(value)
     heads = [f"cocycle-value,{n},{m}" for n, m in points]
-    cells = [f",{n},{m}," for n, m in points]
+    cells = np.array([f",{n},{m}," for n, m in points], dtype=object)
     rows = (
-        head + ("\n" + head).join(map(str.__add__, cells, texts)) + "\n"
+        head + ("\n" + head).join(cells + texts) + "\n"
         for head, texts in zip(heads, _row_reprs(values))
     )
     closed_dev = None

@@ -120,21 +120,30 @@ def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
     return complex(np.vdot(psi.coeffs, np.exp(exponent) @ phi.coeffs)) / psi.s
 
 
+def _pairings(psi: GaussianSection, phis: Sequence[GaussianSection], radius: int) -> list:
+    """``module_inner(psi, phi, radius)`` for each phi of ``phis``.
+
+    psi is translated once per ball point and paired there with every phi.
+    """
+    if radius < 1:
+        raise ValueError("truncation radius must be >= 1")
+    coeffs = [{} for _ in phis]
+    for gamma in ball_points(radius):
+        moved = project_act(psi, gamma)
+        for out, phi in zip(coeffs, phis):
+            out[gamma] = l2_inner(moved, phi)
+    return [AlgebraElement(c) for c in coeffs]
+
+
 def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> AlgebraElement:
     """Algebra-valued inner product truncated to the sup-norm ball.
 
     Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``; summation runs in
     lexicographic gamma order for bit-stable output.  Dropped-tail size is
-    of order exp(-(pi s / 2) R^2).
+    of order exp(-(pi s / 2) R^2).  The one-section case of the pairing loop
+    that ``gram_positivity`` runs.
     """
-    if radius < 1:
-        raise ValueError("truncation radius must be >= 1")
-    coeffs = {}
-    for gamma in ball_points(radius):
-        value = l2_inner(project_act(psi, gamma), phi)
-        if value != 0:
-            coeffs[gamma] = value
-    return AlgebraElement(coeffs)
+    return _pairings(psi, [phi], radius)[0]
 
 
 def gram_positivity(
@@ -151,6 +160,9 @@ def gram_positivity(
     Gaussian truncation tail.  Only the blocks i <= j are formed, in a
     Fortran-order array that LAPACK reduces in place from its upper triangle
     (``lower=False``: the lower blocks stay zero and are never read).
+    Block row i comes from one pairing loop: psi_i is translated once per
+    point of the radius ball and paired there with each psi_j, j >= i, so
+    k sections take k (2R+1)^2 translations and k(k+1)/2 (2R+1)^2 pairings.
     Raises ValueError on no sections, or on a section whose width is not
     the twist s: the pairing acts with the section's own width.
     """
@@ -167,10 +179,7 @@ def gram_positivity(
     dim = (2 * rep_radius + 1) ** 2
     big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
     for i, psi in enumerate(sections):
-        for j, phi in enumerate(sections):
-            if j < i:
-                continue
-            gram = module_inner(psi, phi, radius)
+        for j, gram in enumerate(_pairings(psi, sections[i:], radius), start=i):
             with warnings.catch_warnings():
                 # rep_radius < radius is intended: the Gram element is
                 # compressed, its tail accounted for by tail_bound

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quantlab import algebra
+from quantlab import algebra, cocycle
 from quantlab.algebra import (
     U,
     V,
@@ -207,8 +207,25 @@ def test_regular_representation_rejects_bad_radius():
 
 def test_regular_representation_warns_on_lossy_truncation():
     wide = AlgebraElement.basis((5, 0))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         regular_representation(wide, KC, 0.1, 2)
+        norm_estimate(wide, KC, 0.1, 2)
+    # both point past quantlab's frames, at this caller
+    assert [w.filename for w in caught] == [__file__, __file__]
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["kappa", "tabulated"])
+def test_regular_representation_is_the_sparse_assembly_bit_for_bit(tabulated):
+    gen = np.random.default_rng(2107)  # own stream: later draws of rng unchanged
+    table = cocycle.cocycle_table(cocycle.landau_gauge(), 2) if tabulated else KC
+    for radius in (1, 3, 4):
+        for s in (0.0, 0.45, 1.7):
+            shifts = gen.integers(-radius, radius + 1, size=(6, 2)).tolist()
+            a = AlgebraElement({tuple(g): complex(*gen.normal(size=2)) for g in shifts})
+            dense = regular_representation(a, table, s, radius)
+            sparse = algebra._regular_rep_sparse(a, table, s, radius).toarray()
+            assert dense.dtype == sparse.dtype and dense.shape == sparse.shape
+            assert dense.tobytes() == sparse.tobytes()
 
 
 @pytest.mark.parametrize("radius", [1, 3, 6])

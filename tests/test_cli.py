@@ -166,7 +166,7 @@ def test_row_reprs_format_each_distinct_value_once(monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(cli, "repr", counted, raising=False)
-    rows = list(cli._row_reprs(values))
+    rows = [row.tolist() for row in cli._row_reprs(values)]
     assert rows == [[repr(v) for v in row] for row in values.tolist()]
     assert rows[0][:2] == ["0.0", "-0.0"]
     # 0.0 and -0.0 are equal floats with different text: keyed apart
@@ -176,12 +176,13 @@ def test_row_reprs_format_each_distinct_value_once(monkeypatch):
 @pytest.mark.parametrize("potential", ["symmetric", "landau"])
 def test_cocycle_check_rows_equal_the_per_value_repr_oracle(potential, tmp_path, capsys):
     target = tmp_path / "cocycle.csv"
-    argv = ["cocycle-check", "--radius", "3", "--potential", potential, "--output", str(target)]
-    assert main(argv) == 0
-    capsys.readouterr()
     gauge = cocycle.symmetric_gauge if potential == "symmetric" else cocycle.landau_gauge
-    points, values, _ = cocycle.cocycle_grid(gauge(), 3)
-    assert target.read_bytes() == cocycle_rows_loop(points, values).encode()
+    for radius in (3, 7):  # 7: the benchmark's grid
+        argv = ["cocycle-check", "--radius", str(radius), "--potential", potential]
+        assert main(argv + ["--output", str(target)]) == 0
+        capsys.readouterr()
+        points, values, _ = cocycle.cocycle_grid(gauge(), radius)
+        assert target.read_bytes() == cocycle_rows_loop(points, values).encode()
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 5])

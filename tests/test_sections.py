@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quantlab import sections
 from quantlab.algebra import (
     AlgebraElement,
     KappaCocycle,
@@ -243,6 +244,23 @@ def test_gram_positivity_matches_eigvalsh_of_the_full_hermitian_matrix():
     assert report["dimension"] == full.shape[0] == 3 * 49
     assert report["min_eigenvalue"] == pytest.approx(eigvals[0], rel=1e-9, abs=1e-12)
     assert report["max_eigenvalue"] == pytest.approx(eigvals[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_gram_positivity_translates_each_section_once_per_ball_point(k, monkeypatch):
+    calls = {"project_act": 0, "l2_inner": 0}
+    for name in calls:
+        original = getattr(sections, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sections, name, counted)
+    s, radius, points = 1.5, 3, 7**2
+    secs = [offset_section(np.random.default_rng(40 + i), s, 2) for i in range(k)]
+    gram_positivity(secs, KC, s, radius, 2)
+    assert calls == {"project_act": k * points, "l2_inner": k * (k + 1) // 2 * points}
 
 
 def test_truncation_tail_dominates_radius_increment():
