@@ -19,6 +19,12 @@ certified relative bracket of 1e-12 on its square (banded Cholesky
 factorizations of ``t I - A* A``): a finite-rank lower bound for the reduced
 norm, nondecreasing in ``R``.  The bracket is ``_gram_top``, the top
 eigenvalue of ``A* A`` for any sparse ``A`` whose ``A* A`` is banded.
+``A* A`` couples only ball points whose difference lies in the lattice the
+hop differences ``supp(a) - supp(a)`` span, so ``norm_estimate`` lists the
+ball coset by coset of that lattice (lexicographic within a coset; ball
+order when the lattice is Z^2).  For the Harper element, whose hops span
+the checkerboard, that halves the band: ``2R+1`` (27 at R = 13), not the
+``2(2R+1)`` (54) of the ball order.
 """
 
 from __future__ import annotations
@@ -252,6 +258,12 @@ def ball_index(n, m, radius: int):
     return (n + radius) * (2 * radius + 1) + (m + radius)
 
 
+def _ball_coordinates(radius: int):
+    """``ball_points(radius)`` as two integer arrays ``n, m``, in order."""
+    n, m = np.divmod(np.arange((2 * radius + 1) ** 2), 2 * radius + 1)
+    return n - radius, m - radius
+
+
 def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stacklevel: int):
     """Values, rows, columns (no pair repeats) and dimension of the compression.
 
@@ -266,8 +278,7 @@ def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stackleve
             stacklevel=stacklevel + 1,
         )
     dim = (2 * radius + 1) ** 2
-    n, m = np.divmod(np.arange(dim), 2 * radius + 1)
-    n, m = n - radius, m - radius  # ball_points(radius), in order
+    n, m = _ball_coordinates(radius)
     shifts = np.array(list(a._terms), dtype=np.int64).reshape(-1, 2)
     coeffs = np.array(list(a._terms.values()), dtype=complex)
     tn, tm = shifts[:, :1] + n, shifts[:, 1:] + m
@@ -275,12 +286,43 @@ def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stackleve
     term, col = np.nonzero((np.abs(tn) <= radius) & (np.abs(tm) <= radius))
     rows = ball_index(tn[term, col], tm[term, col], radius)
     phase = cocycle((shifts[term, 0], shifts[term, 1]), (n[col], m[col]))
+    # the largest angle, from a temporary freed before the entries are formed
+    if not math.isfinite(s * float(np.abs(phase).max(initial=0.0))):
+        raise ValueError(f"twist s = {s!r} times a cocycle value is not a finite angle")
     return coeffs[term] * np.exp(1j * s * phase), rows, col, dim
 
 
 def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
     vals, rows, cols, dim = _regrep_entries(a, cocycle, s, radius, stacklevel=3)
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray | None:
+    """Ball indices grouped by coset of the hop lattice of ``a``; None if it is Z^2.
+
+    ``A* A`` couples ball points ``p, p'`` only when ``p' - p`` lies in ``L``,
+    the lattice spanned by ``supp(a) - supp(a)``, so it is block-diagonal over
+    the cosets of ``L``; listing each coset contiguously, lexicographic
+    within, narrows its band.  With ``L`` in triangular (Hermite) form,
+    spanned by ``(p, q)`` and ``(0, r)``, the coset of ``(n, m)`` is labelled
+    ``(n mod p, (m - q floor(n / p)) mod r)``; ``p = 0`` or ``r = 0`` (a
+    support on a line or a point) leaves that coordinate as is.
+    """
+    p = q = r = 0
+    n0, m0 = next(iter(a._terms), E)
+    for n, m in a._terms:  # Euclid's steps on the rows (p, q) and (n - n0, m - m0)
+        x, y = n - n0, m - m0
+        while x:
+            k = p // x
+            p, q, x, y = x, y, p - k * x, q - k * y
+        r = math.gcd(r, y)
+    if abs(p) == r == 1:
+        return None
+    n, m = _ball_coordinates(radius)
+    if p:
+        steps = n // p  # whole steps by (p, q)
+        n, m = n - p * steps, m - q * steps
+    return np.lexsort((m % r if r else m, n))
 
 
 def regular_representation(
@@ -323,11 +365,14 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
     ``_NORM_MAX_STEPS`` factorizations.
 
     The loop runs on one BLAS thread (``_blas.one_blas_thread``).  Its bands are
-    narrow (width 54 for the Harper element at R = 13), and there a second
-    OpenBLAS thread costs more than it saves: one R = 13 factorization took
-    3.4-3.5 ms on two threads and 1.2-1.5 ms on one (2-core machine).  Two
-    threads break even near R = 20-30 and win from about R = 40 (32 against
-    39 ms per factorization, 110-122 against 136-154 ms at R = 60).
+    narrow (width 27 for the Harper element at R = 13 in ``norm_estimate``'s
+    coset order, 54 in ball order), and there a second OpenBLAS thread costs
+    more than it saves: one R = 13 factorization took 0.99 ms on two threads
+    and 0.22 ms on one (2-core machine).  On the coset-ordered Harper band,
+    two threads break even on one factorization near R = 60 (width 121,
+    28-29 ms) and win by under 10 % at R = 80 (67-69 against 74 ms); whole
+    norm estimates stayed faster on one thread up to R = 80 (1.1 against
+    1.8-1.9 s).
     """
     if mat.nnz == 0:
         return 0.0
@@ -379,12 +424,16 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
 def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
     """Largest singular value of the truncated regular representation.
 
-    The exact compression norm: ``_gram_top`` with the squared l1 bound, as
-    ``A* A`` is banded in the lexicographic ball order.  A finite-rank lower
+    The exact compression norm: ``_gram_top`` with the squared l1 bound, on
+    the columns in ``_coset_order``, where ``A* A`` is block-diagonal by
+    coset and banded (the ball order when the hops span Z^2).  A finite-rank lower
     bound for the reduced C*-norm: nondecreasing in ``radius`` and bounded
     above by the l1 norm of the coefficients.
     """
     mat = _regular_rep_sparse(a, cocycle, s, radius)
+    order = _coset_order(a, radius)
+    if order is not None:
+        mat = mat[:, order]
     return math.sqrt(_gram_top(mat, a.l1_norm() ** 2))
 
 

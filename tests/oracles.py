@@ -53,6 +53,32 @@ def regular_representation_loop(a, cocycle, s: float, radius: int) -> np.ndarray
     return mat
 
 
+def coupling_components_loop(support, radius: int) -> list:
+    """Connected components of the ball under steps by the hop differences.
+
+    A breadth-first search over ``ball_points(radius)``: ``g`` and ``g + d``
+    are joined for every difference ``d = h - h'`` of two points of
+    ``support`` when both lie in the ball.  Each component is returned as a
+    lexicographically sorted list of points, in order of its first point.
+    """
+    steps = {(h[0] - k[0], h[1] - k[1]) for h in support for k in support} - {(0, 0)}
+    unseen = set(ball_points(radius))
+    components = []
+    for start in ball_points(radius):
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        component = [start]
+        for g in component:  # read while it grows: breadth first
+            for d in steps:
+                nxt = compose(g, d)
+                if nxt in unseen:
+                    unseen.discard(nxt)
+                    component.append(nxt)
+        components.append(sorted(component))
+    return components
+
+
 def hofstadter_bloch_norm(p: int, q: int, grid: int = 240) -> float:
     """Norm of the hopping element at rational twist s = p/q.
 

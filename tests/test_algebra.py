@@ -7,10 +7,12 @@ import pytest
 
 from quantlab import algebra, cocycle
 from quantlab.algebra import (
+    E,
     U,
     V,
     AlgebraElement,
     KappaCocycle,
+    ball_index,
     ball_points,
     compose,
     harper_element,
@@ -24,7 +26,12 @@ from quantlab.algebra import (
 )
 from quantlab.errors import ConvergenceError, TruncationError
 
-from oracles import hofstadter_bloch_norm, regular_representation_loop, twisted_convolution
+from oracles import (
+    coupling_components_loop,
+    hofstadter_bloch_norm,
+    regular_representation_loop,
+    twisted_convolution,
+)
 
 rng = np.random.default_rng(1123)
 KC = KappaCocycle()
@@ -255,12 +262,95 @@ def test_norm_estimate_is_the_dense_compression_norm_harper(s):
     assert norm_estimate(h, KC, s, 13) == pytest.approx(dense, rel=1e-10, abs=0.0)
 
 
+# hop lattices of index 2 or more: [U]+[U]* spans 2Z x 0, this one an index-3 lattice
+SUBLATTICE_ELEMENTS = [
+    AlgebraElement.basis(U) + involution(AlgebraElement.basis(U), KC, 0.0),
+    AlgebraElement({E: 0.7, (1, 1): 1.0 - 0.4j, (-1, 2): 0.3 + 1.1j}),
+]
+
+
 @pytest.mark.parametrize("radius", [4, 8, 12])
 def test_norm_estimate_is_the_dense_compression_norm_random(radius):
     for s in (0.23, 0.64):
-        a = random_element(n_terms=6, bound=3)
-        dense = np.linalg.norm(regular_representation(a, KC, s, radius), 2)
-        assert norm_estimate(a, KC, s, radius) == pytest.approx(dense, rel=1e-10, abs=0.0)
+        for a in (random_element(n_terms=6, bound=3), *SUBLATTICE_ELEMENTS):
+            dense = np.linalg.norm(regular_representation(a, KC, s, radius), 2)
+            assert norm_estimate(a, KC, s, radius) == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+
+def _band(mat) -> int:
+    gram = (mat.conj().T @ mat).tocoo()
+    return int(np.abs(gram.col - gram.row).max())
+
+
+def _solved_matrices(monkeypatch) -> list:
+    """The matrices ``norm_estimate`` hands to ``_gram_top`` from now on."""
+    seen, gram_top = [], algebra._gram_top
+
+    def spy(mat, bound):
+        seen.append(mat)
+        return gram_top(mat, bound)
+
+    monkeypatch.setattr(algebra, "_gram_top", spy)
+    return seen
+
+
+@pytest.mark.parametrize("radius", [4, 13])
+def test_norm_estimate_solves_the_harper_gram_on_half_the_band(monkeypatch, radius):
+    # checkerboard cosets: 2R+1 in place of the lexicographic 2(2R+1)
+    h = harper_element(KC, 0.0)
+    seen = _solved_matrices(monkeypatch)
+    norm_estimate(h, KC, 0.3, radius)
+    assert _band(seen[0]) == 2 * radius + 1
+    assert _band(algebra._regular_rep_sparse(h, KC, 0.3, radius)) == 2 * (2 * radius + 1)
+
+
+def test_norm_estimate_keeps_ball_order_when_the_hops_span_the_lattice(monkeypatch):
+    a = AlgebraElement({U: 0.5 - 1.0j, E: 1.0, V: 2.0, (1, 1): -0.3j})  # U first: Euclid ends on p = -1
+    assert algebra._coset_order(a, 6) is None
+    seen = _solved_matrices(monkeypatch)
+    for s in (0.0, 0.37):
+        value = norm_estimate(a, KC, s, 6)
+        mat = algebra._regular_rep_sparse(a, KC, s, 6)
+        assert seen[-1].toarray().tobytes() == mat.toarray().tobytes()
+        assert value == math.sqrt(algebra._gram_top(mat, a.l1_norm() ** 2))
+
+
+_support_rng = np.random.default_rng(2207)  # own stream: later draws of rng unchanged
+COUPLING_SUPPORTS = [
+    *([tuple(map(int, g)) for g in _support_rng.integers(-2, 3, size=(4, 2))] for _ in range(8)),
+    [U, (-1, 0)],
+    [(2, -1)],
+    [],
+]
+
+
+@pytest.mark.parametrize("support", COUPLING_SUPPORTS, ids=str)
+@pytest.mark.parametrize("radius", [4, 6])
+def test_coset_order_lists_each_coupling_component_contiguously(support, radius):
+    # radius >= 4, the longest hop difference, so each coset meets the ball in
+    # one component and a few isolated points; an isolated point couples to
+    # nothing in A* A, so where it sits cannot widen the band
+    order = algebra._coset_order(AlgebraElement({g: 1.0 for g in support}), radius)
+    if order is None:
+        order = np.arange((2 * radius + 1) ** 2)
+    components = coupling_components_loop(support, radius)
+    isolated = {ball_index(*c[0], radius) for c in components if len(c) == 1}
+    position = {int(i): k for k, i in enumerate(i for i in order if i not in isolated)}
+    for component in components:
+        if len(component) > 1:
+            at = [position[ball_index(n, m, radius)] for n, m in component]
+            assert at == list(range(at[0], at[0] + len(at)))  # contiguous, lexicographic
+
+
+def test_overflowing_twist_is_rejected_before_any_factorization(monkeypatch):
+    # s * phase overflowed to inf: NaN entries and 60 failed factorizations
+    h = harper_element(KC, 0.0)
+    monkeypatch.setattr(algebra, "_gram_top", None)
+    for compute in (regular_representation, norm_estimate):
+        with pytest.raises(ValueError, match="not a finite angle"):
+            compute(h, KC, 1e308, 3)
+    # a zero cocycle value keeps every angle finite
+    assert np.array_equal(regular_representation(AlgebraElement.unit(), KC, 1e308, 2), np.eye(25))
 
 
 def test_norm_estimate_raises_when_the_bracket_stays_open(monkeypatch):

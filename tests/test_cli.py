@@ -655,6 +655,20 @@ def test_negative_continuity_threshold_rejected_on_argv_and_in_config(s_grid, tm
         assert "continuity threshold must be at least 0" in out["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--mode", "norm", "--s", "1e308"], ["--mode", "norm-profile", "--s-grid", "1e308,0.5"]],
+    ids=["norm", "norm-profile"],
+)
+def test_overflowing_twist_exits_2_before_any_factorization(argv, monkeypatch, capsys):
+    # s * phase overflowed to inf: NaN entries, 60 failed factorizations and exit 1
+    monkeypatch.setattr(algebra, "_gram_top", None)
+    assert main(["algebra", *argv]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "usage-error" and out["error"] == "ValueError"
+    assert "not a finite angle" in out["message"]
+
+
 def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
     # one Rayleigh-Ritz step cannot converge the chain iteration of a fresh kernel solve
     monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)
