@@ -96,9 +96,17 @@ class TabulatedCocycle:
         return self.values[ball_index(n1, m1, self.radius), ball_index(n2, m2, self.radius)]
 
 
+def _finite_angle(s: float, value: float) -> float:
+    """Twist angle ``s * value`` of a cocycle value; ValueError if it is not finite."""
+    angle = s * float(value)
+    if not math.isfinite(angle):
+        raise ValueError(f"twist s = {s!r} times a cocycle value is not a finite angle")
+    return angle
+
+
 def sigma(cocycle, s: float, g1: Lattice, g2: Lattice) -> complex:
-    """Unit-modulus twist ``exp(i s c(g1, g2))``."""
-    return cmath.exp(1j * s * cocycle(g1, g2))
+    """Unit-modulus twist ``exp(i s c(g1, g2))``; ValueError if the angle is not finite."""
+    return cmath.exp(1j * _finite_angle(s, cocycle(g1, g2)))
 
 
 class AlgebraElement:
@@ -287,8 +295,7 @@ def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stackleve
     rows = ball_index(tn[term, col], tm[term, col], radius)
     phase = cocycle((shifts[term, 0], shifts[term, 1]), (n[col], m[col]))
     # the largest angle, from a temporary freed before the entries are formed
-    if not math.isfinite(s * float(np.abs(phase).max(initial=0.0))):
-        raise ValueError(f"twist s = {s!r} times a cocycle value is not a finite angle")
+    _finite_angle(s, np.abs(phase).max(initial=0.0))
     return coeffs[term] * np.exp(1j * s * phase), rows, col, dim
 
 

@@ -50,7 +50,6 @@ OPERATION_COVERAGE = {
     "algebra.regular_representation": "module-gram",
     "algebra.norm_estimate": "algebra",
     "algebra.norm_profile": "algebra",
-    "sections.project_act": "module-gram",
     "sections.l2_inner": "module-gram",
     "sections.module_inner": "module-gram",
     "sections.gram_positivity": "module-gram",
@@ -74,9 +73,12 @@ OPERATION_COVERAGE = {
 # by a derived cocycle.  `toeplitz-sweep` takes all four defects from
 # `toeplitz.defect_sweep`; the single-defect functions stay for library
 # callers, the tests, and the benchmark tracer, which looks each one up by name.
+# `module-gram` translates each section to the whole ball in one batch, of
+# which `sections.project_act` is the one-point case.
 LIBRARY_ONLY = {
     "cocycle.solve_phi",
     "cocycle.cocycle_table",
+    "sections.project_act",
     "toeplitz.product_defect",
     "toeplitz.commutator_defect",
     "toeplitz.first_order_defect",

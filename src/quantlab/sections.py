@@ -26,7 +26,14 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .algebra import AlgebraElement, Lattice, ball_points, json_records
+from .algebra import (
+    AlgebraElement,
+    Lattice,
+    _ball_coordinates,
+    ball_index,
+    ball_points,
+    json_records,
+)
 
 
 class GaussianSection:
@@ -80,22 +87,31 @@ def vacuum(s: float) -> GaussianSection:
     return GaussianSection(s, [1.0], [[0.0, 0.0]], [[0.0, 0.0]])
 
 
-def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
-    """Projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``, symmetric gauge.
+def _translates(psi: GaussianSection, n, m) -> list[GaussianSection]:
+    """``psi . (n[p], m[p])`` for each p of two integer arrays, in one broadcast.
 
-    In complex coordinates, with g = n + i m: gamma^* psi moves the centers
-    by -g; e^{i k.gamma} folds into the coefficients; the phase
-    s pi (m x - n y) adds s pi (m - i n) = -i s pi g to the waves.
+    The projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``
+    in the symmetric gauge.  In complex coordinates, with g = n + i m:
+    gamma^* psi moves the centers by -g; e^{i k.gamma} folds into the
+    coefficients; the phase s pi (m x - n y) adds s pi (m - i n) = -i s pi g
+    to the waves.  All points x terms are formed as (P, T) arrays at once,
+    then split into one section per point.  The coefficients enter as a
+    (1, T) row: numpy rounds a complex product by the operands' layout, and
+    a (T,) row would give P = 1 (``project_act``) other last bits than the
+    same point inside a larger batch.
     """
-    n, m = gamma
-    g = complex(n, m)
+    n, m = np.asarray(n)[:, None], np.asarray(m)[:, None]
+    g = n + 1j * m
     s, (kx, ky) = psi.s, psi.waves.T
-    return GaussianSection(
-        s,
-        psi.coeffs * np.exp(1j * (kx * n + ky * m)),
-        (psi.centers.view(complex) - g).view(float),
-        (psi.waves.view(complex) - 1j * s * math.pi * g).view(float),
-    )
+    coeffs = psi.coeffs[None, :] * np.exp(1j * (kx * n + ky * m))
+    centers = (psi.centers.view(complex).T - g)[..., None].view(float)
+    waves = (psi.waves.view(complex).T - 1j * s * math.pi * g)[..., None].view(float)
+    return [GaussianSection(s, *arrays) for arrays in zip(coeffs, centers, waves)]
+
+
+def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
+    """Projective action ``psi . gamma``, symmetric gauge: ``_translates`` at the point gamma."""
+    return _translates(psi, [gamma[0]], [gamma[1]])[0]
 
 
 def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
@@ -120,51 +136,54 @@ def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
     return complex(np.vdot(psi.coeffs, np.exp(exponent) @ phi.coeffs)) / psi.s
 
 
-def _pairings(psi: GaussianSection, phis: Sequence[GaussianSection], radius: int) -> list:
-    """``module_inner(psi, phi, radius)`` for each phi of ``phis``.
+def _pairings(psi: GaussianSection, phis: Sequence[GaussianSection], radius: int) -> np.ndarray:
+    """Coefficients ``<psi . gamma, phi>_{L^2}`` of ``module_inner(psi, phi, radius)``.
 
-    psi is translated once per ball point and paired there with every phi.
+    Returns a (len(phis), (2R+1)^2) array: row j holds phis[j], column p the
+    point p of ``ball_points(radius)``.  psi is translated to every ball
+    point in one ``_translates`` broadcast and paired there with each phi,
+    one ``l2_inner`` call per (point, phi).
     """
     if radius < 1:
         raise ValueError("truncation radius must be >= 1")
-    coeffs = [{} for _ in phis]
-    for gamma in ball_points(radius):
-        moved = project_act(psi, gamma)
-        for out, phi in zip(coeffs, phis):
-            out[gamma] = l2_inner(moved, phi)
-    return [AlgebraElement(c) for c in coeffs]
+    moved = _translates(psi, *_ball_coordinates(radius))
+    return np.array([[l2_inner(section, phi) for section in moved] for phi in phis])
 
 
 def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> AlgebraElement:
     """Algebra-valued inner product truncated to the sup-norm ball.
 
-    Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``; summation runs in
-    lexicographic gamma order for bit-stable output.  Dropped-tail size is
-    of order exp(-(pi s / 2) R^2).  The one-section case of the pairing loop
-    that ``gram_positivity`` runs.
+    Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``, the row of
+    ``_pairings`` read in ``ball_points`` (lexicographic) order, so the
+    output is bit-stable; zero coefficients are dropped.  Dropped-tail size
+    is of order exp(-(pi s / 2) R^2).
     """
-    return _pairings(psi, [phi], radius)[0]
+    row = _pairings(psi, [phi], radius)[0]
+    return AlgebraElement(dict(zip(ball_points(radius), row.tolist())))
 
 
-def gram_positivity(
-    sections: Sequence[GaussianSection],
-    cocycle,
-    s: float,
-    radius: int,
-    rep_radius: int,
-) -> dict:
-    """Assemble regular-representation images of all pairings; report PSD data.
+def _gram_upper(
+    sections: Sequence[GaussianSection], cocycle, s: float, radius: int, rep_radius: int
+) -> np.ndarray:
+    """Blocks i <= j of [rep(<psi_i|psi_j>)] in a Fortran-order array, lower blocks zero.
 
-    The block matrix [rep(<psi_i|psi_j>)] is the compression of a positive
-    element, so its smallest eigenvalue must not dip below roundoff plus the
-    Gaussian truncation tail.  Only the blocks i <= j are formed, in a
-    Fortran-order array that LAPACK reduces in place from its upper triangle
-    (``lower=False``: the lower blocks stay zero and are never read).
-    Block row i comes from one pairing loop: psi_i is translated once per
-    point of the radius ball and paired there with each psi_j, j >= i, so
-    k sections take k (2R+1)^2 translations and k(k+1)/2 (2R+1)^2 pairings.
-    Raises ValueError on no sections, or on a section whose width is not
-    the twist s: the pairing acts with the section's own width.
+    Block (i, j) has entry ``<psi_i|psi_j>(r - c) sigma_s(r - c, c)`` at
+    points r, c of the ``rep_radius`` ball.  Every hop r - c lies in the
+    ball of radius 2 rep_radius, so the pairings are formed on the radius
+    ``reach = min(radius, 2 rep_radius)`` only: no coefficient beyond it is
+    read.  The twist table ``sigma_s(r - c, c)`` is one
+    ``regular_representation``, of the indicator of the reach ball; each
+    block is the pairing row gathered at r - c times that table, written
+    straight into the array.  That is the block's own regular
+    representation bit for bit: a table entry is 1.0 times the twist, the
+    product keeps its operand order (numpy's complex product does not
+    commute to the bit), and an entry whose coefficient is zero, a term the
+    element does not have, stays +0 (0 times a twist can be -0).
+    Block row i comes from one ``_pairings`` call, so k sections take k
+    translation batches and k(k+1)/2 (2 reach+1)^2 pairings.  Raises
+    ValueError on no sections, on a section whose width is not the twist s
+    (the pairing acts with the section's own width), or on a radius below
+    1, before the twist table is built.
     """
     import warnings
 
@@ -175,22 +194,70 @@ def gram_positivity(
     for psi in sections:
         if psi.s != s:
             raise ValueError(f"section width s = {psi.s!r} differs from the twist s = {s!r}")
-    k = len(sections)
-    dim = (2 * rep_radius + 1) ** 2
+    if radius < 1:
+        raise ValueError("truncation radius must be >= 1")
+    reach = min(radius, 2 * rep_radius)
+    with warnings.catch_warnings():
+        # the indicator reaches past rep_radius on purpose: each hop between
+        # two ball points keeps its twist, the longer ones are cut
+        warnings.simplefilter("ignore", UserWarning)
+        indicator = AlgebraElement(dict.fromkeys(ball_points(reach), 1.0))
+        twist = regular_representation(indicator, cocycle, s, rep_radius)
+    n, m = _ball_coordinates(rep_radius)
+    dn, dm = n[:, None] - n, m[:, None] - m
+    # r - c as a column of a pairing row, or -1 (a zero appended to the row)
+    # where it leaves the reach ball
+    hop = np.where((np.abs(dn) <= reach) & (np.abs(dm) <= reach), ball_index(dn, dm, reach), -1)
+    k, dim = len(sections), len(n)
     big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
     for i, psi in enumerate(sections):
-        for j, gram in enumerate(_pairings(psi, sections[i:], radius), start=i):
-            with warnings.catch_warnings():
-                # rep_radius < radius is intended: the Gram element is
-                # compressed, its tail accounted for by tail_bound
-                warnings.simplefilter("ignore", UserWarning)
-                block = regular_representation(gram, cocycle, s, rep_radius)
-            big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-    eigvals = la.eigh(big, lower=False, eigvals_only=True, overwrite_a=True, check_finite=False)
+        for j, row in enumerate(_pairings(psi, sections[i:], reach), start=i):
+            coeffs = np.append(row, 0.0)[hop]
+            block = big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim]
+            np.multiply(coeffs, twist, out=block)
+            block[coeffs == 0] = 0.0
+    return big
+
+
+_BISECTION_TOL = 2 * np.finfo(float).tiny  # stebz ABSTOL: its most accurate value
+
+
+def gram_positivity(
+    sections: Sequence[GaussianSection],
+    cocycle,
+    s: float,
+    radius: int,
+    rep_radius: int,
+) -> dict:
+    """Extreme eigenvalues of the Gram matrix [rep(<psi_i|psi_j>)]; report PSD data.
+
+    The block matrix is the compression of a positive element, so its
+    smallest eigenvalue must not dip below roundoff plus the Gaussian
+    truncation tail, ``tail_bound`` at ``radius``.  ``_gram_upper`` forms
+    the blocks i <= j (and raises its ValueErrors); LAPACK ``zhetrd``
+    reduces that upper triangle in place to a real tridiagonal matrix (the
+    zero lower blocks are never read), and Sturm-count bisection
+    (``stebz``) locates eigenvalue 0 and eigenvalue n - 1 of it by index:
+    the reported minimum and maximum are the smallest and the largest by
+    count, without the rest of the spectrum.
+    """
+    big = _gram_upper(sections, cocycle, s, radius, rep_radius)
+    dim = len(big)
+    hetrd, hetrd_lwork = la.get_lapack_funcs(("hetrd", "hetrd_lwork"), (big,))
+    lwork, _ = hetrd_lwork(dim, lower=0)  # a failed query shows in hetrd's info
+    _, diag, off, _, info = hetrd(big, lower=0, lwork=int(lwork.real), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zhetrd of the Gram matrix failed with info = {info}")
+    lowest, highest = (
+        la.eigvalsh_tridiagonal(
+            diag, off, select="i", select_range=(e, e), check_finite=False, tol=_BISECTION_TOL
+        )[0]
+        for e in (0, dim - 1)
+    )
     return {
-        "sections": k,
-        "dimension": k * dim,
-        "min_eigenvalue": float(eigvals[0]),
-        "max_eigenvalue": float(eigvals[-1]),
+        "sections": len(sections),
+        "dimension": dim,
+        "min_eigenvalue": float(lowest),
+        "max_eigenvalue": float(highest),
         "tail_bound": math.exp(-(math.pi * s / 2.0) * radius**2),
     }

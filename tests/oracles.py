@@ -13,11 +13,12 @@ import cmath
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from quantlab.algebra import ball_points, compose, involution, sigma
+from quantlab.algebra import ball_points, compose, involution, regular_representation, sigma
 from quantlab.cocycle import solve_phi
 from quantlab.errors import IndeterminateKernelError, ResolutionError
 from quantlab.sections import module_inner
@@ -51,6 +52,25 @@ def regular_representation_loop(a, cocycle, s: float, radius: int) -> np.ndarray
             if row is not None:
                 mat[row, col] += z * sigma(cocycle, s, gp, g)
     return mat
+
+
+def gram_blocks_loop(sections, cocycle, s: float, radius: int, rep_radius: int) -> np.ndarray:
+    """Upper blocks of the Gram matrix [rep(<psi_i|psi_j>)], one block at a time.
+
+    Block (i, j), i <= j, is ``regular_representation(module_inner(psi_i,
+    psi_j, radius), ...)`` at ``rep_radius``, the whole radius paired; the
+    lower blocks stay zero.  A Fortran-order array, like the library's.
+    """
+    k, dim = len(sections), (2 * rep_radius + 1) ** 2
+    big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
+    for i in range(k):
+        for j in range(i, k):
+            gram = module_inner(sections[i], sections[j], radius)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the compression is lossy on purpose
+                block = regular_representation(gram, cocycle, s, rep_radius)
+            big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
+    return big
 
 
 def coupling_components_loop(support, radius: int) -> list:

@@ -353,6 +353,18 @@ def test_overflowing_twist_is_rejected_before_any_factorization(monkeypatch):
     assert np.array_equal(regular_representation(AlgebraElement.unit(), KC, 1e308, 2), np.eye(25))
 
 
+def test_multiply_and_involution_reject_an_overflowing_twist():
+    # cmath.exp of the infinite angle raised a bare "math domain error"
+    h = harper_element(KC, 0.0)
+    with pytest.raises(ValueError, match=r"twist s = 1e\+308 times a cocycle value is not a finite angle"):
+        multiply(h, h, KC, 1e308)
+    landau = cocycle.cocycle_table(cocycle.landau_gauge(), 2)  # c(g, g^-1) = 2 pi at g = (1, 1)
+    with pytest.raises(ValueError, match="not a finite angle"):
+        involution(AlgebraElement.basis((1, 1)), landau, 1e308)
+    # a zero cocycle value keeps the angle finite
+    assert multiply(AlgebraElement.unit(), h, KC, 1e308).terms == h.terms
+
+
 def test_norm_estimate_raises_when_the_bracket_stays_open(monkeypatch):
     monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError):

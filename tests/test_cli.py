@@ -669,6 +669,33 @@ def test_overflowing_twist_exits_2_before_any_factorization(argv, monkeypatch, c
     assert "not a finite angle" in out["message"]
 
 
+def test_mult_with_an_overflowing_twist_exits_2_naming_the_twist(capsys):
+    assert main(["algebra", "--mode", "mult", "--s", "1e308"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "ValueError",
+        "message": "twist s = 1e+308 times a cocycle value is not a finite angle",
+        "status": "usage-error",
+    }
+
+
+@pytest.mark.parametrize(
+    "options, error, message",
+    [
+        (["--radius", "0"], "ValueError", "truncation radius must be >= 1"),
+        (["--radius", "0", "--rep-radius", "0"], "ValueError", "truncation radius must be >= 1"),
+        (["--rep-radius", "0"], "TruncationError", "truncation radius must be positive, got 0"),
+        (["--s", "1e308"], "ValueError", "twist s = 1e+308 times a cocycle value is not a finite angle"),
+    ],
+)
+def test_module_gram_error_records_come_before_any_pairing(options, error, message, monkeypatch, capsys):
+    # the radius is checked first, the rep radius and the twist by the twist table
+    monkeypatch.setattr(sections, "l2_inner", None)
+    assert main(["module-gram", *options]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": error, "message": message, "status": "usage-error"}
+
+
 def test_solver_non_convergence_exits_1_with_record(monkeypatch, capsys):
     # one Rayleigh-Ritz step cannot converge the chain iteration of a fresh kernel solve
     monkeypatch.setattr(dolbeault, "_MAX_ITERATIONS", 1)

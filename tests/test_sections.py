@@ -13,6 +13,7 @@ from quantlab.algebra import (
     multiply,
     regular_representation,
 )
+from quantlab.cocycle import cocycle_table, landau_gauge
 from quantlab.sections import (
     GaussianSection,
     gram_positivity,
@@ -22,7 +23,7 @@ from quantlab.sections import (
     vacuum,
 )
 
-from oracles import gaussian_quadrature_inner, hermitian_defect, l2_inner_loop
+from oracles import gaussian_quadrature_inner, gram_blocks_loop, hermitian_defect, l2_inner_loop
 
 rng = np.random.default_rng(905)
 KC = KappaCocycle()
@@ -246,10 +247,10 @@ def test_gram_positivity_matches_eigvalsh_of_the_full_hermitian_matrix():
     assert report["max_eigenvalue"] == pytest.approx(eigvals[-1], rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_gram_positivity_translates_each_section_once_per_ball_point(k, monkeypatch):
-    calls = {"project_act": 0, "l2_inner": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names):
+    """Call counts of the named ``sections`` functions, filled in as they run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(sections, name)
 
         def counted(*args, _name=name, _original=original):
@@ -257,10 +258,101 @@ def test_gram_positivity_translates_each_section_once_per_ball_point(k, monkeypa
             return _original(*args)
 
         monkeypatch.setattr(sections, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_gram_positivity_translates_each_section_once_per_ball_point(k, monkeypatch):
+    # one translation batch per section covers every ball point
+    calls = count_calls(monkeypatch, "_translates", "project_act", "l2_inner")
     s, radius, points = 1.5, 3, 7**2
     secs = [offset_section(np.random.default_rng(40 + i), s, 2) for i in range(k)]
     gram_positivity(secs, KC, s, radius, 2)
-    assert calls == {"project_act": k * points, "l2_inner": k * (k + 1) // 2 * points}
+    assert calls == {"_translates": k, "project_act": 0, "l2_inner": k * (k + 1) // 2 * points}
+
+
+def test_translation_batch_is_project_act_at_each_point():
+    gen = np.random.default_rng(33)
+    points = ball_points(3)
+    n, m = np.array(points).T
+    for psi in (vacuum(1.2), offset_section(gen, 0.8, 1), offset_section(gen, 1.7, 5)):
+        for gamma, moved in zip(points, sections._translates(psi, n, m)):
+            single = project_act(psi, gamma)
+            for name in ("coeffs", "centers", "waves"):
+                assert getattr(moved, name).tobytes() == getattr(single, name).tobytes()
+
+
+LANDAU = cocycle_table(landau_gauge(), 8)  # every hop between points of a radius-4 ball
+
+
+def seeded_sections(seed, count=4, terms=6, s=1.5):
+    """Sections shaped like the benchmark's: centres within 0.5, waves within 2."""
+    gen = np.random.default_rng(seed)
+    return [
+        GaussianSection(
+            s,
+            gen.uniform(-1, 1, terms) + 1j * gen.uniform(-1, 1, terms),
+            gen.uniform(-0.5, 0.5, (terms, 2)),
+            gen.uniform(-2, 2, (terms, 2)),
+        )
+        for _ in range(count)
+    ]
+
+
+# at kappa = pi and s = 1.5 every twist angle is a multiple of pi / 2, where
+# numpy's complex product is exact in either operand order; kappa = 0.37 is not
+@pytest.mark.parametrize(
+    "cocycle", [KC, KappaCocycle(0.37), LANDAU], ids=["kappa-pi", "kappa-0.37", "landau"]
+)
+@pytest.mark.parametrize("radius, rep_radius", [(3, 3), (5, 3), (2, 4), (7, 2)])
+def test_gram_upper_is_the_per_block_assembly_bit_for_bit(radius, rep_radius, cocycle):
+    secs = seeded_sections(radius * 10 + rep_radius, count=3, terms=3)
+    big = sections._gram_upper(secs, cocycle, 1.5, radius, rep_radius)
+    assert big.flags.f_contiguous
+    assert big.tobytes() == gram_blocks_loop(secs, cocycle, 1.5, radius, rep_radius).tobytes()
+
+
+def test_gram_upper_keeps_the_zero_blocks_of_far_apart_sections_positive_zero():
+    # the cross pairings underflow to 0, and 0 times a twist can be -0.0
+    psi = seeded_sections(5, count=1)[0]
+    secs = [psi, project_act(psi, (-40, 0))]
+    big = sections._gram_upper(secs, KC, 1.5, 5, 4)
+    assert big.tobytes() == gram_blocks_loop(secs, KC, 1.5, 5, 4).tobytes()
+    cross = big[:81, 81:]
+    assert not (cross != 0).any() and not (np.signbit(cross.real) | np.signbit(cross.imag)).any()
+
+
+def full_hermitian(upper):
+    return np.triu(upper) + np.triu(upper, 1).conj().T
+
+
+@pytest.mark.parametrize("case", ["benchmark-shape", "doubled-bottom"])
+def test_gram_positivity_extremes_are_the_ends_of_the_spectrum(case):
+    secs = seeded_sections(2024)
+    if case == "doubled-bottom":
+        # a far magnetic translate pairs to exactly 0 with the original and
+        # repeats its spectrum, so every eigenvalue is doubled
+        secs = [secs[0], project_act(secs[0], (-40, 0))]
+    report = gram_positivity(secs, KC, 1.5, 8, 6)
+    eigvals = np.linalg.eigvalsh(full_hermitian(sections._gram_upper(secs, KC, 1.5, 8, 6)))
+    if case == "doubled-bottom":
+        assert eigvals[1] - eigvals[0] <= 1e-12 * eigvals[-1] < eigvals[2] - eigvals[1]
+    assert report["dimension"] == len(eigvals)
+    assert report["min_eigenvalue"] == pytest.approx(eigvals[0], rel=1e-12)
+    assert report["max_eigenvalue"] == pytest.approx(eigvals[-1], rel=1e-12)
+
+
+def test_gram_positivity_pairs_only_the_ball_the_compression_reads(monkeypatch):
+    # rep_radius 2 reads hops up to 4: the radius-7 pairings past that are never used
+    s, radius, rep_radius = 1.5, 7, 2
+    secs = seeded_sections(77, count=3, terms=3)
+    full = gram_blocks_loop(secs, KC, s, radius, rep_radius)
+    calls = count_calls(monkeypatch, "l2_inner")
+    report = gram_positivity(secs, KC, s, radius, rep_radius)
+    assert calls["l2_inner"] == 6 * (2 * 4 + 1) ** 2  # 6 pairs i <= j
+    monkeypatch.setattr(sections, "_gram_upper", lambda *args: full.copy(order="F"))
+    assert report == gram_positivity(secs, KC, s, radius, rep_radius)
+    assert report["tail_bound"] == math.exp(-(math.pi * s / 2.0) * radius**2)
 
 
 def test_truncation_tail_dominates_radius_increment():
