@@ -363,13 +363,17 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
     top eigenvalue (to rounding).  The upper end of the bracket is the
     smallest shift ``t`` that factored (``2 bound`` before any did); the
     lower end, which is returned, is the largest Rayleigh quotient
-    ``|mat x|^2`` of unit inverse-iteration vectors solved with the last
-    factor.  The first shift is ``bound``; each next one is the lower end
-    plus the Rayleigh residual ``|G x - |mat x|^2 x|`` when that lies
-    strictly between the highest shift that failed and the upper end, and
-    otherwise the geometric mean of those two distances above the lower end.
+    ``|mat x|^2``, one per factorization, of the unit vector ``x`` after
+    ``_NORM_SOLVES`` inverse-iteration solves with it.  The first shift is
+    ``bound``; each next one is the lower end plus the residual
+    ``|G x - |mat x|^2 x|`` when that lies strictly between the highest
+    shift that failed and the upper end, and otherwise the geometric mean of
+    those two distances above the lower end.  The residual only steers, so
+    it is read off the last solve, ``(t I - G) y = x'``, as
+    ``|(t - |mat x|^2) y - x'| / |y|``: the loop never multiplies by ``G``.
     Raises ``ConvergenceError`` if the bracket is still open after
-    ``_NORM_MAX_STEPS`` factorizations.
+    ``_NORM_MAX_STEPS`` factorizations.  The shifts must stay normal floats;
+    ``norm_estimate`` scales extreme elements by a power of two to keep them so.
 
     The loop runs on one BLAS thread (``_blas.one_blas_thread``).  Its bands are
     narrow (width 27 for the Harper element at R = 13 in ``norm_estimate``'s
@@ -390,20 +394,19 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
     width = int((cols - rows).max())
     band = np.zeros((width + 1, gram.shape[0]), dtype=complex, order="F")
     band[width + rows - cols, cols] = -entries.data[upper]  # upper band storage of -G
-
-    def rayleigh(x):
-        value = np.linalg.norm(mat @ x) ** 2
-        return value, np.linalg.norm(gram @ x - value * x)
+    shifted = np.empty_like(band)
+    (pbtrs,) = la.get_lapack_funcs(("pbtrs",), (band,))  # cho_solve_banded's checks cost more
 
     # a fixed generic start: a symmetric one can be orthogonal to the top eigenvector
     x = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, gram.shape[0]))
     x /= np.linalg.norm(x)
-    lo, residual = rayleigh(x)
+    lo = np.linalg.norm(mat @ x) ** 2
+    residual = np.linalg.norm(gram @ x - lo * x)
     hi, failed = 2.0 * bound, -math.inf  # upper end; highest shift that did not factor
     t = bound * (1.0 + _NORM_REL_WIDTH / 4)
     with one_blas_thread():
         for _ in range(_NORM_MAX_STEPS):
-            shifted = band.copy(order="F")
+            np.copyto(shifted, band)
             shifted[width] += t
             try:
                 factor = la.cholesky_banded(shifted, overwrite_ab=True, check_finite=False)
@@ -412,11 +415,13 @@ def _gram_top(mat: sp.spmatrix, bound: float) -> float:
             else:
                 hi = min(hi, t)
                 for _ in range(_NORM_SOLVES):
-                    x = la.cho_solve_banded((factor, False), x, check_finite=False)
-                    x /= np.linalg.norm(x)
-                    value, res = rayleigh(x)
-                    if value > lo:
-                        lo, residual = value, res
+                    prev = x
+                    y = pbtrs(factor, prev)[0]  # its info is nonzero only for bad arguments
+                    size = np.linalg.norm(y)
+                    x = y / size
+                value = np.linalg.norm(mat @ x) ** 2
+                if value > lo:
+                    lo, residual = value, np.linalg.norm((t - value) * y - prev) / size
             if hi - lo <= _NORM_REL_WIDTH * hi:
                 return lo
             t = lo + max(residual, _NORM_REL_WIDTH * hi / 2)
@@ -435,13 +440,23 @@ def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
     the columns in ``_coset_order``, where ``A* A`` is block-diagonal by
     coset and banded (the ball order when the hops span Z^2).  A finite-rank lower
     bound for the reduced C*-norm: nondecreasing in ``radius`` and bounded
-    above by the l1 norm of the coefficients.
+    above by the l1 norm of the coefficients.  Outside ``2**-128 <= l1 <=
+    2**128`` the compression is scaled by the power of two nearest ``1 / l1``
+    and the norm scaled back; powers of two scale every step exactly, so
+    ``norm_estimate(2**j a) == 2**j norm_estimate(a)`` bit for bit while no
+    coefficient over- or underflows.  ``ValueError`` if the l1 norm overflows.
     """
+    l1 = a.l1_norm()
+    if not l1 <= sys.float_info.max:
+        raise ValueError("the l1 norm of the element's coefficients overflows a float")
     mat = _regular_rep_sparse(a, cocycle, s, radius)
     order = _coset_order(a, radius)
     if order is not None:
         mat = mat[:, order]
-    return math.sqrt(_gram_top(mat, a.l1_norm() ** 2))
+    k = 0 if not l1 or 2.0**-128 <= l1 <= 2.0**128 else -round(math.log2(l1))
+    parts = mat.data.view(float)  # real and imaginary parts, scaled in place
+    np.ldexp(parts, k, out=parts)
+    return math.ldexp(math.sqrt(_gram_top(mat, math.ldexp(l1, k) ** 2)), -k)
 
 
 def norm_profile(

@@ -153,9 +153,10 @@ def _write_rows(path: str | None, header: list[str], rows: Iterable) -> None:
 
 
 def _emit_json(path: str | None, payload: dict) -> None:
+    """Write ``payload`` as JSON; ``ValueError``, with nothing written, if a number is not finite."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=repr, allow_nan=False)
     with _target(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_element(spec_text: str) -> algebra.AlgebraElement:

@@ -28,6 +28,7 @@ from quantlab.errors import ConvergenceError, TruncationError
 
 from oracles import (
     coupling_components_loop,
+    dense_gram_top,
     hofstadter_bloch_norm,
     regular_representation_loop,
     twisted_convolution,
@@ -369,6 +370,47 @@ def test_norm_estimate_raises_when_the_bracket_stays_open(monkeypatch):
     monkeypatch.setattr(algebra, "_NORM_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError):
         norm_estimate(harper_element(KC, 0.0), KC, 0.1, 13)
+
+
+def test_harper_profile_at_radius_13_takes_at_most_59_factorizations(monkeypatch):
+    # 59 before one Rayleigh quotient per factorization (56 after); more means slower convergence
+    factored = []
+    cholesky_banded = algebra.la.cholesky_banded
+
+    def recorded(*args, **kwargs):
+        factored.append(args)
+        return cholesky_banded(*args, **kwargs)
+
+    monkeypatch.setattr(algebra.la, "cholesky_banded", recorded)
+    norm_profile(harper_element(KC, 0.0), [k / 10 for k in range(11)], KC, 13)
+    assert 11 <= len(factored) <= 59
+
+
+_gram_rng = np.random.default_rng(2411)  # own stream: later draws of rng unchanged
+GRAM_ELEMENTS = [
+    AlgebraElement({tuple(map(int, g)): complex(*_gram_rng.normal(size=2)) for g in support})
+    for support in (_gram_rng.integers(-2, 3, size=(terms, 2)) for terms in (1, 2, 3, 4, 5, 6, 6, 6))
+]
+
+
+@pytest.mark.parametrize("a", GRAM_ELEMENTS)
+@pytest.mark.parametrize("s", [0.0, 0.37])
+def test_gram_top_is_certified_against_the_dense_top(a, s):
+    # the returned lower end is a Rayleigh quotient: at most rounding above the
+    # top eigenvalue, and within the bracket's relative width below it
+    mat = algebra._regular_rep_sparse(a, KC, s, 5)
+    top = dense_gram_top(mat)
+    value = algebra._gram_top(mat, a.l1_norm() ** 2)
+    eps = np.finfo(float).eps
+    assert top * (1 - algebra._NORM_REL_WIDTH) <= value <= top * (1 + 4 * eps)
+
+
+@pytest.mark.parametrize("k", [600, -600])
+@pytest.mark.parametrize("a", [harper_element(KC, 0.0), *GRAM_ELEMENTS[3:6], *SUBLATTICE_ELEMENTS])
+def test_norm_estimate_scales_by_powers_of_two_bit_for_bit(a, k):
+    # 2**600 * l1 squared overflowed, 2**-600 * l1 squared underflowed
+    for s in (0.0, 0.37):
+        assert norm_estimate(a.scale(2.0**k), KC, s, 6) == math.ldexp(norm_estimate(a, KC, s, 6), k)
 
 
 def test_norm_profile_rejects_a_negative_continuity_threshold():

@@ -679,6 +679,46 @@ def test_mult_with_an_overflowing_twist_exits_2_naming_the_twist(capsys):
     }
 
 
+def _two_hops(c: float) -> str:
+    return json.dumps([{"n": 1, "m": 0, "re": c, "im": 0}, {"n": 0, "m": 1, "re": c, "im": 0}])
+
+
+def test_norm_of_extreme_coefficients_is_the_scaled_unit_norm(capsys):
+    # l1**2 overflowed at 1e160; the bracket stayed open at 1e-160; at 1e-170
+    # the Gram entries underflowed to an empty band
+    assert main(["algebra", "--mode", "norm", "--radius", "3", "--a", _two_hops(1.0)]) == 0
+    unit = json.loads(capsys.readouterr().out)["norm"]
+    for c in (1e160, 1e-160, 1e-170):
+        assert main(["algebra", "--mode", "norm", "--radius", "3", "--a", _two_hops(c)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["norm"] == pytest.approx(c * unit, rel=1e-12, abs=0.0)
+
+
+def test_norm_with_an_overflowing_l1_norm_exits_2_naming_it(monkeypatch, capsys):
+    monkeypatch.setattr(algebra, "_gram_top", None)
+    assert main(["algebra", "--mode", "norm", "--radius", "3", "--a", _two_hops(1e308)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "ValueError",
+        "message": "the l1 norm of the element's coefficients overflows a float",
+        "status": "usage-error",
+    }
+
+
+def test_mult_with_an_overflowing_product_exits_2_with_one_record(tmp_path, capsys):
+    # the product's coefficients were printed as Infinity, not JSON, with exit 0
+    big = json.dumps([{"n": 1, "m": 0, "re": 1e200, "im": 0}])
+    other = json.dumps([{"n": 0, "m": 1, "re": 1e200, "im": 0}])
+    output = tmp_path / "product.json"
+    for target in ([], ["--output", str(output)]):
+        assert main(["algebra", "--mode", "mult", "--a", big, "--b", other, *target]) == 2
+        # one record of strict JSON, with no partial product before it
+        out = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
+        assert out["status"] == "usage-error" and out["error"] == "ValueError"
+        assert "not JSON compliant" in out["message"]
+    assert not output.exists()
+
+
 @pytest.mark.parametrize(
     "options, error, message",
     [
