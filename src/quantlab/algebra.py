@@ -172,12 +172,16 @@ class AlgebraElement:
         return f"{type(self).__name__}({{{body}}})"
 
     def to_json(self) -> str:
-        """Canonical serialization: lexicographic (n, m) records."""
+        """Canonical serialization: lexicographic (n, m) records.
+
+        Raises ValueError on a coefficient that is not finite, which JSON
+        cannot hold and ``from_json`` would reject.
+        """
         records = [
             {"n": g[0], "m": g[1], "re": z.real, "im": z.imag}
             for g, z in sorted(self._terms.items())
         ]
-        return json.dumps(records)
+        return json.dumps(records, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "AlgebraElement":

@@ -11,8 +11,10 @@ Exit codes: 0 success; 1 a gated claim past its bound, or a numerical check
 or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
 ``--help`` text marks report-only subcommands); 2 a usage or configuration
 error (a bad option value, or an unreadable or malformed input file), with a
-``usage-error`` or ``config-error`` record on stdout; argparse prints its own
-message for malformed command lines.  ``--config`` values are option tokens
+``usage-error`` or ``config-error`` record on stdout; 3 stdout closed before
+the output was written (a reader such as ``head`` left early), with an
+``output-closed`` record on stderr; argparse prints its own message for
+malformed command lines.  ``--config`` values are option tokens
 checked by the same parser as the command line.
 """
 
@@ -73,8 +75,8 @@ OPERATION_COVERAGE = {
 # by a derived cocycle.  `toeplitz-sweep` takes all four defects from
 # `toeplitz.defect_sweep`; the single-defect functions stay for library
 # callers, the tests, and the benchmark tracer, which looks each one up by name.
-# `module-gram` translates each section to the whole ball in one batch, of
-# which `sections.project_act` is the one-point case.
+# `module-gram` translates its pooled sections to the whole ball in one
+# batch, of which `sections.project_act` is the one-point case.
 LIBRARY_ONLY = {
     "cocycle.solve_phi",
     "cocycle.cocycle_table",
@@ -543,7 +545,16 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader left early (`| head`): point the stdout descriptor at the
+        # null device, so the interpreter's last flush of the output it never
+        # read cannot fail again, and report on stderr
+        with contextlib.suppress(OSError, ValueError):  # no descriptor when stdout is captured
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _report_error("output-closed", exc, 3, sys.stderr)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
     except TruncationError as exc:
@@ -556,9 +567,12 @@ def main(argv=None) -> int:
         return _report_error("usage-error", exc, 2)
 
 
-def _report_error(status: str, exc: Exception, code: int) -> int:
+def _report_error(status: str, exc: Exception, code: int, stream=None) -> int:
+    """Print the error record to ``stream`` (else stdout) and return ``code``."""
     record = {"status": status, "error": type(exc).__name__, "message": str(exc)}
-    _emit_json(None, record)
+    text = json.dumps(record, indent=2, sort_keys=True)
+    with contextlib.suppress(OSError):  # a closed stream keeps the exit code
+        print(text, file=stream or sys.stdout, flush=True)
     return code
 
 

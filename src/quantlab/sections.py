@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as la
@@ -87,40 +87,75 @@ def vacuum(s: float) -> GaussianSection:
     return GaussianSection(s, [1.0], [[0.0, 0.0]], [[0.0, 0.0]])
 
 
-def _translates(psi: GaussianSection, n, m) -> list[GaussianSection]:
-    """``psi . (n[p], m[p])`` for each p of two integer arrays, in one broadcast.
+class _Pool(NamedTuple):
+    """Sections psi_1 .. psi_k of one width over their concatenated term lists.
+
+    ``centers`` and ``waves`` stack the sections' (T_i, 2) arrays into
+    (T, 2), T = T_1 + ... + T_k; the term counts may differ.  ``coeffs`` is
+    (T, k): column i holds psi_i's coefficients at its own terms and zeros
+    at the others'.  ``l2_inner`` reads a pool like a section, with a
+    coefficient column per section.
+    """
+
+    s: float
+    coeffs: np.ndarray
+    centers: np.ndarray
+    waves: np.ndarray
+
+
+def _pool(sections: Sequence[GaussianSection]) -> _Pool:
+    """The sections as one ``_Pool``; ValueError if their widths differ."""
+    s = sections[0].s
+    if any(psi.s != s for psi in sections):
+        raise ValueError("sections must share the width parameter s")
+    return _Pool(
+        s,
+        la.block_diag(*(psi.coeffs[:, None] for psi in sections)),
+        np.concatenate([psi.centers for psi in sections]),
+        np.concatenate([psi.waves for psi in sections]),
+    )
+
+
+def _translates(pool: _Pool, n, m) -> list[_Pool]:
+    """``pool . (n[p], m[p])`` for each p of two integer arrays, in one broadcast.
 
     The projective action ``psi . gamma = exp(i s phi_gamma) gamma^* psi``
-    in the symmetric gauge.  In complex coordinates, with g = n + i m:
-    gamma^* psi moves the centers by -g; e^{i k.gamma} folds into the
-    coefficients; the phase s pi (m x - n y) adds s pi (m - i n) = -i s pi g
-    to the waves.  All points x terms are formed as (P, T) arrays at once,
-    then split into one section per point.  The coefficients enter as a
-    (1, T) row: numpy rounds a complex product by the operands' layout, and
-    a (T,) row would give P = 1 (``project_act``) other last bits than the
+    in the symmetric gauge, on every section of the pool.  In complex
+    coordinates, with g = n + i m: gamma^* psi moves the centers by -g;
+    e^{i k.gamma} scales each term's row of coefficients; the phase
+    s pi (m x - n y) adds s pi (m - i n) = -i s pi g to the waves.  All
+    points x terms x sections are formed as (P, T, k) arrays at once, then
+    split into one pool per point.  The coefficients enter as a (1, T, k)
+    array: numpy rounds a complex product by the operands' layout, and a
+    (T, k) one would give P = 1 (``project_act``) other last bits than the
     same point inside a larger batch.
     """
     n, m = np.asarray(n)[:, None], np.asarray(m)[:, None]
     g = n + 1j * m
-    s, (kx, ky) = psi.s, psi.waves.T
-    coeffs = psi.coeffs[None, :] * np.exp(1j * (kx * n + ky * m))
-    centers = (psi.centers.view(complex).T - g)[..., None].view(float)
-    waves = (psi.waves.view(complex).T - 1j * s * math.pi * g)[..., None].view(float)
-    return [GaussianSection(s, *arrays) for arrays in zip(coeffs, centers, waves)]
+    s, (kx, ky) = pool.s, pool.waves.T
+    coeffs = pool.coeffs[None] * np.exp(1j * (kx * n + ky * m))[..., None]
+    centers = (pool.centers.view(complex).T - g)[..., None].view(float)
+    waves = (pool.waves.view(complex).T - 1j * s * math.pi * g)[..., None].view(float)
+    return [_Pool(s, *arrays) for arrays in zip(coeffs, centers, waves)]
 
 
 def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
     """Projective action ``psi . gamma``, symmetric gauge: ``_translates`` at the point gamma."""
-    return _translates(psi, [gamma[0]], [gamma[1]])[0]
+    moved = _translates(_pool([psi]), [gamma[0]], [gamma[1]])[0]
+    return GaussianSection(psi.s, moved.coeffs[:, 0], moved.centers, moved.waves)
 
 
-def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
-    """Exact Gaussian-integral value of ``int conj(psi) phi dx dy``.
+def l2_inner(psi: GaussianSection | _Pool, phi: GaussianSection | _Pool) -> complex | np.ndarray:
+    """Exact Gaussian-integral values of ``int conj(psi_i) phi_j dx dy``.
 
-    With a = pi s / 2, each term pair contributes (pi / 2a) exp(-(a/2)|dmu|^2
-    - |dk|^2 / 8a + i dk . mid): dmu and mid are the difference and midpoint
+    psi and phi are sections or ``_Pool`` s.  With a = pi s / 2, each term
+    pair contributes (pi / 2a) exp(-(a/2)|dmu|^2 - |dk|^2 / 8a + i dk . mid)
+    times its two coefficients: dmu and mid are the difference and midpoint
     of the centers, dk the difference of the wave vectors; pi / 2a = 1 / s.
-    The T1 x T2 term pairs form one array, in complex coordinates.
+    The T1 x T2 term pairs form one exp array E, in complex coordinates, and
+    the value is c1^H E c2 / s over the coefficients c1, c2.  Two pools give
+    the (k1, k2) matrix of every pair of their sections, a pool of one
+    section a 1 x 1 matrix, and two sections (coefficient vectors) a scalar.
     """
     if psi.s != phi.s:
         raise ValueError("sections must share the width parameter s")
@@ -133,33 +168,37 @@ def l2_inner(psi: GaussianSection, phi: GaussianSection) -> complex:
         - (0.125 / a) * (dk_bar * dk_bar.conj()).real
         + 0.5j * (dk_bar * (z1 + z2)).real
     )
-    return complex(np.vdot(psi.coeffs, np.exp(exponent) @ phi.coeffs)) / psi.s
+    return psi.coeffs.conj().T @ (np.exp(exponent) @ phi.coeffs) / psi.s
 
 
-def _pairings(psi: GaussianSection, phis: Sequence[GaussianSection], radius: int) -> np.ndarray:
-    """Coefficients ``<psi . gamma, phi>_{L^2}`` of ``module_inner(psi, phi, radius)``.
+def _pairings(
+    psis: Sequence[GaussianSection], phis: Sequence[GaussianSection], radius: int
+) -> np.ndarray:
+    """Coefficients ``<psi_i . gamma, phi_j>_{L^2}`` of ``module_inner(psi_i, phi_j, radius)``.
 
-    Returns a (len(phis), (2R+1)^2) array: row j holds phis[j], column p the
-    point p of ``ball_points(radius)``.  psi is translated to every ball
-    point in one ``_translates`` broadcast and paired there with each phi,
-    one ``l2_inner`` call per (point, phi).
+    Returns a ((2R+1)^2, len(psis), len(phis)) array: entry (p, i, j) is
+    the pairing at the point p of ``ball_points(radius)``.  The psis, pooled,
+    are translated to every ball point in one ``_translates`` broadcast,
+    and each point makes one ``l2_inner`` call against the pooled phis,
+    which returns that point's whole matrix.
     """
     if radius < 1:
         raise ValueError("truncation radius must be >= 1")
-    moved = _translates(psi, *_ball_coordinates(radius))
-    return np.array([[l2_inner(section, phi) for section in moved] for phi in phis])
+    fixed = _pool(phis)
+    moved = _translates(_pool(psis), *_ball_coordinates(radius))
+    return np.array([l2_inner(pool, fixed) for pool in moved])
 
 
 def module_inner(psi: GaussianSection, phi: GaussianSection, radius: int) -> AlgebraElement:
     """Algebra-valued inner product truncated to the sup-norm ball.
 
-    Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``, the row of
+    Coefficient at gamma is ``<psi . gamma, phi>_{L^2}``, the 1 x 1 case of
     ``_pairings`` read in ``ball_points`` (lexicographic) order, so the
     output is bit-stable; zero coefficients are dropped.  Dropped-tail size
     is of order exp(-(pi s / 2) R^2).
     """
-    row = _pairings(psi, [phi], radius)[0]
-    return AlgebraElement(dict(zip(ball_points(radius), row.tolist())))
+    column = _pairings([psi], [phi], radius)[:, 0, 0]
+    return AlgebraElement(dict(zip(ball_points(radius), column.tolist())))
 
 
 def _gram_upper(
@@ -171,19 +210,19 @@ def _gram_upper(
     points r, c of the ``rep_radius`` ball.  Every hop r - c lies in the
     ball of radius 2 rep_radius, so the pairings are formed on the radius
     ``reach = min(radius, 2 rep_radius)`` only: no coefficient beyond it is
-    read.  The twist table ``sigma_s(r - c, c)`` is one
+    read.  One ``_pairings`` call forms them all, one k x k matrix per
+    point, so k sections take one translation batch and (2 reach+1)^2
+    ``l2_inner`` calls.  The twist table ``sigma_s(r - c, c)`` is one
     ``regular_representation``, of the indicator of the reach ball; each
-    block is the pairing row gathered at r - c times that table, written
-    straight into the array.  That is the block's own regular
-    representation bit for bit: a table entry is 1.0 times the twist, the
-    product keeps its operand order (numpy's complex product does not
-    commute to the bit), and an entry whose coefficient is zero, a term the
-    element does not have, stays +0 (0 times a twist can be -0).
-    Block row i comes from one ``_pairings`` call, so k sections take k
-    translation batches and k(k+1)/2 (2 reach+1)^2 pairings.  Raises
-    ValueError on no sections, on a section whose width is not the twist s
-    (the pairing acts with the section's own width), or on a radius below
-    1, before the twist table is built.
+    block is the (i, j) pairings gathered at r - c times that table, written
+    straight into the array.  That is the regular representation of those
+    pairings bit for bit: a table entry is 1.0 times the twist, the product
+    keeps its operand order (numpy's complex product does not commute to
+    the bit), and an entry whose coefficient is zero, a term the element
+    does not have, stays +0 (0 times a twist can be -0).  Raises ValueError
+    on no sections, on a section whose width is not the twist s (the
+    pairing acts with the section's own width), or on a radius below 1,
+    before the twist table is built.
     """
     import warnings
 
@@ -205,14 +244,15 @@ def _gram_upper(
         twist = regular_representation(indicator, cocycle, s, rep_radius)
     n, m = _ball_coordinates(rep_radius)
     dn, dm = n[:, None] - n, m[:, None] - m
-    # r - c as a column of a pairing row, or -1 (a zero appended to the row)
-    # where it leaves the reach ball
+    # r - c as a point of the reach ball, or -1 (a zero appended to the
+    # pairings) where it leaves the ball
     hop = np.where((np.abs(dn) <= reach) & (np.abs(dm) <= reach), ball_index(dn, dm, reach), -1)
     k, dim = len(sections), len(n)
+    pairings = np.append(_pairings(sections, sections, reach), np.zeros((1, k, k)), axis=0)
     big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
-    for i, psi in enumerate(sections):
-        for j, row in enumerate(_pairings(psi, sections[i:], reach), start=i):
-            coeffs = np.append(row, 0.0)[hop]
+    for i in range(k):
+        for j in range(i, k):
+            coeffs = pairings[hop, i, j]
             block = big[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim]
             np.multiply(coeffs, twist, out=block)
             block[coeffs == 0] = 0.0

@@ -19,10 +19,17 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from quantlab.algebra import ball_points, compose, involution, regular_representation, sigma
+from quantlab.algebra import (
+    AlgebraElement,
+    ball_points,
+    compose,
+    involution,
+    regular_representation,
+    sigma,
+)
 from quantlab.cocycle import solve_phi
 from quantlab.errors import IndeterminateKernelError, ResolutionError
-from quantlab.sections import module_inner
+from quantlab.sections import _pairings, module_inner
 from quantlab.toeplitz import gradient_pairing, poisson_bracket, toeplitz
 
 
@@ -58,15 +65,20 @@ def regular_representation_loop(a, cocycle, s: float, radius: int) -> np.ndarray
 def gram_blocks_loop(sections, cocycle, s: float, radius: int, rep_radius: int) -> np.ndarray:
     """Upper blocks of the Gram matrix [rep(<psi_i|psi_j>)], one block at a time.
 
-    Block (i, j), i <= j, is ``regular_representation(module_inner(psi_i,
-    psi_j, radius), ...)`` at ``rep_radius``, the whole radius paired; the
-    lower blocks stay zero.  A Fortran-order array, like the library's.
+    Block (i, j), i <= j, is ``regular_representation`` at ``rep_radius``
+    of the element <psi_i|psi_j> over the whole radius; the lower blocks
+    stay zero.  A Fortran-order array, like the library's.  The element's
+    coefficients are entry (i, j) of the library's k x k pairing matrices
+    (``_pairings``), as ``module_inner`` builds its element from the 1 x 1
+    case: the two differ in the last bits, and this oracle checks the twist
+    assembly, not the pairing.
     """
     k, dim = len(sections), (2 * rep_radius + 1) ** 2
+    pairings = _pairings(sections, sections, radius)
     big = np.zeros((k * dim, k * dim), dtype=complex, order="F")
     for i in range(k):
         for j in range(i, k):
-            gram = module_inner(sections[i], sections[j], radius)
+            gram = AlgebraElement(dict(zip(ball_points(radius), pairings[:, i, j].tolist())))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # the compression is lossy on purpose
                 block = regular_representation(gram, cocycle, s, rep_radius)

@@ -476,6 +476,18 @@ def test_serialization_roundtrip_canonical_order():
     assert max_coeff_diff(a, back) == 0.0
 
 
+def test_serialization_refuses_a_coefficient_json_cannot_hold():
+    # the product of two 1e200 terms overflows to inf, once written as Infinity
+    product = multiply(
+        AlgebraElement({(1, 0): 1e200}), AlgebraElement({(0, 1): 1e200}), KC, 0.5
+    )
+    assert not all(cmath.isfinite(z) for z in product.terms.values())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        product.to_json()
+    finite = AlgebraElement({(1, 1): 1e200 - 1e-300j, (0, -1): 5e-324})
+    assert max_coeff_diff(finite, AlgebraElement.from_json(finite.to_json())) == 0.0
+
+
 def test_zero_coefficients_pruned():
     a = AlgebraElement({(0, 0): 1.0, (1, 1): 0.0})
     assert set(a.terms) == {(0, 0)}

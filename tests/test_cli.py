@@ -352,16 +352,39 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert out["status"] == "config-error"
 
 
-def test_usage_error_exits_2():
-    # the child imports quantlab from the same place as this test process
+def _child_env():
+    """The environment of a CLI child that imports quantlab from where this process does."""
     src = str(Path(quantlab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_usage_error_exits_2():
     result = subprocess.run(
         [sys.executable, "-m", "quantlab.cli", "no-such-command"],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert result.returncode == 2
+
+
+def test_stdout_closed_early_exits_3_with_one_record_on_stderr():
+    # `cocycle-check --radius 7 | head -c 10` exited 1 with two BrokenPipeError tracebacks
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quantlab.cli", "cocycle-check", "--radius", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert child.stdout.read(10) == b"claim,n1,m"
+    child.stdout.close()  # some 600 kB are still to come, past any pipe buffer
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 3
+    assert json.loads(err) == {
+        "status": "output-closed",
+        "error": "BrokenPipeError",
+        "message": "[Errno 32] Broken pipe",
+    }
 
 
 def test_failure_record_on_bad_spectral_request(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -263,23 +264,70 @@ def count_calls(monkeypatch, *names):
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_gram_positivity_translates_each_section_once_per_ball_point(k, monkeypatch):
-    # one translation batch per section covers every ball point
+    # one translation batch covers every section at every ball point, and
+    # one pairing call per point gives all k x k pairings there
     calls = count_calls(monkeypatch, "_translates", "project_act", "l2_inner")
     s, radius, points = 1.5, 3, 7**2
     secs = [offset_section(np.random.default_rng(40 + i), s, 2) for i in range(k)]
     gram_positivity(secs, KC, s, radius, 2)
-    assert calls == {"_translates": k, "project_act": 0, "l2_inner": k * (k + 1) // 2 * points}
+    assert calls == {"_translates": 1, "project_act": 0, "l2_inner": points}
 
 
 def test_translation_batch_is_project_act_at_each_point():
+    # alone or pooled with others, each section's translate is project_act's to the bit
     gen = np.random.default_rng(33)
     points = ball_points(3)
     n, m = np.array(points).T
-    for psi in (vacuum(1.2), offset_section(gen, 0.8, 1), offset_section(gen, 1.7, 5)):
-        for gamma, moved in zip(points, sections._translates(psi, n, m)):
-            single = project_act(psi, gamma)
-            for name in ("coeffs", "centers", "waves"):
-                assert getattr(moved, name).tobytes() == getattr(single, name).tobytes()
+    singles = [[vacuum(1.2)], [offset_section(gen, 0.8, 1)], [offset_section(gen, 1.7, 5)]]
+    ragged = [vacuum(1.1), offset_section(gen, 1.1, 5), offset_section(gen, 1.1, 1)]
+    for secs in [*singles, ragged]:
+        rows = np.cumsum([0] + [len(psi.coeffs) for psi in secs])
+        for gamma, moved in zip(points, sections._translates(sections._pool(secs), n, m)):
+            for i, psi in enumerate(secs):
+                single, own = project_act(psi, gamma), slice(rows[i], rows[i + 1])
+                assert moved.coeffs[own, i].tobytes() == single.coeffs.tobytes()
+                assert moved.centers[own].tobytes() == single.centers.tobytes()
+                assert moved.waves[own].tobytes() == single.waves.tobytes()
+                assert not np.delete(moved.coeffs[:, i], own).any()
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
+def test_pairing_matrix_matches_the_term_pair_loop_on_ragged_sections(s):
+    # one pairing call per point pools sections of 1, 3 and 6 terms
+    gen = np.random.default_rng(int(100 * s))
+    psis = [offset_section(gen, s, n_terms) for n_terms in (1, 3, 6)]
+    phis = [offset_section(gen, s, 6), offset_section(gen, s, 2)]
+    radius = 3
+    pairings = sections._pairings(psis, phis, radius)
+    assert pairings.shape == ((2 * radius + 1) ** 2, 3, 2)
+    for matrix, gamma in zip(pairings, ball_points(radius)):
+        for i, psi in enumerate(psis):
+            moved = project_act(psi, gamma)
+            for j, phi in enumerate(phis):
+                expected = l2_inner_loop(moved, phi)
+                assert abs(matrix[i, j] - expected) <= 1e-13 * pairing_scale(psi, phi)
+
+
+def test_module_gram_runs_make_one_pairing_call_per_ball_point(monkeypatch, tmp_path):
+    # the benchmark pins the default run's 2 * 13^2 calls: a change to either count shows here first
+    from quantlab.cli import main
+
+    path, output = tmp_path / "sections.jsonl", str(tmp_path / "gram.json")
+    with open(path, "w") as fh:
+        for psi in seeded_sections(8):
+            terms = zip(psi.coeffs, psi.centers.tolist(), psi.waves.tolist())
+            records = [
+                {"re": c.real, "im": c.imag, "mux": x, "muy": y, "kx": kx, "ky": ky, "s": 1.5}
+                for c, (x, y), (kx, ky) in terms
+            ]
+            fh.write(json.dumps(records) + "\n")
+    calls = count_calls(monkeypatch, "l2_inner")
+    assert main(["module-gram", "--output", output]) == 0
+    assert calls["l2_inner"] == 2 * 13**2  # the vacuum Gram, then the vacuum deviation
+    calls["l2_inner"] = 0
+    argv = ["--s", "1.5", "--radius", "8", "--rep-radius", "6", "--sections", str(path)]
+    assert main(["module-gram", *argv, "--output", output]) == 0
+    assert calls["l2_inner"] == (2 * 8 + 1) ** 2  # one 4 x 4 matrix per point of the reach-8 ball
 
 
 LANDAU = cocycle_table(landau_gauge(), 8)  # every hop between points of a radius-4 ball
@@ -349,7 +397,7 @@ def test_gram_positivity_pairs_only_the_ball_the_compression_reads(monkeypatch):
     full = gram_blocks_loop(secs, KC, s, radius, rep_radius)
     calls = count_calls(monkeypatch, "l2_inner")
     report = gram_positivity(secs, KC, s, radius, rep_radius)
-    assert calls["l2_inner"] == 6 * (2 * 4 + 1) ** 2  # 6 pairs i <= j
+    assert calls["l2_inner"] == (2 * 4 + 1) ** 2  # one k x k matrix per point
     monkeypatch.setattr(sections, "_gram_upper", lambda *args: full.copy(order="F"))
     assert report == gram_positivity(secs, KC, s, radius, rep_radius)
     assert report["tail_bound"] == math.exp(-(math.pi * s / 2.0) * radius**2)
