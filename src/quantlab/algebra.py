@@ -12,6 +12,14 @@ Conventions used throughout:
 * a cocycle is ``KappaCocycle`` or the ``TabulatedCocycle`` that
   ``cocycle.cocycle_table`` derives from a potential; both broadcast over arrays.
 
+One orientation, on which every sign-bearing claim is gated (the reversed one
+conjugates each scalar, so N = 2 and s = 2/k, k an integer, cannot tell them apart):
+
+* ``KappaCocycle`` c((n, m), (n', m')) = kappa (m n' - n m');
+* generators, kappa = pi (criterion 02): VU = e^{2 pi i s} UV;
+* Weyl scalar at flux N (``weyl``): V~ U~ V~* U~* = e^{-2 pi i / N};
+* projective group commutator (``heisenberg``): e^{-2 pi i / s}.
+
 Truncated regular representations act on the sup-norm ball
 ``{(n, m): |n| <= R, |m| <= R}`` of the lattice.  ``norm_estimate`` returns
 the exact largest singular value of the compression to the ball, to a

@@ -52,9 +52,11 @@ OPERATION_COVERAGE = {
     "algebra.regular_representation": "module-gram",
     "algebra.norm_estimate": "algebra",
     "algebra.norm_profile": "algebra",
+    "sections.project_act": "heisenberg",
     "sections.l2_inner": "module-gram",
     "sections.module_inner": "module-gram",
     "sections.gram_positivity": "module-gram",
+    "sections.heisenberg_generator_check": "heisenberg",
     "dolbeault.build_dolbeault": "spectral",
     "dolbeault.kernel_dimension": "spectral",
     "dolbeault.spectral_report": "spectral",
@@ -63,8 +65,6 @@ OPERATION_COVERAGE = {
     "toeplitz.toeplitz": "toeplitz-sweep",
     "toeplitz.defect_sweep": "toeplitz-sweep",
     "toeplitz.weyl_relation": "weyl",
-    "toeplitz.bargmann_matrix_element": "bargmann",
-    "toeplitz.heisenberg_generator_check": "heisenberg",
     "surface_index.l2_index": "index",
     "surface_index.natsume_nest_trace": "index",
     "surface_index.numeric_index_crosscheck": "spectral",
@@ -75,12 +75,9 @@ OPERATION_COVERAGE = {
 # by a derived cocycle.  `toeplitz-sweep` takes all four defects from
 # `toeplitz.defect_sweep`; the single-defect functions stay for library
 # callers, the tests, and the benchmark tracer, which looks each one up by name.
-# `module-gram` translates its pooled sections to the whole ball in one
-# batch, of which `sections.project_act` is the one-point case.
 LIBRARY_ONLY = {
     "cocycle.solve_phi",
     "cocycle.cocycle_table",
-    "sections.project_act",
     "toeplitz.product_defect",
     "toeplitz.commutator_defect",
     "toeplitz.first_order_defect",
@@ -356,10 +353,7 @@ def _cmd_weyl(args) -> int:
     worst = 0.0
     for n in _parse_range(args.N):
         scalar = toeplitz.weyl_relation(n, max(16, args.grid_rule * n))
-        dev = min(
-            abs(scalar - cmath.exp(2j * math.pi / n)),
-            abs(scalar - cmath.exp(-2j * math.pi / n)),
-        )
+        dev = abs(scalar - cmath.exp(-2j * math.pi / n))
         worst = max(worst, dev)
         rows.append(["weyl-scalar", n, scalar.real, scalar.imag, dev])
     _write_rows(args.output, ["claim", "N", "re", "im", "deviation"], rows)
@@ -371,7 +365,9 @@ def _cmd_bargmann(args) -> int:
     worst = 0.0
     for j in _parse_range(args.j):
         for k in _parse_range(args.k):
-            value = toeplitz.bargmann_matrix_element(j, k, args.s)
+            # the vacuum paired with e^{-2 pi i (jx + ky)} times the vacuum
+            wave = sections.GaussianSection(args.s, [1], [[0, 0]], -math.tau * np.array([[j, k]]))
+            value = sections.l2_inner(sections.vacuum(args.s), wave)
             closed = math.exp(-math.pi * (j * j + k * k) / args.s) / args.s
             dev = abs(value - closed)
             worst = max(worst, dev)
@@ -383,7 +379,7 @@ def _cmd_bargmann(args) -> int:
 
 
 def _cmd_heisenberg(args) -> int:
-    report = toeplitz.heisenberg_generator_check(args.s, args.truncation)
+    report = sections.heisenberg_generator_check(args.s)
     scalar = report["group_commutator_scalar"]
     expected = report["group_commutator_expected"]
     payload = {
@@ -484,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_bargmann)
 
-    p = sub.add_parser("heisenberg", help="generator commutation on the oscillator ladder")
+    p = sub.add_parser("heisenberg", help="magnetic-translation group commutator on sections")
     p.add_argument("--s", type=_finite_float, default=1.0)
-    p.add_argument("--truncation", type=int, default=60)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_heisenberg)
 

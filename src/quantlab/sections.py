@@ -19,6 +19,7 @@ with Gaussian tail decay in the truncation radius R.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import NamedTuple, Sequence
@@ -28,7 +29,6 @@ import scipy.linalg as la
 
 from .algebra import (
     AlgebraElement,
-    Lattice,
     _ball_coordinates,
     ball_index,
     ball_points,
@@ -139,10 +139,49 @@ def _translates(pool: _Pool, n, m) -> list[_Pool]:
     return [_Pool(s, *arrays) for arrays in zip(coeffs, centers, waves)]
 
 
-def project_act(psi: GaussianSection, gamma: Lattice) -> GaussianSection:
-    """Projective action ``psi . gamma``, symmetric gauge: ``_translates`` at the point gamma."""
+def project_act(psi: GaussianSection, gamma: tuple[float, float]) -> GaussianSection:
+    """Projective action ``psi . gamma`` at a lattice or real point: ``_translates`` there."""
     moved = _translates(_pool([psi]), [gamma[0]], [gamma[1]])[0]
     return GaussianSection(psi.s, moved.coeffs[:, 0], moved.centers, moved.waves)
+
+
+def heisenberg_generator_check(s: float) -> dict:
+    """Group commutator of the translations a = (1/s, 0), b = (0, 1/s), exact on sections.
+
+    ``project_act`` moves a fixed three-term section by a then b and by b then
+    a; the results must differ by one scalar, e^{-2 pi i / s}.  The
+    ``commutator_residual`` is the largest of the coefficient ratio's spread
+    and the center and wave mismatches.  Also checks the vacuum's zero mode.
+    """
+    centers, waves = [[0, 0], [0.3, -0.2], [-0.5, 0.4]], [[0, 0], [1, -0.5], [-0.7, 0.3]]
+    psi = GaussianSection(s, [1, 0.5 - 0.25j, -0.3 + 0.7j], centers, waves)
+    a, b = (1.0 / s, 0.0), (0.0, 1.0 / s)
+    ab = project_act(project_act(psi, a), b)
+    ba = project_act(project_act(psi, b), a)
+    ratios = ab.coeffs / ba.coeffs
+    scalar = complex(ratios.mean())
+    mismatch = max(np.abs(ab.centers - ba.centers).max(), np.abs(ab.waves - ba.waves).max())
+    commutator_residual = float(max(np.abs(ratios - scalar).max(), mismatch))
+
+    # zero mode on a grid patch, spectral differentiation
+    n_grid = 256
+    half = 6.0 / math.sqrt(s)  # psi0 = exp(-18 pi) ~ 3e-25 at the box edge, for every s
+    coords = -half + 2.0 * half * np.arange(n_grid) / n_grid
+    xg, yg = coords[:, None], coords[None, :]
+    psi0 = vacuum(s)(xg, yg)
+    freq = 2.0 * math.pi * np.fft.fftfreq(n_grid, d=2.0 * half / n_grid)
+    dx = np.fft.ifft(1j * freq[:, None] * np.fft.fft(psi0, axis=0), axis=0)
+    dy = np.fft.ifft(1j * freq[None, :] * np.fft.fft(psi0, axis=1), axis=1)
+    # X - iY = i d/dx + d/dy + pi s (y + i x)
+    zero_mode = 1j * dx + dy + math.pi * s * (yg + 1j * xg) * psi0
+    zero_mode_residual = float(np.abs(zero_mode).max() / np.abs(psi0).max())
+
+    return {
+        "commutator_residual": commutator_residual,
+        "group_commutator_scalar": scalar,
+        "group_commutator_expected": cmath.exp(-2j * math.pi / s),
+        "zero_mode_residual": zero_mode_residual,
+    }
 
 
 def l2_inner(psi: GaussianSection | _Pool, phi: GaussianSection | _Pool) -> complex | np.ndarray:

@@ -23,12 +23,10 @@ Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import AlgebraElement, convolve, reflect
 from .dolbeault import _kernel_basis
@@ -251,8 +249,8 @@ def weyl_relation(n_flux: int, grid: int) -> complex:
     """Group commutator scalar of the polar factors of the two Fourier generators.
 
     Returns the scalar V~ U~ V~* U~* for U~, V~ the unitary polar parts of
-    T(e^{-2 pi i x}) and T(e^{-2 pi i y}); for flux N it is an N-th root of
-    unity e^{+-2 pi i / N}, the noncommutative-torus relation at parameter 1/N.
+    T(e^{-2 pi i x}) and T(e^{-2 pi i y}); for flux N it is e^{-2 pi i / N}, the
+    noncommutative-torus relation at parameter 1/N in ``algebra``'s orientation.
     """
     if n_flux < 2:
         raise ValueError("weyl relation needs flux >= 2")
@@ -268,83 +266,3 @@ def weyl_relation(n_flux: int, grid: int) -> complex:
             f"group commutator is not scalar: off-scalar norm {deviation:.3e}"
         )
     return scalar
-
-
-def bargmann_matrix_element(j: int, k: int, s: float) -> complex:
-    """Vacuum expectation of e^{-2 pi i (jx + ky)} over the plane, by quadrature.
-
-    160-node Gauss-Hermite per axis after u = sqrt(pi s) x; converges to the
-    closed form s^-1 exp(-pi (j^2 + k^2) / s) for the Gaussian vacuum.
-    """
-    if s <= 0:
-        raise ValueError("width parameter s must be positive")
-    u, w = np.polynomial.hermite.hermgauss(160)
-    root = math.sqrt(math.pi * s)
-
-    def axis(freq: int) -> complex:
-        return complex(np.sum(w * np.exp(-2j * math.pi * freq * u / root)) / root)
-
-    return axis(j) * axis(k)
-
-
-def _ladder(truncation: int) -> np.ndarray:
-    a = np.zeros((truncation + 1, truncation + 1), dtype=complex)
-    for n in range(truncation):
-        a[n, n + 1] = math.sqrt(n + 1)
-    return a
-
-
-def heisenberg_generator_check(s: float, truncation: int = 60) -> dict:
-    """Finite-dimensional witness of the magnetic-translation generators.
-
-    Realizes X, Y with [X, Y] = -2 pi i s on a truncated oscillator ladder,
-    exponentiates to the group commutator e^{iY/s} e^{-iX/s} e^{-iY/s} e^{iX/s}
-    (expected scalar e^{2 pi i / s}), and checks the zero mode
-    (X - iY) psi_0 = 0 for the Gaussian vacuum on a plane grid.
-    """
-    if s <= 0:
-        raise ValueError("width parameter s must be positive")
-    if truncation < 1:
-        raise ValueError("ladder truncation must be >= 1")
-    a = _ladder(truncation)
-    ad = a.conj().T
-    root = math.sqrt(math.pi * s)
-    x = root * (a + ad)
-    y = 1j * root * (a - ad)
-    inner = slice(0, truncation)  # last ladder row/column is corrupted
-    comm = x @ y - y @ x
-    target = -2j * math.pi * s * np.eye(truncation + 1)
-    commutator_residual = _opnorm((comm - target)[inner, inner])
-
-    wmat = (
-        sla.expm(1j * y / s)
-        @ sla.expm(-1j * x / s)
-        @ sla.expm(-1j * y / s)
-        @ sla.expm(1j * x / s)
-    )
-    scalar = complex(wmat[0, 0])
-    block = min(10, truncation)
-    deviation = _opnorm(wmat[:block, :block] - scalar * np.eye(block))
-
-    # zero mode on a grid patch, spectral differentiation
-    n_grid = 256
-    half = 6.0 / math.sqrt(s)  # psi = exp(-18 pi) ~ 3e-25 at the box edge, for every s
-    coords = -half + 2.0 * half * np.arange(n_grid) / n_grid
-    xg = coords[:, None]
-    yg = coords[None, :]
-    psi = np.exp(-(math.pi * s / 2.0) * (xg**2 + yg**2))
-    freq = 2.0 * math.pi * np.fft.fftfreq(n_grid, d=2.0 * half / n_grid)
-    dx = np.fft.ifft(1j * freq[:, None] * np.fft.fft(psi, axis=0), axis=0)
-    dy = np.fft.ifft(1j * freq[None, :] * np.fft.fft(psi, axis=1), axis=1)
-    # X - iY = i d/dx + d/dy + pi s (y + i x)
-    zero_mode = 1j * dx + dy + math.pi * s * (yg + 1j * xg) * psi
-    zero_mode_residual = float(np.abs(zero_mode).max() / np.abs(psi).max())
-
-    return {
-        "commutator_residual": commutator_residual,
-        "group_commutator_scalar": scalar,
-        "group_commutator_expected": cmath.exp(2j * math.pi / s),
-        "group_commutator_deviation": deviation,
-        "zero_mode_residual": zero_mode_residual,
-        "truncation": truncation,
-    }

@@ -20,7 +20,7 @@ from oracles import cocycle_rows_loop, write_rows_csv
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
     "cocycle": ["solve_phi", "cocycle_table"],
-    "sections": ["project_act", "l2_inner", "module_inner", "gram_positivity"],
+    "sections": ["project_act", "l2_inner", "module_inner", "gram_positivity", "heisenberg_generator_check"],
     "dolbeault": ["build_dolbeault", "kernel_dimension", "spectral_report", "weitzenbock_residual", "kernel_basis"],
     "toeplitz": [
         "toeplitz",
@@ -30,8 +30,6 @@ PUBLIC_OPERATIONS = {
         "first_order_defect",
         "trace_limit_defect",
         "weyl_relation",
-        "bargmann_matrix_element",
-        "heisenberg_generator_check",
     ],
     "surface_index": ["l2_index", "natsume_nest_trace", "numeric_index_crosscheck"],
 }
@@ -295,6 +293,7 @@ def test_config_means_the_same_as_argv(overrides, argv, tokens, tmp_path, capsys
         ('{"N": {"lo": 2}}', ["weyl", "--N", "2"]),
         ("[1, 2]", ["weyl", "--N", "2"]),
         ("{not json", ["weyl", "--N", "2"]),
+        ('{"truncation": 60}', ["heisenberg"]),
     ],
     ids=[
         "int-given-float",
@@ -311,6 +310,7 @@ def test_config_means_the_same_as_argv(overrides, argv, tokens, tmp_path, capsys
         "object",
         "not-an-object",
         "not-json",
+        "removed-option",
     ],
 )
 def test_config_rejects_what_the_parser_rejects(text, argv, tmp_path, capsys):
@@ -448,7 +448,7 @@ def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
     [
         (["weyl", "--N", "1"], "ValueError"),
         (["bargmann", "--s", "-1"], "ValueError"),
-        (["heisenberg", "--truncation", "0"], "ValueError"),
+        (["heisenberg", "--s", "-1"], "ValueError"),
         (["toeplitz-sweep", "--fg", "no-such-symbol,cos2piy"], "FileNotFoundError"),
         # a radius below 1 is a usage error whichever option carries it
         (["algebra", "--mode", "norm", "--radius", "0"], "TruncationError"),
@@ -798,13 +798,14 @@ def test_continuity_threshold_failure_exits_1_with_record(capsys):
     assert out["error"] == "ContinuityError"
 
 
-def test_heisenberg_small_truncation(capsys):
-    # four ladder states are too few for the group commutator: exit 1, record printed
-    code = main(["heisenberg", "--truncation", "4"])
+@pytest.mark.parametrize("s", ["0.1", "0.25", "1.5", "3.3", "100"])
+def test_heisenberg_passes_at_every_s(s, capsys):
+    # the translates are exact Gaussian sections, so no s is too small
+    code = main(["heisenberg", "--s", s])
     out = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert out["commutator_residual"] <= 1e-8
-    assert out["scalar_deviation"] > 1e-8
+    assert code == 0
+    assert out["claim"] == "heisenberg-generators"
+    assert max(out["scalar_deviation"], out["commutator_residual"]) <= 1e-12
 
 
 def test_heisenberg_default_truncation_passes(capsys):
@@ -821,7 +822,7 @@ def test_heisenberg_default_truncation_passes(capsys):
 
 def test_weyl_gate_fails_past_1e_8(monkeypatch, capsys):
     def off_by(n, grid):
-        return cmath.exp(2j * math.pi / n) + 2e-8
+        return cmath.exp(-2j * math.pi / n) + 2e-8
 
     monkeypatch.setattr(toeplitz, "weyl_relation", off_by)
     code = main(["weyl", "--N", "2..3"])
@@ -831,11 +832,22 @@ def test_weyl_gate_fails_past_1e_8(monkeypatch, capsys):
     assert [float(r.split(",")[-1]) for r in rows[1:]] == pytest.approx([2e-8, 2e-8], rel=1e-6)
 
 
-def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
-    def off_by(j, k, s):
-        return complex(math.exp(-math.pi * (j * j + k * k) / s) / s + 2e-8)
+def test_weyl_gate_fails_on_the_reversed_orientation(monkeypatch, capsys):
+    # e^{+2 pi i/3} is a root of unity of the right order, in the other orientation
+    monkeypatch.setattr(toeplitz, "weyl_relation", lambda n, grid: cmath.exp(2j * math.pi / n))
+    code = main(["weyl", "--N", "3"])
+    rows = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert float(rows[1].split(",")[-1]) == pytest.approx(math.sqrt(3.0))
 
-    monkeypatch.setattr(toeplitz, "bargmann_matrix_element", off_by)
+
+def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
+    pairing = sections.l2_inner
+
+    def off_by(psi, phi):
+        return pairing(psi, phi) + 2e-8
+
+    monkeypatch.setattr(sections, "l2_inner", off_by)
     code = main(["bargmann", "--j", "0..1", "--k", "0"])
     rows = capsys.readouterr().out.splitlines()
     assert code == 1
@@ -846,23 +858,36 @@ def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):
 
 @pytest.mark.parametrize("which", ["scalar", "commutator", "zero_mode"])
 def test_heisenberg_gate_fails_past_1e_8(which, monkeypatch, capsys):
-    check = toeplitz.heisenberg_generator_check
+    check = sections.heisenberg_generator_check
 
-    def off_by(s, truncation):
-        report = dict(check(s, truncation))
+    def off_by(s):
+        report = dict(check(s))
         if which == "scalar":
             report["group_commutator_scalar"] = report["group_commutator_expected"] + 2e-8
         else:
             report[f"{which}_residual"] = 2e-8
         return report
 
-    monkeypatch.setattr(toeplitz, "heisenberg_generator_check", off_by)
+    monkeypatch.setattr(sections, "heisenberg_generator_check", off_by)
     code = main(["heisenberg"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["claim"] == "heisenberg-generators"
     key = "scalar_deviation" if which == "scalar" else f"{which}_residual"
     assert out[key] == pytest.approx(2e-8, rel=1e-6)
+
+
+def test_heisenberg_gate_fails_on_the_reversed_orientation(monkeypatch, capsys):
+    check = sections.heisenberg_generator_check
+
+    def reversed_expectation(s):
+        return {**check(s), "group_commutator_expected": cmath.exp(2j * math.pi / s)}
+
+    monkeypatch.setattr(sections, "heisenberg_generator_check", reversed_expectation)
+    code = main(["heisenberg", "--s", "1.5"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["scalar_deviation"] == pytest.approx(math.sqrt(3.0))
 
 
 @pytest.mark.parametrize("which", ["constancy", "identity"])

@@ -8,15 +8,14 @@ import pytest
 import quantlab.toeplitz as toeplitz_module
 from quantlab import dolbeault
 from quantlab.dolbeault import build_dolbeault, kernel_basis
+from quantlab.sections import GaussianSection, heisenberg_generator_check, l2_inner, vacuum
 from quantlab.toeplitz import (
     TrigPolynomial,
-    bargmann_matrix_element,
     commutator_defect,
     defect_sweep,
     first_order_defect,
     fit_loglog_slope,
     gradient_pairing,
-    heisenberg_generator_check,
     holomorphic_basis,
     named_symbol,
     poisson_bracket,
@@ -305,18 +304,14 @@ def test_holomorphic_basis_is_the_landau_kernel_basis():
 
 def test_weyl_relation_small_flux():
     assert weyl_relation(2, 16) == pytest.approx(-1.0, abs=1e-10)
-    z4 = weyl_relation(4, 32)
-    assert min(abs(z4 - 1j), abs(z4 + 1j)) < 1e-10
+    assert weyl_relation(4, 32) == pytest.approx(-1j, abs=1e-10)
 
 
 def test_weyl_relation_unit_modulus_and_value():
     for n in (3, 5, 8):
         z = weyl_relation(n, max(16, 8 * n))
         assert abs(abs(z) - 1.0) < 1e-10
-        dev = min(
-            abs(z - cmath.exp(2j * math.pi / n)), abs(z - cmath.exp(-2j * math.pi / n))
-        )
-        assert dev < 1e-8
+        assert abs(z - cmath.exp(-2j * math.pi / n)) < 1e-8
 
 
 def test_weyl_relation_rejects_small_flux():
@@ -325,23 +320,25 @@ def test_weyl_relation_rejects_small_flux():
 
 
 def test_bargmann_matrix_element_values():
-    assert bargmann_matrix_element(0, 0, 2.0) == pytest.approx(0.5, abs=1e-10)
-    assert bargmann_matrix_element(1, 0, 1.0) == pytest.approx(
-        math.exp(-math.pi), abs=1e-10
-    )
-    value = bargmann_matrix_element(2, 3, 1.7)
+    def overlap(j, k, s):  # <vacuum | e^{-2 pi i (jx + ky)} vacuum>
+        wave = GaussianSection(s, [1.0], [[0.0, 0.0]], [[-2 * math.pi * j, -2 * math.pi * k]])
+        return l2_inner(vacuum(s), wave)
+
+    assert overlap(0, 0, 2.0) == pytest.approx(0.5, abs=1e-10)
+    assert overlap(1, 0, 1.0) == pytest.approx(math.exp(-math.pi), abs=1e-10)
+    value = overlap(2, 3, 1.7)
     closed = math.exp(-math.pi * (4 + 9) / 1.7) / 1.7
-    assert abs(value - closed) < 1e-8
+    assert abs(value - closed) < 1e-12
 
 
 def test_heisenberg_generator_check():
-    report = heisenberg_generator_check(1.0, truncation=60)
-    assert report["commutator_residual"] <= 1e-8
-    assert report["zero_mode_residual"] <= 1e-10
-    assert abs(report["group_commutator_scalar"] - report["group_commutator_expected"]) < 1e-6
-
-    report2 = heisenberg_generator_check(2.0, truncation=60)
-    assert report2["group_commutator_scalar"] == pytest.approx(-1.0, abs=1e-6)
+    for s in (1.0, 1.5, 2.0):
+        report = heisenberg_generator_check(s)
+        assert report["commutator_residual"] <= 1e-12
+        assert report["zero_mode_residual"] <= 1e-10
+        assert report["group_commutator_expected"] == cmath.exp(-2j * math.pi / s)
+        assert abs(report["group_commutator_scalar"] - report["group_commutator_expected"]) < 1e-12
+    assert report["group_commutator_scalar"] == pytest.approx(-1.0, abs=1e-12)
 
     # the plane box scales with the Gaussian, so a narrow vacuum is resolved too
     assert heisenberg_generator_check(100.0)["zero_mode_residual"] <= 1e-10
