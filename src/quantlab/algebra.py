@@ -284,6 +284,11 @@ def _ball_coordinates(radius: int):
     return n - radius, m - radius
 
 
+def _hops(a: AlgebraElement, radius: int) -> Dict[Lattice, complex]:
+    """Terms of ``a`` that can land in the ball: a longer hop leaves it from every column."""
+    return {g: c for g, c in a._terms.items() if max(abs(g[0]), abs(g[1])) <= 2 * radius}
+
+
 def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stacklevel: int):
     """Values, rows, columns (no pair repeats) and dimension of the compression.
 
@@ -299,8 +304,9 @@ def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stackleve
         )
     dim = (2 * radius + 1) ** 2
     n, m = _ball_coordinates(radius)
-    shifts = np.array(list(a._terms), dtype=np.int64).reshape(-1, 2)
-    coeffs = np.array(list(a._terms.values()), dtype=complex)
+    hops = _hops(a, radius)  # so every shift fits an int64
+    shifts = np.array(list(hops), dtype=np.int64).reshape(-1, 2)
+    coeffs = np.array(list(hops.values()), dtype=complex)
     tn, tm = shifts[:, :1] + n, shifts[:, 1:] + m
     # hops that leave the ball are compressed away
     term, col = np.nonzero((np.abs(tn) <= radius) & (np.abs(tm) <= radius))
@@ -320,16 +326,18 @@ def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray | None:
     """Ball indices grouped by coset of the hop lattice of ``a``; None if it is Z^2.
 
     ``A* A`` couples ball points ``p, p'`` only when ``p' - p`` lies in ``L``,
-    the lattice spanned by ``supp(a) - supp(a)``, so it is block-diagonal over
-    the cosets of ``L``; listing each coset contiguously, lexicographic
-    within, narrows its band.  With ``L`` in triangular (Hermite) form,
+    the lattice spanned by ``H - H`` for the hops ``H = _hops(a, radius)``
+    (no other term reaches the ball), so it is block-diagonal over the
+    cosets of ``L``; listing each coset contiguously, lexicographic within,
+    narrows its band.  With ``L`` in triangular (Hermite) form,
     spanned by ``(p, q)`` and ``(0, r)``, the coset of ``(n, m)`` is labelled
     ``(n mod p, (m - q floor(n / p)) mod r)``; ``p = 0`` or ``r = 0`` (a
     support on a line or a point) leaves that coordinate as is.
     """
     p = q = r = 0
-    n0, m0 = next(iter(a._terms), E)
-    for n, m in a._terms:  # Euclid's steps on the rows (p, q) and (n - n0, m - m0)
+    hops = _hops(a, radius)
+    n0, m0 = next(iter(hops), E)
+    for n, m in hops:  # Euclid's steps on the rows (p, q) and (n - n0, m - m0)
         x, y = n - n0, m - m0
         while x:
             k = p // x

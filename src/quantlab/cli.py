@@ -73,8 +73,8 @@ OPERATION_COVERAGE = {
 # public operations no subcommand runs; `cocycle-check` reaches the phases
 # through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
 # by a derived cocycle.  `toeplitz-sweep` takes all four defects from
-# `toeplitz.defect_sweep`; the single-defect functions stay for library
-# callers, the tests, and the benchmark tracer, which looks each one up by name.
+# `toeplitz.defect_sweep`; the single-defect functions are its one-cell views,
+# kept for library callers and the benchmark tracer, which looks each one up by name.
 LIBRARY_ONLY = {
     "cocycle.solve_phi",
     "cocycle.cocycle_table",
@@ -329,9 +329,10 @@ _SWEEP_CLAIMS = {
 
 
 def _cmd_toeplitz_sweep(args) -> int:
-    fname, gname = args.fg.split(",", 1)
-    f = _load_symbol(fname)
-    g = _load_symbol(gname)
+    names = args.fg.split(",")
+    if len(names) != 2 or "" in names:
+        raise ValueError(f"--fg takes two symbols as 'f,g', got {args.fg!r}")
+    f, g = (_load_symbol(name) for name in names)
     flux_values = _parse_range(args.N)
     if min(flux_values) < 1:
         raise ValueError(f"toeplitz-sweep needs flux N >= 1, got {min(flux_values)}")

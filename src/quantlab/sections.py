@@ -152,7 +152,12 @@ def heisenberg_generator_check(s: float) -> dict:
     a; the results must differ by one scalar, e^{-2 pi i / s}.  The
     ``commutator_residual`` is the largest of the coefficient ratio's spread
     and the center and wave mismatches.  Also checks the vacuum's zero mode.
+    ValueError outside 1e-6 <= s <= 1e9, where rounding alone nears the 1e-8
+    gate: the translation phases round like eps / s, the spectral derivative
+    like eps s (4e-8 at s = 1e-8, 2.2e-8 at s = 1e12).
     """
+    if not 1e-6 <= s <= 1e9:
+        raise ValueError(f"heisenberg check needs 1e-6 <= s <= 1e9, got {s!r}")
     centers, waves = [[0, 0], [0.3, -0.2], [-0.5, 0.4]], [[0, 0], [1, -0.5], [-0.7, 0.3]]
     psi = GaussianSection(s, [1, 0.5 - 0.25j, -0.3 + 0.7j], centers, waves)
     a, b = (1.0 / s, 0.0), (0.0, 1.0 / s)

@@ -11,7 +11,9 @@ basis is read in the Landau gauge.
 ``defect_sweep`` takes the four defects over a flux sweep: it forms fg,
 {f, g} and G(f, g) once per sweep and assembles five matrices per flux,
 T(f), T(g), T(fg), T({f, g}) and T(G); the first-order correction uses
-linearity, T(fg + G/N) = T(fg) + T(G)/N.
+linearity, T(fg + G/N) = T(fg) + T(G)/N.  ``product_defect``,
+``commutator_defect``, ``first_order_defect`` and ``trace_limit_defect`` are
+its one-cell views.
 
 Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
@@ -129,82 +131,22 @@ def _opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _require_flux(n_flux: int, defect: str) -> None:
-    if n_flux < 1:
-        raise ValueError(f"{defect} defect divides by the flux; need N >= 1, got {n_flux}")
-
-
-def _require_real(f: TrigPolynomial) -> None:
-    if not f.is_real():
-        raise ValueError("trace limit defect is defined for real symbols")
-
-
-# The defect formulas, on Toeplitz matrices already assembled; tftg = T(f) T(g).
-def _product(tftg: np.ndarray, tfg: np.ndarray) -> float:
-    return _opnorm(tftg - tfg)
-
-
-def _commutator(tftg: np.ndarray, tgtf: np.ndarray, tpb: np.ndarray, n_flux: int) -> float:
-    return _opnorm(tftg - tgtf - (1j / n_flux) * tpb)
-
-
-def _first_order(tftg: np.ndarray, tfg: np.ndarray, tpair: np.ndarray, n_flux: int) -> float:
-    # T(fg + G/N) = T(fg) + T(G)/N: the compression is linear in the symbol
-    return _opnorm(tftg - tfg - tpair / n_flux)
-
-
-def _trace_limit(tf: np.ndarray, f: TrigPolynomial) -> float:
-    return float(abs(np.trace(tf) / tf.shape[0] - f.mean()))
-
-
-def product_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
-    """Operator norm of T(f) T(g) - T(fg)."""
-    tf = toeplitz(f, n_flux, grid)
-    tg = toeplitz(g, n_flux, grid)
-    return _product(tf @ tg, toeplitz(f * g, n_flux, grid))
-
-
-def commutator_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
-    """Operator norm of [T(f), T(g)] - (i/N) T({f, g}); needs N >= 1."""
-    _require_flux(n_flux, "commutator")
-    tf = toeplitz(f, n_flux, grid)
-    tg = toeplitz(g, n_flux, grid)
-    tpb = toeplitz(poisson_bracket(f, g), n_flux, grid)
-    return _commutator(tf @ tg, tg @ tf, tpb, n_flux)
-
-
-def first_order_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
-    """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g)); needs N >= 1."""
-    _require_flux(n_flux, "first-order")
-    tf = toeplitz(f, n_flux, grid)
-    tg = toeplitz(g, n_flux, grid)
-    tfg = toeplitz(f * g, n_flux, grid)
-    tpair = toeplitz(gradient_pairing(f, g), n_flux, grid)
-    return _first_order(tf @ tg, tfg, tpair, n_flux)
-
-
-def trace_limit_defect(f: TrigPolynomial, n_flux: int, grid: int) -> float:
-    """|normalized trace of T(f) - mean f| for a real symbol."""
-    _require_real(f)
-    return _trace_limit(toeplitz(f, n_flux, grid), f)
-
-
 def defect_sweep(
     f: TrigPolynomial, g: TrigPolynomial, cells: Sequence[tuple[int, int]]
 ) -> list[dict[str, float]]:
     """The four defects of (f, g) at each flux and grid (N, M) of ``cells``, in order.
 
-    Each cell gives a dict with the values of ``product_defect``,
-    ``commutator_defect``, ``first_order_defect`` and ``trace_limit_defect``
-    under the keys "product", "commutator", "first_order" and "trace".  The
-    symbols fg, {f, g} and G(f, g) are formed once per call; each cell
-    assembles the five matrices T(f), T(g), T(fg), T({f, g}) and T(G) and
-    forms T(f) T(g) once.  A non-real f or a flux below 1 raises ValueError
-    before any kernel solve, with the single defects' messages.
+    Each cell gives a dict with the keys "product", "commutator",
+    "first_order" and "trace": the operator norms of T(f) T(g) - T(fg),
+    [T(f), T(g)] - (i/N) T({f, g}) and T(f) T(g) - T(fg + G(f, g)/N), and
+    |tr T(f) / dim - mean f|.  T(f) T(g) is formed once per cell.  A non-real
+    f or a flux below 1 raises ValueError before any kernel solve.
     """
     for n_flux, _ in cells:
-        _require_flux(n_flux, "commutator")
-    _require_real(f)
+        if n_flux < 1:
+            raise ValueError(f"commutator defect divides by the flux; need N >= 1, got {n_flux}")
+    if not f.is_real():
+        raise ValueError("trace limit defect is defined for real symbols")
     fg, bracket, pairing = f * g, poisson_bracket(f, g), gradient_pairing(f, g)
     sweep = []
     for n_flux, grid in cells:
@@ -214,13 +156,37 @@ def defect_sweep(
         tftg = tf @ tg
         sweep.append(
             {
-                "product": _product(tftg, tfg),
-                "commutator": _commutator(tftg, tg @ tf, toeplitz(bracket, n_flux, grid), n_flux),
-                "first_order": _first_order(tftg, tfg, toeplitz(pairing, n_flux, grid), n_flux),
-                "trace": _trace_limit(tf, f),
+                "product": _opnorm(tftg - tfg),
+                "commutator": _opnorm(
+                    tftg - tg @ tf - (1j / n_flux) * toeplitz(bracket, n_flux, grid)
+                ),
+                # T(fg + G/N) = T(fg) + T(G)/N: the compression is linear in the symbol
+                "first_order": _opnorm(tftg - tfg - toeplitz(pairing, n_flux, grid) / n_flux),
+                "trace": float(abs(np.trace(tf) / tf.shape[0] - f.mean())),
             }
         )
     return sweep
+
+
+# One-cell views of ``defect_sweep``, with its domain: N >= 1 and a real f.
+def product_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
+    """Operator norm of T(f) T(g) - T(fg)."""
+    return defect_sweep(f, g, [(n_flux, grid)])[0]["product"]
+
+
+def commutator_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
+    """Operator norm of [T(f), T(g)] - (i/N) T({f, g})."""
+    return defect_sweep(f, g, [(n_flux, grid)])[0]["commutator"]
+
+
+def first_order_defect(f: TrigPolynomial, g: TrigPolynomial, n_flux: int, grid: int) -> float:
+    """Operator norm of T(f) T(g) - T(fg + (1/N) G(f, g))."""
+    return defect_sweep(f, g, [(n_flux, grid)])[0]["first_order"]
+
+
+def trace_limit_defect(f: TrigPolynomial, n_flux: int, grid: int) -> float:
+    """|normalized trace of T(f) - mean f|."""
+    return defect_sweep(f, f, [(n_flux, grid)])[0]["trace"]
 
 
 def fit_loglog_slope(ns: Sequence[float], values: Sequence[float]) -> float:

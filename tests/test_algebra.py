@@ -256,6 +256,17 @@ def test_element_outside_the_ball_compresses_to_zero():
         assert norm_estimate(gone, KC, 0.3, 1) == 0.0
 
 
+def test_a_hop_beyond_int64_is_dropped_before_assembly():
+    # a hop longer than 2R leaves the ball from every column, so dropping it is
+    # exact; the int64 shift array and the coset lattice used to overflow on it
+    far = AlgebraElement({E: 1.0, (10**20, 0): 1.0})
+    with pytest.warns(UserWarning, match="lossy"):
+        assert norm_estimate(far, KC, 0.3, 2) == 1.0
+    with pytest.warns(UserWarning, match="lossy"):
+        mat = regular_representation(far, KC, 0.3, 2)
+    assert np.array_equal(mat, regular_representation(AlgebraElement.unit(), KC, 0.3, 2))
+
+
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.7, 0.9])
 def test_norm_estimate_is_the_dense_compression_norm_harper(s):
     h = harper_element(KC, 0.0)

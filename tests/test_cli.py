@@ -459,6 +459,10 @@ def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
         (["weyl", "--N", "3..2"], "ValueError"),
         (["bargmann", "--j", "3..1"], "ValueError"),
         (["toeplitz-sweep", "--N", "5..3"], "ValueError"),
+        # past these s, rounding alone nears the 1e-8 gate
+        (["heisenberg", "--s", "1e-8"], "ValueError"),
+        (["heisenberg", "--s", "1e12"], "ValueError"),
+        (["toeplitz-sweep", "--fg", "cos2pix"], "ValueError"),
     ],
 )
 def test_invalid_option_value_exits_2_with_record(argv, error, capsys):
@@ -717,6 +721,13 @@ def test_norm_of_extreme_coefficients_is_the_scaled_unit_norm(capsys):
         assert out["norm"] == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
 
+def test_norm_of_an_element_with_a_hop_beyond_int64_exits_0(capsys):
+    far = json.dumps([{"n": 0, "m": 0, "re": 1, "im": 0}, {"n": 1e20, "m": 0, "re": 1, "im": 0}])
+    with pytest.warns(UserWarning, match="lossy"):
+        assert main(["algebra", "--mode", "norm", "--radius", "2", "--a", far]) == 0
+    assert json.loads(capsys.readouterr().out)["norm"] == 1.0
+
+
 def test_norm_with_an_overflowing_l1_norm_exits_2_naming_it(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "_gram_top", None)
     assert main(["algebra", "--mode", "norm", "--radius", "3", "--a", _two_hops(1e308)]) == 2
@@ -806,6 +817,21 @@ def test_heisenberg_passes_at_every_s(s, capsys):
     assert code == 0
     assert out["claim"] == "heisenberg-generators"
     assert max(out["scalar_deviation"], out["commutator_residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize("s", ["1e-6", "1e9"])
+def test_heisenberg_passes_at_the_ends_of_its_range(s, capsys):
+    code = main(["heisenberg", "--s", s])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert max(out["scalar_deviation"], out["commutator_residual"], out["zero_mode_residual"]) <= 1e-8
+
+
+@pytest.mark.parametrize("fg", ["cos2pix", "cos2pix,", ",cos2piy", "cos2pix,cos2piy,sin2pix"])
+def test_toeplitz_sweep_names_the_form_of_fg(fg, capsys):
+    # one symbol used to read "not enough values to unpack", an empty name a missing file ''
+    assert main(["toeplitz-sweep", "--fg", fg]) == 2
+    assert json.loads(capsys.readouterr().out)["message"] == f"--fg takes two symbols as 'f,g', got {fg!r}"
 
 
 def test_heisenberg_default_truncation_passes(capsys):

@@ -45,6 +45,21 @@ def random_symbol(n_modes=3, bound=2, real=True):
     return TrigPolynomial(modes)
 
 
+def seeded_real_pair(seed):
+    """Two real five-mode symbols from their own stream, leaving the module rng to the other tests."""
+    local = np.random.default_rng(seed)
+
+    def real_symbol():
+        modes = {}
+        for j, k in local.integers(-2, 3, (5, 2)).tolist():
+            z = complex(*local.normal(size=2))
+            modes[(j, k)] = modes.get((j, k), 0.0) + z
+            modes[(-j, -k)] = modes.get((-j, -k), 0.0) + z.conjugate()
+        return TrigPolynomial(modes)
+
+    return real_symbol(), real_symbol()
+
+
 @pytest.mark.parametrize("grid", [32, 72])
 def test_separable_sample_matches_the_mode_loop(grid):
     local = np.random.default_rng(4)  # leaves the module rng to the other tests
@@ -189,7 +204,7 @@ def test_first_order_defect_slope():
     assert fit_loglog_slope(SWEEP, values) <= -1.5
 
 
-@pytest.mark.parametrize("defect", [commutator_defect, first_order_defect])
+@pytest.mark.parametrize("defect", [product_defect, commutator_defect, first_order_defect])
 def test_first_order_corrections_reject_zero_flux(defect):
     one = named_symbol("one")
     with pytest.raises(ValueError, match="need N >= 1"):
@@ -222,9 +237,32 @@ def test_trace_limit_fourier_modes_exact():
         assert trace_limit_defect(F, n, max(16, 8 * n)) < 1e-12
 
 
-def test_trace_limit_rejects_complex_symbol():
-    with pytest.raises(ValueError):
-        trace_limit_defect(named_symbol("exp-2pix"), 4, 32)
+SINGLE_DEFECTS = {
+    "product": product_defect,
+    "commutator": commutator_defect,
+    "first_order": first_order_defect,
+    "trace": lambda f, g, n, grid: trace_limit_defect(f, n, grid),
+}
+
+
+def test_trace_limit_rejects_complex_symbol(monkeypatch):
+    # every single defect takes defect_sweep's domain, checked before any solve
+    def no_solve(*args):
+        raise AssertionError("solved before the symbol was checked")
+
+    monkeypatch.setattr(dolbeault, "_kernel_data", no_solve)
+    for defect in SINGLE_DEFECTS.values():
+        with pytest.raises(ValueError, match="trace limit defect is defined for real symbols"):
+            defect(named_symbol("exp-2pix"), G, 4, 32)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_single_defects_are_their_defect_sweep_cell(seed):
+    f, g = seeded_real_pair(seed)
+    cells = [(4, 32), (9, 72)]
+    for (n, grid), cell in zip(cells, defect_sweep(f, g, cells), strict=True):
+        for key, defect in SINGLE_DEFECTS.items():
+            assert defect(f, g, n, grid) == cell[key], (n, grid, key)
 
 
 def test_trace_of_operator_product_converges():
@@ -240,17 +278,7 @@ def test_trace_of_operator_product_converges():
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_defect_sweep_matches_the_separate_assemblies(seed):
-    local = np.random.default_rng(seed)  # leaves the module rng to the other tests
-
-    def real_symbol():
-        modes = {}
-        for j, k in local.integers(-2, 3, (5, 2)).tolist():
-            z = complex(*local.normal(size=2))
-            modes[(j, k)] = modes.get((j, k), 0.0) + z
-            modes[(-j, -k)] = modes.get((-j, -k), 0.0) + z.conjugate()
-        return TrigPolynomial(modes)
-
-    f, g = real_symbol(), real_symbol()
+    f, g = seeded_real_pair(seed)
     cells = [(1, 16), (2, 16), (3, 24), (5, 40), (6, 60)]
     for (n, grid), cell in zip(cells, defect_sweep(f, g, cells), strict=True):
         expected = toeplitz_defects_separate(f, g, n, grid)
