@@ -10,7 +10,8 @@ cell is a claim tag, a header name or a pre-joined integer label.
 Exit codes: 0 success; 1 a gated claim past its bound, or a numerical check
 or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
 ``--help`` text marks report-only subcommands); 2 a usage or configuration
-error (a bad option value, or an unreadable or malformed input file), with a
+error (a bad option value, including one whose arrays cannot be allocated,
+a ``MemoryError``, or an unreadable or malformed input file), with a
 ``usage-error`` or ``config-error`` record on stdout; 3 stdout closed before
 the output was written (a reader such as ``head`` left early), with an
 ``output-closed`` record on stderr; argparse prints its own message for
@@ -43,47 +44,6 @@ from .dolbeault import (
 )
 from . import algebra, cocycle, sections, surface_index, toeplitz
 from .errors import ConfigError, QuantLabError, TruncationError
-
-# registry: public operation -> subcommand that exposes it
-OPERATION_COVERAGE = {
-    "algebra.multiply": "algebra",
-    "algebra.involution": "algebra",
-    "algebra.trace": "algebra",
-    "algebra.regular_representation": "module-gram",
-    "algebra.norm_estimate": "algebra",
-    "algebra.norm_profile": "algebra",
-    "sections.project_act": "heisenberg",
-    "sections.l2_inner": "module-gram",
-    "sections.module_inner": "module-gram",
-    "sections.gram_positivity": "module-gram",
-    "sections.heisenberg_generator_check": "heisenberg",
-    "dolbeault.build_dolbeault": "spectral",
-    "dolbeault.kernel_dimension": "spectral",
-    "dolbeault.spectral_report": "spectral",
-    "dolbeault.weitzenbock_residual": "spectral",
-    "dolbeault.kernel_basis": "spectral",
-    "toeplitz.toeplitz": "toeplitz-sweep",
-    "toeplitz.defect_sweep": "toeplitz-sweep",
-    "toeplitz.weyl_relation": "weyl",
-    "surface_index.l2_index": "index",
-    "surface_index.natsume_nest_trace": "index",
-    "surface_index.numeric_index_crosscheck": "spectral",
-}
-
-# public operations no subcommand runs; `cocycle-check` reaches the phases
-# through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
-# by a derived cocycle.  `toeplitz-sweep` takes all four defects from
-# `toeplitz.defect_sweep`; the single-defect functions are its one-cell views,
-# kept for library callers and the benchmark tracer, which looks each one up by name.
-LIBRARY_ONLY = {
-    "cocycle.solve_phi",
-    "cocycle.cocycle_table",
-    "toeplitz.product_defect",
-    "toeplitz.commutator_defect",
-    "toeplitz.first_order_defect",
-    "toeplitz.trace_limit_defect",
-}
-
 
 def _parse_range(text: str) -> list[int]:
     """'4..32' -> inclusive integer range; '4,8,16' -> explicit list; empty is an error."""
@@ -183,8 +143,11 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
     """Largest |c(g2,g3) - c(g1+g2,g3) + c(g1,g2+g3) - c(g1,g2)| over the half-radius ball.
 
     Triples whose sums leave the radius-R ball are skipped; one array
-    expression over (g2, g3) per g1 bounds the work arrays.
+    expression over (g2, g3) per g1 bounds the work arrays.  ``ValueError``
+    if a value is so large that a sum of four could overflow a float.
     """
+    if max(values.max(), -values.min()) > sys.float_info.max / 4:
+        raise ValueError("cocycle values too large to check the identity in floats")
     n, m = np.array(algebra.ball_points(min(radius, max(1, radius // 2)))).T
 
     def index(dn, dm):  # positions of g + (dn, dm) in the radius-R ball, and which stay inside
@@ -424,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", default="symmetric", choices=("symmetric", "landau"))
     p.add_argument("--omega0", type=_finite_float, default=2.0 * math.pi)
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_cocycle_check)
 
     p = sub.add_parser(
@@ -440,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=20)
     p.add_argument("--s-grid", default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--continuity-threshold", type=_finite_float, default=None)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_algebra)
 
     p = sub.add_parser("module-gram", help="module inner products and positivity")
@@ -448,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--rep-radius", type=int, default=6)
     p.add_argument("--sections", help="path with one section JSON per line")
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_module_gram)
 
     p = sub.add_parser("spectral", help="lattice Dolbeault spectra and bounds")
@@ -457,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gauge", default="landau", choices=GAUGES)
     p.add_argument("--slack", type=_finite_float, default=0.1)
     p.add_argument("--export-kernel", help="write the kernel basis as CSV (re/im columns)")
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("toeplitz-sweep", help="defect decay sweep over the flux (report-only)")
@@ -465,34 +424,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", default="4..32")
     p.add_argument("--samples", type=_positive_int, default=7, help="flux values kept, >= 1")
     p.add_argument("--grid-rule", type=_positive_int, default=8, help="grid = max(16, rule * N)")
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_toeplitz_sweep)
 
     p = sub.add_parser("weyl", help="noncommutative-torus scalar of the polar factors")
     p.add_argument("--N", default="2..12")
     p.add_argument("--grid-rule", type=_positive_int, default=8)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_weyl)
 
     p = sub.add_parser("bargmann", help="vacuum Fourier overlaps vs the closed form")
     p.add_argument("--j", default="0..3")
     p.add_argument("--k", default="0..3")
     p.add_argument("--s", type=_finite_float, default=1.0)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_bargmann)
 
     p = sub.add_parser("heisenberg", help="magnetic-translation group commutator on sections")
     p.add_argument("--s", type=_finite_float, default=1.0)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_heisenberg)
 
     p = sub.add_parser("index", help="closed-form surface index and trace values (report-only)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--vol", type=_finite_float, default=None)
-    p.add_argument("--output")
     p.set_defaults(func=_cmd_index)
 
+    for p in sub.choices.values():  # after each subcommand's own options, as --help lists them
+        p.add_argument("--output")
     return parser
 
 
@@ -553,8 +509,9 @@ def main(argv=None) -> int:
         return _report_error("output-closed", exc, 3, sys.stderr)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
-    except TruncationError as exc:
-        # a radius below 1, from whichever option carries it, is a bad option value
+    except (TruncationError, MemoryError) as exc:
+        # a radius below 1, or one whose arrays cannot be allocated, from
+        # whichever option carries it, is a bad option value
         return _report_error("usage-error", exc, 2)
     except QuantLabError as exc:
         return _report_error("failed", exc, 1)

@@ -98,7 +98,8 @@ def _phases(A: OneForm, n, m) -> np.ndarray:
     phi_{(n[k], m[k])}.  Each phase is the straight-segment integral of
     ``A - gamma^* A``, checked to be closed and to satisfy
     ``d(phi) = A - gamma^* A`` coefficient-wise within ``1e-12`` times the
-    largest coefficient of the difference (at least 1).
+    largest coefficient of the difference (at least 1).  ``ValueError`` if a
+    coefficient of ``A - gamma^* A`` overflows a float.
     """
     P, Q = A.P, A.Q
     rows = max(P.shape[0] + 1, Q.shape[0])
@@ -106,7 +107,14 @@ def _phases(A: OneForm, n, m) -> np.ndarray:
     frame = np.stack([_pad(P, rows, cols), _pad(Q, rows, cols)])
     # A - gamma^*A as (K, 2, rows, cols): the P and Q coefficients of each difference
     Bn, Bm = _pascal(n, rows)[:, None], _pascal(m, cols)[:, None]
-    diff = frame - Bn @ frame @ np.swapaxes(Bm, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        diff = frame - Bn @ frame @ np.swapaxes(Bm, -1, -2)
+    finite = np.isfinite(diff).reshape(len(diff), -1).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"potential shifted by gamma=({int(n[k])}, {int(m[k])}) overflows a float"
+        )
     dP, dQ = diff[:, 0], diff[:, 1]
     Dx, Dy = _diff(rows), _diff(cols).T
     tol = 1e-12 * np.maximum(np.abs(diff).max(axis=(1, 2, 3)), 1.0)
@@ -142,7 +150,8 @@ def cocycle_grid(A: OneForm, radius: int):
     with ``values[i, j] = c(points[i], points[j])``, the constant coefficient,
     and ``residual`` the largest non-constant coefficient over all pairs: the
     measured distance of the combinations from constants, for potentials of
-    every degree.  Raises ``CocycleConsistencyError`` above 1e-10.
+    every degree.  Raises ``CocycleConsistencyError`` above 1e-10, and
+    ``ValueError`` if a coefficient of a combination overflows a float.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be non-negative, got {radius}")
@@ -156,13 +165,16 @@ def cocycle_grid(A: OneForm, radius: int):
     # + phi_{g2} - phi_{g1 g2}, in place to keep one pair-sized array alive
     combo = np.empty((K, K, rows, cols))
     stacked = own.transpose(1, 0, 2).reshape(rows, K * cols)
-    for j, (bn, bm) in enumerate(zip(_pascal(n, rows), _pascal(m, cols))):
-        np.matmul((bn @ stacked).reshape(rows, K, cols), bm.T, out=combo[:, j].transpose(1, 0, 2))
-    combo += own
-    combo -= phi[ball_index(n[:, None] + n, m[:, None] + m, 2 * radius)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for j, (bn, bm) in enumerate(zip(_pascal(n, rows), _pascal(m, cols))):
+            np.matmul((bn @ stacked).reshape(rows, K, cols), bm.T, out=combo[:, j].transpose(1, 0, 2))
+        combo += own
+        combo -= phi[ball_index(n[:, None] + n, m[:, None] + m, 2 * radius)]
     values = combo[:, :, 0, 0].copy()
     combo[:, :, 0, 0] = 0.0
-    residual = float(max(combo.max(), -combo.min()))
+    residual = float(max(combo.max(), -combo.min()))  # NaN or inf if any coefficient is
+    if not np.isfinite([residual, values.max(), values.min()]).all():
+        raise ValueError("a cocycle combination overflows a float")
     if residual > 1e-10:
         raise CocycleConsistencyError(
             f"combination not constant on the grid: residual {residual:.3e}"

@@ -1,4 +1,7 @@
+import argparse
 import cmath
+import collections
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +17,13 @@ import pytest
 
 import quantlab
 from quantlab import algebra, cli, cocycle, dolbeault, sections, surface_index, toeplitz
-from quantlab.cli import LIBRARY_ONLY, OPERATION_COVERAGE, _identity_residual, build_parser, main
+from quantlab.cli import _identity_residual, build_parser, main
 
 from oracles import cocycle_rows_loop, write_rows_csv
 
 PUBLIC_OPERATIONS = {
     "algebra": ["multiply", "involution", "trace", "regular_representation", "norm_estimate", "norm_profile"],
-    "cocycle": ["solve_phi", "cocycle_table"],
+    "cocycle": ["cocycle_grid", "solve_phi", "cocycle_table"],
     "sections": ["project_act", "l2_inner", "module_inner", "gram_positivity", "heisenberg_generator_check"],
     "dolbeault": ["build_dolbeault", "kernel_dimension", "spectral_report", "weitzenbock_residual", "kernel_basis"],
     "toeplitz": [
@@ -44,26 +48,24 @@ MODULES = {
 }
 
 
-def test_registry_covers_every_public_operation():
-    parser = build_parser()
-    subcommands = {
-        action.dest: action.choices
-        for action in parser._actions
-        if hasattr(action, "choices") and action.choices
-    }
-    known = set(next(iter(subcommands.values())))
-    public = {f"{module_name}.{op}" for module_name, ops in PUBLIC_OPERATIONS.items() for op in ops}
-    for key in public:
-        module_name, op = key.split(".")
-        assert hasattr(MODULES[module_name], op)
-    # each public operation is in exactly one of the two sets
-    assert not set(OPERATION_COVERAGE) & LIBRARY_ONLY
-    assert set(OPERATION_COVERAGE) | LIBRARY_ONLY == public
-    assert set(OPERATION_COVERAGE.values()) <= known
+# public operations no subcommand runs; `cocycle-check` reaches the phases
+# through `cocycle.cocycle_grid` alone, and no subcommand twists the algebra
+# by a derived cocycle.  `toeplitz-sweep` takes all four defects from
+# `toeplitz.defect_sweep`; the single-defect functions are its one-cell views,
+# kept for library callers and the benchmark tracer, which looks each one up by name.
+LIBRARY_ONLY = {
+    "cocycle.solve_phi",
+    "cocycle.cocycle_table",
+    "toeplitz.product_defect",
+    "toeplitz.commutator_defect",
+    "toeplitz.first_order_defect",
+    "toeplitz.trace_limit_defect",
+}
 
-
-# small invocations of each subcommand a registry entry is checked against
+# small invocations of every subcommand; the coverage registry is derived
+# from one pass over them: public operation -> subcommands whose runs call it
 SMALL_RUNS = {
+    "cocycle-check": [["cocycle-check", "--radius", "2"]],
     "algebra": [
         ["algebra", "--mode", "mult"],
         ["algebra", "--mode", "trace"],
@@ -78,28 +80,66 @@ SMALL_RUNS = {
     "heisenberg": [["heisenberg"]],
     "index": [["index", "--g", "2", "--s", "3"]],
 }
+PUBLIC = sorted(f"{module_name}.{op}" for module_name, ops in PUBLIC_OPERATIONS.items() for op in ops)
 QUANTLAB_MODULES = (cli, *MODULES.values())
 
 
-@pytest.mark.parametrize("operation", sorted(OPERATION_COVERAGE))
-def test_registry_entry_names_a_subcommand_that_runs_it(operation, tmp_path, monkeypatch, capsys):
-    module_name, name = operation.split(".")
-    original = getattr(MODULES[module_name], name)
-    calls = []
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    # every module that binds the operation by name, as `from ... import` does
-    for module in QUANTLAB_MODULES:
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    subcommand = OPERATION_COVERAGE[operation]
-    for argv in SMALL_RUNS[subcommand]:
-        assert main([str(tmp_path / "kernel.csv") if a == "KERNEL" else a for a in argv]) == 0
-    capsys.readouterr()
-    assert calls, f"{subcommand} does not call {operation}"
+@pytest.fixture(scope="module")
+def registry(tmp_path_factory):
+    """Public operation -> subcommands whose ``SMALL_RUNS`` call it, from one run of each."""
+    reached = collections.defaultdict(set)
+
+    def recorded(key, original):
+        def call(*args, **kwargs):
+            reached[key].add(subcommand)
+            return original(*args, **kwargs)
+
+        return call
+
+    kernel = str(tmp_path_factory.mktemp("small-runs") / "kernel.csv")
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        for key in PUBLIC:
+            module_name, name = key.split(".")
+            original = getattr(MODULES[module_name], name)
+            # every module that binds the operation by name, as `from ... import` does
+            for module in QUANTLAB_MODULES:
+                if getattr(module, name, None) is original:
+                    mp.setattr(module, name, recorded(key, original))
+        for subcommand, runs in SMALL_RUNS.items():
+            for argv in runs:
+                assert main([kernel if a == "KERNEL" else a for a in argv]) == 0, argv
+    return reached
+
+
+def test_registry_covers_every_public_operation():
+    for key in PUBLIC:
+        module_name, op = key.split(".")
+        assert callable(getattr(MODULES[module_name], op))
+    assert LIBRARY_ONLY <= set(PUBLIC)
+    # every subcommand has a small run, so the derived registry sees all of them
+    assert set(SMALL_RUNS) == set(_subparsers(build_parser()))
+    assert all(argv[0] == name for name, runs in SMALL_RUNS.items() for argv in runs)
+
+
+@pytest.mark.parametrize("operation", sorted(set(PUBLIC) - LIBRARY_ONLY))
+def test_registry_entry_names_a_subcommand_that_runs_it(operation, registry):
+    assert registry[operation], f"no subcommand calls {operation}; is it LIBRARY_ONLY?"
+
+
+@pytest.mark.parametrize("operation", sorted(LIBRARY_ONLY))
+def test_library_only_operation_runs_in_no_subcommand(operation, registry):
+    assert not registry[operation], f"{sorted(registry[operation])} call {operation}"
+
+
+def test_every_subcommand_declares_output_once_and_last():
+    for name, parser in _subparsers(build_parser()).items():
+        outputs = [a for a in parser._actions if "--output" in a.option_strings]
+        assert len(outputs) == 1 and parser._actions[-1] is outputs[0], name
 
 
 WRITER_RUNS = [
@@ -751,6 +791,43 @@ def test_mult_with_an_overflowing_product_exits_2_with_one_record(tmp_path, caps
         assert out["status"] == "usage-error" and out["error"] == "ValueError"
         assert "not JSON compliant" in out["message"]
     assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "omega0, radius, message",
+    [
+        ("1e308", "2", "potential shifted by gamma=(-4, -4) overflows a float"),
+        ("4e307", "3", "a cocycle combination overflows a float"),
+        ("1e308", "1", "cocycle values too large to check the identity in floats"),
+    ],
+    ids=["shift", "combination", "identity"],
+)
+def test_cocycle_check_with_an_overflowing_potential_exits_2_with_one_record(
+    omega0, radius, message, capsys
+):
+    # numpy overflow warnings went to stderr: at R = 2 the run exited 1 with an
+    # ExactnessError read off NaN coefficients, at R = 3 it printed inf rows
+    # before its record, and at R = 1 it exited 0 with an identity residual of
+    # 0.0 taken over NaN sums
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cocycle-check", "--omega0", omega0, "--radius", radius]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "ValueError", "message": message, "status": "usage-error"}
+
+
+def test_memory_error_in_a_library_call_exits_2_with_a_usage_record(monkeypatch, capsys):
+    # `algebra --mode norm --radius 100000` asks numpy for 298 GiB; where the
+    # system grants and fills such a request, a real run could exhaust memory
+    message = "Unable to allocate 298. GiB for an array with shape (40000400001,) and data type int64"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(algebra, "norm_estimate", refuse)
+    assert main(["algebra", "--mode", "norm", "--radius", "3"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "MemoryError", "message": message, "status": "usage-error"}
 
 
 @pytest.mark.parametrize(
