@@ -29,10 +29,10 @@ norm, nondecreasing in ``R``.  The bracket is ``_gram_top``, the top
 eigenvalue of ``A* A`` for any sparse ``A`` whose ``A* A`` is banded.
 ``A* A`` couples only ball points whose difference lies in the lattice the
 hop differences ``supp(a) - supp(a)`` span, so ``norm_estimate`` lists the
-ball coset by coset of that lattice (lexicographic within a coset; ball
-order when the lattice is Z^2).  For the Harper element, whose hops span
-the checkerboard, that halves the band: ``2R+1`` (27 at R = 13), not the
-``2(2R+1)`` (54) of the ball order.
+ball coset by coset of that lattice (lexicographic within a coset; the ball
+order itself when the lattice is Z^2, whose one coset is the ball).  For the
+Harper element, whose hops span the checkerboard, that halves the band:
+``2R+1`` (27 at R = 13), not the ``2(2R+1)`` (54) of the ball order.
 """
 
 from __future__ import annotations
@@ -322,8 +322,8 @@ def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray | None:
-    """Ball indices grouped by coset of the hop lattice of ``a``; None if it is Z^2.
+def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray:
+    """Ball indices grouped by coset of the hop lattice of ``a``; the identity if it is Z^2.
 
     ``A* A`` couples ball points ``p, p'`` only when ``p' - p`` lies in ``L``,
     the lattice spanned by ``H - H`` for the hops ``H = _hops(a, radius)``
@@ -332,7 +332,9 @@ def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray | None:
     narrows its band.  With ``L`` in triangular (Hermite) form,
     spanned by ``(p, q)`` and ``(0, r)``, the coset of ``(n, m)`` is labelled
     ``(n mod p, (m - q floor(n / p)) mod r)``; ``p = 0`` or ``r = 0`` (a
-    support on a line or a point) leaves that coordinate as is.
+    support on a line or a point) leaves that coordinate as is.  For Z^2
+    (``|p| = r = 1``) every label is (0, 0), and the stable sort keeps the
+    ball order.
     """
     p = q = r = 0
     hops = _hops(a, radius)
@@ -343,8 +345,6 @@ def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray | None:
             k = p // x
             p, q, x, y = x, y, p - k * x, q - k * y
         r = math.gcd(r, y)
-    if abs(p) == r == 1:
-        return None
     n, m = _ball_coordinates(radius)
     if p:
         steps = n // p  # whole steps by (p, q)
@@ -469,10 +469,7 @@ def norm_estimate(a: AlgebraElement, cocycle, s: float, radius: int) -> float:
     l1 = a.l1_norm()
     if not l1 <= sys.float_info.max:
         raise ValueError("the l1 norm of the element's coefficients overflows a float")
-    mat = _regular_rep_sparse(a, cocycle, s, radius)
-    order = _coset_order(a, radius)
-    if order is not None:
-        mat = mat[:, order]
+    mat = _regular_rep_sparse(a, cocycle, s, radius)[:, _coset_order(a, radius)]
     k = 0 if not l1 or 2.0**-128 <= l1 <= 2.0**128 else -round(math.log2(l1))
     parts = mat.data.view(float)  # real and imaginary parts, scaled in place
     np.ldexp(parts, k, out=parts)

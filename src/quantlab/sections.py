@@ -43,7 +43,9 @@ class GaussianSection:
     and wave vector ``waves[t] = (kx, ky)``: arrays of shapes (T,), (T, 2)
     and (T, 2), T >= 1.  The two real arrays are C-contiguous, so
     ``.view(complex)`` reads them as complex coordinates mux + i muy and
-    kx + i ky, of shape (T, 1).
+    kx + i ky, of shape (T, 1).  ValueError unless s > 0 and the constants
+    ``l2_inner`` pairs with, pi s / 2 and 1 / s, are finite: about
+    5.6e-309 <= s <= 5.7e307, past which the pairings read NaN.
     """
 
     __slots__ = ("s", "coeffs", "centers", "waves")
@@ -51,6 +53,8 @@ class GaussianSection:
     def __init__(self, s: float, coeffs, centers, waves):
         if s <= 0:
             raise ValueError("width parameter s must be positive")
+        if not (math.isfinite(math.pi * s / 2.0) and math.isfinite(1.0 / s)):
+            raise ValueError(f"width parameter s = {s!r} overflows the pairing's pi s / 2 or 1 / s")
         coeffs = np.asarray(coeffs, dtype=complex)
         centers = np.ascontiguousarray(centers, dtype=float)
         waves = np.ascontiguousarray(waves, dtype=float)

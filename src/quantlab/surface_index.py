@@ -7,7 +7,9 @@ the twisted Dolbeault operator expands as
 
 the linear Todd term contributing 1 - g and the exponential term s * vol.
 On the torus (g = 1, vol = 1) at integer s = N this is the flux count N;
-under the genus-g normalization vol = g - 1 it reduces to (s - 1)(g - 1).
+under the genus-g normalization vol = g - 1 it reduces to (s - 1)(g - 1),
+the Natsume-Nest trace value, so ``l2_index(g, g - 1, s)`` is that value
+too (the tests check it against the polynomial written out).
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ def l2_index(genus: int, vol: float, s: float) -> float:
     if genus < 1:
         raise ValueError("genus must be >= 1")
     return s * vol + (1.0 - genus)
-
-
-def natsume_nest_trace(genus: int, s: float) -> float:
-    """(s - 1)(g - 1) for genus >= 2, cross-checked against the index path."""
-    if genus < 2:
-        raise ValueError("trace formula applies to genus >= 2")
-    value = (s - 1.0) * (genus - 1.0)
-    index = l2_index(genus, vol=float(genus - 1), s=s)
-    if abs(value - index) > 1e-12 * max(1.0, abs(value)):
-        raise IndexViolationError(
-            f"trace value {value!r} disagrees with index expansion {index!r}"
-        )
-    return value
 
 
 def numeric_index_crosscheck(n_flux: int, grid: int) -> dict:

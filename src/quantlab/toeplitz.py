@@ -13,7 +13,8 @@ basis is read in the Landau gauge.
 T(f), T(g), T(fg), T({f, g}) and T(G); the first-order correction uses
 linearity, T(fg + G/N) = T(fg) + T(G)/N.  ``product_defect``,
 ``commutator_defect``, ``first_order_defect`` and ``trace_limit_defect`` are
-its one-cell views.
+its one-cell views.  ``NAMED_SYMBOLS`` maps each symbol name the CLI takes
+to its polynomial; indexing it is the one lookup by name.
 
 Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
@@ -83,15 +84,6 @@ NAMED_SYMBOLS = {
     "exp-2pix": TrigPolynomial({(-1, 0): 1.0}),
     "exp-2piy": TrigPolynomial({(0, -1): 1.0}),
 }
-
-
-def named_symbol(name: str) -> TrigPolynomial:
-    try:
-        return NAMED_SYMBOLS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown symbol {name!r}; choices: {sorted(NAMED_SYMBOLS)}"
-        ) from None
 
 
 def poisson_bracket(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
@@ -220,8 +212,8 @@ def weyl_relation(n_flux: int, grid: int) -> complex:
     """
     if n_flux < 2:
         raise ValueError("weyl relation needs flux >= 2")
-    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid)
-    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid)
+    tu = toeplitz(NAMED_SYMBOLS["exp-2pix"], n_flux, grid)
+    tv = toeplitz(NAMED_SYMBOLS["exp-2piy"], n_flux, grid)
     uu = _polar_unitary(tu)
     vv = _polar_unitary(tv)
     w = vv @ uu @ vv.conj().T @ uu.conj().T

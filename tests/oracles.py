@@ -33,6 +33,11 @@ from quantlab.sections import _pairings, module_inner
 from quantlab.toeplitz import gradient_pairing, poisson_bracket, toeplitz
 
 
+def natsume_nest_trace(genus: int, s: float) -> float:
+    """Natsume-Nest trace value (s - 1)(g - 1) of a genus-g surface, g >= 2."""
+    return (s - 1.0) * (genus - 1.0)
+
+
 def twisted_convolution(a_terms, b_terms, kappa, s):
     """Brute-force twisted product of coefficient dicts {(n, m): coeff}."""
     out = {}

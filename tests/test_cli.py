@@ -35,7 +35,7 @@ PUBLIC_OPERATIONS = {
         "trace_limit_defect",
         "weyl_relation",
     ],
-    "surface_index": ["l2_index", "natsume_nest_trace", "numeric_index_crosscheck"],
+    "surface_index": ["l2_index", "numeric_index_crosscheck"],
 }
 
 MODULES = {
@@ -91,7 +91,11 @@ def _subparsers(parser):
 
 @pytest.fixture(scope="module")
 def registry(tmp_path_factory):
-    """Public operation -> subcommands whose ``SMALL_RUNS`` call it, from one run of each."""
+    """Public operation -> subcommands whose ``SMALL_RUNS`` call it, from one run of each.
+
+    Every run is made with warnings as errors, so a subcommand that leaks a
+    warning (such as a NumPy RuntimeWarning) fails here.
+    """
     reached = collections.defaultdict(set)
 
     def recorded(key, original):
@@ -102,7 +106,12 @@ def registry(tmp_path_factory):
         return call
 
     kernel = str(tmp_path_factory.mktemp("small-runs") / "kernel.csv")
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        contextlib.redirect_stdout(io.StringIO()),
+        warnings.catch_warnings(),
+    ):
+        warnings.simplefilter("error")
         for key in PUBLIC:
             module_name, name = key.split(".")
             original = getattr(MODULES[module_name], name)
@@ -181,7 +190,7 @@ def test_index_subcommand_example(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["l2_index"] == pytest.approx(2.0)
-    assert out["natsume_nest"] == pytest.approx(2.0)
+    assert "natsume_nest" not in out
 
 
 def test_cocycle_check_writes_table(tmp_path, capsys):
@@ -252,6 +261,15 @@ def test_identity_residual_matches_the_triple_loop(radius, kind):
     assert _identity_residual(values, radius) == worst
 
 
+def test_identity_residual_keeps_a_nan():
+    # the running maximum was Python's `max`, which drops a NaN: it read 0.0 here
+    kc = algebra.KappaCocycle()
+    points = algebra.ball_points(2)
+    values = np.array([[kc(g1, g2) for g2 in points] for g1 in points])
+    values[points.index((1, 0)), points.index((0, 1))] = math.nan
+    assert math.isnan(_identity_residual(values, 2))
+
+
 def test_algebra_subcommand_norm(capsys):
     code = main(["algebra", "--mode", "norm", "--a", "harper", "--s", "0.5", "--radius", "15"])
     out = json.loads(capsys.readouterr().out)
@@ -294,8 +312,8 @@ def test_config_override(tmp_path, capsys):
     code = main(["--config", str(config), "index", "--g", "2", "--s", "1"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["l2_index"] == pytest.approx(l2_expected := (2.5 * 4 + 1 - 5))
-    assert out["natsume_nest"] == pytest.approx(l2_expected)
+    assert out["l2_index"] == pytest.approx(2.5 * 4 + 1 - 5)
+    assert "natsume_nest" not in out
 
 
 @pytest.mark.parametrize(
@@ -942,6 +960,37 @@ def test_weyl_gate_fails_on_the_reversed_orientation(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert code == 1
     assert float(rows[1].split(",")[-1]) == pytest.approx(math.sqrt(3.0))
+
+
+def test_weyl_gate_fails_on_a_nan_scalar(monkeypatch, capsys):
+    monkeypatch.setattr(toeplitz, "weyl_relation", lambda n, grid: complex(math.nan, math.nan))
+    assert main(["weyl", "--N", "2..3"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["nan", "nan"]
+
+
+def test_bargmann_gate_fails_on_a_nan_pairing(monkeypatch, capsys):
+    monkeypatch.setattr(sections, "l2_inner", lambda psi, phi: math.nan)
+    assert main(["bargmann", "--j", "0..1", "--k", "0"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bargmann", "--s", "1e-310"], ["bargmann", "--s", "1.7e308"], ["module-gram", "--s", "1e-310"]],
+)
+def test_section_width_the_pairing_cannot_compute_exits_2(argv, capfd):
+    # bargmann printed NumPy RuntimeWarnings and NaN rows and exited 0;
+    # module-gram printed two warnings before a LinAlgError record
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capfd.readouterr()
+    record = json.loads(out)
+    assert record["status"] == "usage-error" and record["error"] == "ValueError"
+    assert record["message"].startswith(f"width parameter s = {float(argv[2])!r}")
+    assert err == ""
 
 
 def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):

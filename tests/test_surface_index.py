@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from quantlab.surface_index import l2_index, natsume_nest_trace, numeric_index_crosscheck
+from quantlab.surface_index import l2_index, numeric_index_crosscheck
+
+from oracles import natsume_nest_trace
 
 rng = np.random.default_rng(42)
 
@@ -31,15 +33,11 @@ def test_index_affine_in_s():
             assert slope == pytest.approx(vol, abs=1e-10)
 
 
+# at vol = g - 1 the index is the Natsume-Nest trace value (s - 1)(g - 1)
 def test_natsume_nest_values():
-    assert natsume_nest_trace(2, 3.0) == pytest.approx(2.0)
-    assert natsume_nest_trace(2, 1.0) == pytest.approx(0.0)
-    assert natsume_nest_trace(5, 2.5) == pytest.approx(6.0)
-
-
-def test_natsume_nest_rejects_low_genus():
-    with pytest.raises(ValueError):
-        natsume_nest_trace(1, 3.0)
+    for genus, s, value in [(2, 3.0, 2.0), (2, 1.0, 0.0), (5, 2.5, 6.0)]:
+        assert natsume_nest_trace(genus, s) == pytest.approx(value)
+        assert l2_index(genus, float(genus - 1), s) == pytest.approx(value)
 
 
 def test_natsume_nest_matches_index_randomly():

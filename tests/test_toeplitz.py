@@ -10,6 +10,7 @@ from quantlab import dolbeault
 from quantlab.dolbeault import build_dolbeault, kernel_basis
 from quantlab.sections import GaussianSection, heisenberg_generator_check, l2_inner, vacuum
 from quantlab.toeplitz import (
+    NAMED_SYMBOLS,
     TrigPolynomial,
     commutator_defect,
     defect_sweep,
@@ -17,7 +18,6 @@ from quantlab.toeplitz import (
     fit_loglog_slope,
     gradient_pairing,
     holomorphic_basis,
-    named_symbol,
     poisson_bracket,
     product_defect,
     toeplitz,
@@ -29,8 +29,8 @@ from oracles import clock_shift_scalar, cyclic_shift, fft_partials, sample_loop,
 
 rng = np.random.default_rng(33)
 
-F = named_symbol("cos2pix")
-G = named_symbol("cos2piy")
+F = NAMED_SYMBOLS["cos2pix"]
+G = NAMED_SYMBOLS["cos2piy"]
 SWEEP = [4, 6, 8, 12]
 
 
@@ -100,7 +100,7 @@ def test_gradient_pairing_antisymmetrization_identity():
 
 
 def test_toeplitz_unital():
-    t = toeplitz(named_symbol("one"), 3, 24)
+    t = toeplitz(NAMED_SYMBOLS["one"], 3, 24)
     assert np.abs(t - np.eye(3)).max() < 1e-10
 
 
@@ -135,7 +135,7 @@ def test_fourier_generator_is_scaled_shift():
     # scalar near the continuum value, and in the eigenbasis of its polar
     # factor the other generator becomes an exact cyclic shift
     n_flux, grid = 4, 32
-    tu = toeplitz(named_symbol("exp-2pix"), n_flux, grid)
+    tu = toeplitz(NAMED_SYMBOLS["exp-2pix"], n_flux, grid)
     sv = np.linalg.svd(tu, compute_uv=False)
     assert sv.max() - sv.min() < 1e-10
     scalar = sv[0]
@@ -144,7 +144,7 @@ def test_fourier_generator_is_scaled_shift():
     eigvals, eigvecs = np.linalg.eig(tu / scalar)
     order = np.argsort(np.angle(eigvals))
     basis = eigvecs[:, order]
-    tv = toeplitz(named_symbol("exp-2piy"), n_flux, grid)
+    tv = toeplitz(NAMED_SYMBOLS["exp-2piy"], n_flux, grid)
     magnitude = np.abs(basis.conj().T @ tv @ basis)
     shift = cyclic_shift(n_flux)
     mismatch = min(
@@ -155,7 +155,7 @@ def test_fourier_generator_is_scaled_shift():
 
 
 def test_product_defect_constant_symbol():
-    one = named_symbol("one").scale(2.5)
+    one = NAMED_SYMBOLS["one"].scale(2.5)
     assert product_defect(one, G, 3, 24) < 1e-10
     assert product_defect(F, one, 3, 24) < 1e-10
 
@@ -194,19 +194,19 @@ def test_commutator_scaled_limit():
 
 
 def test_first_order_defect_constants():
-    one = named_symbol("one")
+    one = NAMED_SYMBOLS["one"]
     assert first_order_defect(one, one, 3, 24) < 1e-12
 
 
 def test_first_order_defect_slope():
-    f, g = F, named_symbol("sin2piy")
+    f, g = F, NAMED_SYMBOLS["sin2piy"]
     values = [first_order_defect(f, g, n, max(16, 8 * n)) for n in SWEEP]
     assert fit_loglog_slope(SWEEP, values) <= -1.5
 
 
 @pytest.mark.parametrize("defect", [product_defect, commutator_defect, first_order_defect])
 def test_first_order_corrections_reject_zero_flux(defect):
-    one = named_symbol("one")
+    one = NAMED_SYMBOLS["one"]
     with pytest.raises(ValueError, match="need N >= 1"):
         defect(one, one, 0, 16)
 
@@ -226,7 +226,7 @@ def test_first_order_antisymmetrization_reproduces_commutator():
 
 
 def test_trace_limit_constant_symbol():
-    one = named_symbol("one")
+    one = NAMED_SYMBOLS["one"]
     assert trace_limit_defect(one, 4, 32) < 1e-13
 
 
@@ -253,7 +253,7 @@ def test_trace_limit_rejects_complex_symbol(monkeypatch):
     monkeypatch.setattr(dolbeault, "_kernel_data", no_solve)
     for defect in SINGLE_DEFECTS.values():
         with pytest.raises(ValueError, match="trace limit defect is defined for real symbols"):
-            defect(named_symbol("exp-2pix"), G, 4, 32)
+            defect(NAMED_SYMBOLS["exp-2pix"], G, 4, 32)
 
 
 @pytest.mark.parametrize("seed", [8, 9])
@@ -310,7 +310,7 @@ def test_defect_sweep_assembles_five_matrices_per_cell_and_three_products_per_ca
 @pytest.mark.parametrize(
     "f, cells, message",
     [
-        (named_symbol("exp-2pix"), [(4, 32)], "trace limit defect is defined for real symbols"),
+        (NAMED_SYMBOLS["exp-2pix"], [(4, 32)], "trace limit defect is defined for real symbols"),
         (F, [(4, 32), (0, 16)], "commutator defect divides by the flux; need N >= 1, got 0"),
     ],
 )
