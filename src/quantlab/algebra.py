@@ -49,7 +49,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from ._blas import one_blas_thread
-from .errors import ContinuityError, ConvergenceError, TruncationError
+from .errors import ContinuityError, ConvergenceError
 
 Lattice = Tuple[int, int]
 
@@ -158,7 +158,7 @@ class AlgebraElement:
         return max(max(abs(n), abs(m)) for n, m in self._terms)
 
     def l1_norm(self) -> float:
-        return sum(abs(z) for z in self._terms.values())
+        return float(sum(abs(z) for z in self._terms.values()))  # 0.0, not 0, when empty
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -289,18 +289,15 @@ def _hops(a: AlgebraElement, radius: int) -> Dict[Lattice, complex]:
     return {g: c for g, c in a._terms.items() if max(abs(g[0]), abs(g[1])) <= 2 * radius}
 
 
-def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stacklevel: int):
-    """Values, rows, columns (no pair repeats) and dimension of the compression.
-
-    ``stacklevel`` is the caller's, as it would pass it to ``warnings.warn``.
-    """
+def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
+    """``regular_representation`` as a CSR matrix (no pair repeats): the one assembly."""
     if radius <= 0:
-        raise TruncationError(f"truncation radius must be positive, got {radius}")
+        raise ValueError(f"truncation radius must be positive, got {radius}")
     if a.support_radius() > radius:
         warnings.warn(
             "support radius %d exceeds truncation radius %d; compression is lossy"
             % (a.support_radius(), radius),
-            stacklevel=stacklevel + 1,
+            stacklevel=3,  # the caller of regular_representation or norm_estimate
         )
     dim = (2 * radius + 1) ** 2
     n, m = _ball_coordinates(radius)
@@ -314,12 +311,8 @@ def _regrep_entries(a: AlgebraElement, cocycle, s: float, radius: int, stackleve
     phase = cocycle((shifts[term, 0], shifts[term, 1]), (n[col], m[col]))
     # the largest angle, from a temporary freed before the entries are formed
     _finite_angle(s, np.abs(phase).max(initial=0.0))
-    return coeffs[term] * np.exp(1j * s * phase), rows, col, dim
-
-
-def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
-    vals, rows, cols, dim = _regrep_entries(a, cocycle, s, radius, stacklevel=3)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    vals = coeffs[term] * np.exp(1j * s * phase)
+    return sp.csr_matrix((vals, (rows, col)), shape=(dim, dim))
 
 
 def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray:
@@ -360,13 +353,9 @@ def regular_representation(
     Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, rows/columns
     whose target leaves the ball are truncated.  The cocycle is called once,
     on integer arrays over (terms x ball), so it must broadcast over them.
-    The entries are scattered into a dense array, with no sparse matrix in
-    between; the result is ``_regular_rep_sparse(...).toarray()`` bit for bit.
+    The dense form of ``_regular_rep_sparse``, the one assembly.
     """
-    vals, rows, cols, dim = _regrep_entries(a, cocycle, s, radius, stacklevel=2)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = vals
-    return mat
+    return _regular_rep_sparse(a, cocycle, s, radius).toarray()
 
 
 _NORM_REL_WIDTH = 1e-12  # relative width of the certified bracket on ||A||^2

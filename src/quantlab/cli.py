@@ -11,9 +11,10 @@ Exit codes: 0 success; 1 a gated claim past its bound (every gated handler
 returns through ``_gate``, which a NaN deviation fails), or a numerical check
 or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
 ``--help`` text marks report-only subcommands); 2 a usage or configuration
-error (a bad option value, including one whose arrays cannot be allocated,
-a ``MemoryError``, or an unreadable or malformed input file), with a
-``usage-error`` or ``config-error`` record on stdout; 3 stdout closed before
+error, with a ``usage-error`` or ``config-error`` record on stdout: a bad
+option value (a ``ValueError``, a truncation radius below 1 included, or a
+``MemoryError`` when its arrays cannot be allocated) or an unreadable or
+malformed input file (an ``OSError``); 3 stdout closed before
 the output was written (a reader such as ``head`` left early), with an
 ``output-closed`` record on stderr; argparse prints its own message for
 malformed command lines.  ``--config`` values are option tokens
@@ -44,7 +45,7 @@ from .dolbeault import (
     weitzenbock_residual,
 )
 from . import algebra, cocycle, sections, surface_index, toeplitz
-from .errors import ConfigError, QuantLabError, TruncationError
+from .errors import ConfigError, QuantLabError
 
 def _parse_range(text: str) -> list[int]:
     """'4..32' -> inclusive integer range; '4,8,16' -> explicit list; empty is an error."""
@@ -197,7 +198,7 @@ def _cmd_cocycle_check(args) -> int:
     closed_dev = None
     if args.potential == "symmetric":
         n, m = np.array(points).T
-        closed = args.omega0 / 2.0 * (m[:, None] * n - n[:, None] * m)
+        closed = algebra.KappaCocycle(args.omega0 / 2.0)((n[:, None], m[:, None]), (n, m))
         closed_dev = float(np.abs(values - closed).max())
     identity_residual = _identity_residual(values, args.radius)
     _write_rows(args.output, ["claim", "n1", "m1", "n2", "m2", "value"], rows)
@@ -506,14 +507,11 @@ def main(argv=None) -> int:
         return _report_error("output-closed", exc, 3, sys.stderr)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
-    except (TruncationError, MemoryError) as exc:
-        # a radius below 1, or one whose arrays cannot be allocated, from
-        # whichever option carries it, is a bad option value
-        return _report_error("usage-error", exc, 2)
-    except QuantLabError as exc:
+    except QuantLabError as exc:  # ahead of ValueError: a ContinuityError is both, and fails
         return _report_error("failed", exc, 1)
-    except (ValueError, OSError) as exc:
-        # a bad option value, or an unreadable or malformed input file, not a failed check
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bad option value (a radius below 1, a size whose arrays cannot be
+        # allocated), or an unreadable or malformed input file
         return _report_error("usage-error", exc, 2)
 
 

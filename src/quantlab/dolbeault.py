@@ -298,8 +298,8 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
     return norm_bound, svals, vecs.reshape(M * M, k)
 
 
-def _kernel_basis(n_flux: int, grid: int, gauge: str) -> np.ndarray:
-    """Read-only cached vectors with singular value below KERNEL_TOL * norm_bound.
+def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
+    """Orthonormal basis (M^2, dim_kernel), read-only: cached vectors below KERNEL_TOL * norm_bound.
 
     Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
     unitary FFT).  Raises if a singular value is within a factor 10 of the
@@ -307,7 +307,7 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str) -> np.ndarray:
     is below it: the grid does not resolve the kernel (at N = 0 the constants
     have sigma = 0 exactly, so only N > 0 can fail this way).
     """
-    norm_bound, svals, vecs = _kernel_data(n_flux, grid, gauge)
+    norm_bound, svals, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
     threshold = KERNEL_TOL * norm_bound
     if svals[-1] < threshold:
         raise IndeterminateKernelError(
@@ -327,13 +327,8 @@ def _kernel_basis(n_flux: int, grid: int, gauge: str) -> np.ndarray:
 
 
 def kernel_dimension(pair: DolbeaultPair) -> int:
-    """Kernel count below KERNEL_TOL * norm_bound; ambiguous or empty raises."""
-    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge).shape[1]
-
-
-def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
-    """Orthonormal basis (M^2, dim_kernel) of the kernel below KERNEL_TOL * norm_bound."""
-    return _kernel_basis(pair.n_flux, pair.grid, pair.gauge)
+    """Columns of ``kernel_basis(pair)``; ambiguous or empty raises as it does."""
+    return kernel_basis(pair).shape[1]
 
 
 def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
@@ -353,7 +348,7 @@ def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     dim_kernel = kernel_dimension(pair)
     _, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
-    # of zero included: the one solve serves both degrees; _kernel_basis has
+    # of zero included: the one solve serves both degrees; kernel_basis has
     # checked that the computed values reach above the kernel
     vals = svals0**2
     gap = float(vals[dim_kernel])

@@ -5,10 +5,6 @@ class QuantLabError(Exception):
     """Base class for all quantlab errors."""
 
 
-class TruncationError(QuantLabError):
-    """Invalid truncation radius for a finite-rank compression."""
-
-
 class ExactnessError(QuantLabError):
     """A one-form that was required to be closed/exact is not."""
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import warnings
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .algebra import (
     ball_index,
     ball_points,
     json_records,
+    regular_representation,
 )
 
 
@@ -211,11 +213,9 @@ def l2_inner(psi: GaussianSection | _Pool, phi: GaussianSection | _Pool) -> comp
     z1, k1 = psi.centers.view(complex), psi.waves.view(complex)  # (T1, 1)
     z2, k2 = phi.centers.view(complex).T, phi.waves.view(complex).T  # (1, T2)
     dz, dk_bar = z1 - z2, (k2 - k1).conj()
-    exponent = (
-        (-0.5 * a) * (dz * dz.conj()).real
-        - (0.125 / a) * (dk_bar * dk_bar.conj()).real
-        + 0.5j * (dk_bar * (z1 + z2)).real
-    )
+    with np.errstate(over="ignore"):  # s near its floor: the damping is inf, exp(-inf) = 0 exact
+        damping = (0.125 / a) * (dk_bar * dk_bar.conj()).real
+    exponent = (-0.5 * a) * (dz * dz.conj()).real - damping + 0.5j * (dk_bar * (z1 + z2)).real
     return psi.coeffs.conj().T @ (np.exp(exponent) @ phi.coeffs) / psi.s
 
 
@@ -231,7 +231,7 @@ def _pairings(
     which returns that point's whole matrix.
     """
     if radius < 1:
-        raise ValueError("truncation radius must be >= 1")
+        raise ValueError(f"truncation radius must be positive, got {radius}")
     fixed = _pool(phis)
     moved = _translates(_pool(psis), *_ball_coordinates(radius))
     return np.array([l2_inner(pool, fixed) for pool in moved])
@@ -272,17 +272,13 @@ def _gram_upper(
     pairing acts with the section's own width), or on a radius below 1,
     before the twist table is built.
     """
-    import warnings
-
-    from .algebra import regular_representation
-
     if not sections:
         raise ValueError("no sections to pair")
     for psi in sections:
         if psi.s != s:
             raise ValueError(f"section width s = {psi.s!r} differs from the twist s = {s!r}")
     if radius < 1:
-        raise ValueError("truncation radius must be >= 1")
+        raise ValueError(f"truncation radius must be positive, got {radius}")
     reach = min(radius, 2 * rep_radius)
     with warnings.catch_warnings():
         # the indicator reaches past rep_radius on purpose: each hop between
@@ -327,7 +323,9 @@ def gram_positivity(
     zero lower blocks are never read), and Sturm-count bisection
     (``stebz``) locates eigenvalue 0 and eigenvalue n - 1 of it by index:
     the reported minimum and maximum are the smallest and the largest by
-    count, without the rest of the spectrum.
+    count, without the rest of the spectrum.  ValueError, naming s, if a
+    tridiagonal entry squared overflows (entries grow like 1 / s: s below
+    about 6e-154), where stebz fails or splits the matrix wrongly.
     """
     big = _gram_upper(sections, cocycle, s, radius, rep_radius)
     dim = len(big)
@@ -336,6 +334,12 @@ def gram_positivity(
     _, diag, off, _, info = hetrd(big, lower=0, lwork=int(lwork.real), overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zhetrd of the Gram matrix failed with info = {info}")
+    peak = float(np.abs(np.append(diag, off)).max())
+    if not math.isfinite(peak * peak):  # stebz squares the entries; a NaN fails here too
+        raise ValueError(
+            f"Gram matrix at width s = {s!r} is out of the eigensolver's range: "
+            "its entries, near 1 / s, overflow when squared"
+        )
     lowest, highest = (
         la.eigvalsh_tridiagonal(
             diag, off, select="i", select_range=(e, e), check_finite=False, tol=_BISECTION_TOL

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, reflect
-from .dolbeault import _kernel_basis
+from .dolbeault import DolbeaultPair, kernel_basis
 from .errors import DegenerateToeplitzError
 
 
@@ -109,8 +109,8 @@ def gradient_pairing(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
 
 
 def holomorphic_basis(n_flux: int, grid: int) -> np.ndarray:
-    """Orthonormal Landau-gauge kernel basis at (N, M), read off the cached kernel solve."""
-    return _kernel_basis(n_flux, grid, "landau")
+    """``kernel_basis`` of the Landau pair (N, M); the kernel solve validates it on a cache miss."""
+    return kernel_basis(DolbeaultPair(n_flux, grid, "landau"))
 
 
 def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from quantlab.algebra import (
     sigma,
     trace,
 )
-from quantlab.errors import ConvergenceError, TruncationError
+from quantlab.errors import ConvergenceError
 
 from oracles import (
     coupling_components_loop,
@@ -209,8 +209,11 @@ def test_regular_representation_multiplicative_on_inner_ball():
 
 
 def test_regular_representation_rejects_bad_radius():
-    with pytest.raises(TruncationError):
-        regular_representation(AlgebraElement.unit(), KC, 0.1, 0)
+    for radius in (0, -2):
+        with pytest.raises(ValueError, match=rf"^truncation radius must be positive, got {radius}$"):
+            regular_representation(AlgebraElement.unit(), KC, 0.1, radius)
+        with pytest.raises(ValueError, match=rf"^truncation radius must be positive, got {radius}$"):
+            norm_estimate(AlgebraElement.unit(), KC, 0.1, radius)
 
 
 def test_regular_representation_warns_on_lossy_truncation():
@@ -427,6 +430,13 @@ def test_norm_profile_rejects_a_negative_continuity_threshold():
     with pytest.raises(ValueError, match="continuity threshold must be at least 0"):
         norm_profile(h, [0.5], KC, 3, continuity_threshold=-1.0)
     assert norm_profile(h, [0.5], KC, 3, continuity_threshold=0.0) == norm_profile(h, [0.5], KC, 3)
+
+
+def test_l1_norm_is_a_float_for_the_empty_element():
+    # the empty sum was the int 0
+    assert type(AlgebraElement({}).l1_norm()) is float
+    assert AlgebraElement({}).l1_norm() == 0.0
+    assert type(harper_element(KC, 0.3).l1_norm()) is float
 
 
 def test_norm_of_basis_elements():

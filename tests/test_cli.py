@@ -509,9 +509,9 @@ def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
         (["heisenberg", "--s", "-1"], "ValueError"),
         (["toeplitz-sweep", "--fg", "no-such-symbol,cos2piy"], "FileNotFoundError"),
         # a radius below 1 is a usage error whichever option carries it
-        (["algebra", "--mode", "norm", "--radius", "0"], "TruncationError"),
-        (["algebra", "--mode", "norm-profile", "--radius", "-2"], "TruncationError"),
-        (["module-gram", "--rep-radius", "0"], "TruncationError"),
+        (["algebra", "--mode", "norm", "--radius", "0"], "ValueError"),
+        (["algebra", "--mode", "norm-profile", "--radius", "-2"], "ValueError"),
+        (["module-gram", "--rep-radius", "0"], "ValueError"),
         (["module-gram", "--radius", "0"], "ValueError"),
         # an empty range checks nothing
         (["weyl", "--N", "3..2"], "ValueError"),
@@ -851,9 +851,9 @@ def test_memory_error_in_a_library_call_exits_2_with_a_usage_record(monkeypatch,
 @pytest.mark.parametrize(
     "options, error, message",
     [
-        (["--radius", "0"], "ValueError", "truncation radius must be >= 1"),
-        (["--radius", "0", "--rep-radius", "0"], "ValueError", "truncation radius must be >= 1"),
-        (["--rep-radius", "0"], "TruncationError", "truncation radius must be positive, got 0"),
+        (["--radius", "0"], "ValueError", "truncation radius must be positive, got 0"),
+        (["--radius", "-3", "--rep-radius", "0"], "ValueError", "truncation radius must be positive, got -3"),
+        (["--rep-radius", "0"], "ValueError", "truncation radius must be positive, got 0"),
         (["--s", "1e308"], "ValueError", "twist s = 1e+308 times a cocycle value is not a finite angle"),
     ],
 )
@@ -991,6 +991,43 @@ def test_section_width_the_pairing_cannot_compute_exits_2(argv, capfd):
     assert record["status"] == "usage-error" and record["error"] == "ValueError"
     assert record["message"].startswith(f"width parameter s = {float(argv[2])!r}")
     assert err == ""
+
+
+def test_bargmann_at_a_width_near_the_floor_prints_no_warning(capfd):
+    # (0.125 / a) |dk|^2 overflowed to inf: the rows were right, exp(-inf) = 0,
+    # but NumPy printed an overflow RuntimeWarning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bargmann", "--s", "6e-309"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 1 + 16
+
+
+@pytest.mark.parametrize("s", ["1e-154", "1e-160", "6e-309"])
+def test_module_gram_at_a_width_past_the_eigensolver_names_s(s, capfd):
+    # Gram entries near 1 / s overflow when stebz squares them (zhetrd gives
+    # NaN at 6e-309): the record was LAPACK's bare "stebz did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["module-gram", "--s", s, "--radius", "2", "--rep-radius", "1"]) == 2
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "error": "ValueError",
+        "message": f"Gram matrix at width s = {float(s)!r} is out of the eigensolver's range: "
+        "its entries, near 1 / s, overflow when squared",
+        "status": "usage-error",
+    }
+
+
+def test_norm_of_the_empty_element_prints_a_float_l1_bound(capsys):
+    # the empty sum was the int 0, printed "l1_bound": 0
+    assert main(["algebra", "--mode", "norm", "--a", "[]", "--radius", "2"]) == 0
+    text = capsys.readouterr().out
+    assert '"l1_bound": 0.0,' in text
+    out = json.loads(text)
+    assert type(out["l1_bound"]) is float and out["norm"] == 0.0
 
 
 def test_bargmann_gate_fails_past_1e_8(monkeypatch, capsys):

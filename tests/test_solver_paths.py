@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +32,18 @@ def test_every_error_type_is_raised_in_the_library():
     assert kinds
     text = "\n".join(path.read_text() for path in SOURCES)
     assert [name for name in kinds if not re.search(rf"\braise {name}\(", text)] == []
+
+
+def test_no_function_local_import_in_the_library():
+    # every module states its imports at the top, where a reader and a tracer
+    # that rebinds module attributes both find them
+    assert SOURCES
+    hits = [
+        f"{path.name}:{node.lineno}: {func.name}"
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert hits == []
