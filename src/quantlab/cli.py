@@ -12,8 +12,9 @@ returns through ``_gate``, which a NaN deviation fails), or a numerical check
 or solver failed, with a ``{"status": "failed", ...}`` record on stdout (the
 ``--help`` text marks report-only subcommands); 2 a usage or configuration
 error, with a ``usage-error`` or ``config-error`` record on stdout: a bad
-option value (a ``ValueError``, a truncation radius below 1 included, or a
-``MemoryError`` when its arrays cannot be allocated) or an unreadable or
+option value (a ``ValueError``, a truncation radius below 1 included, a
+``MemoryError`` when its arrays cannot be allocated, or an ``OverflowError``
+when an integer is too large for a float) or an unreadable or
 malformed input file (an ``OSError``); 3 stdout closed before
 the output was written (a reader such as ``head`` left early), with an
 ``output-closed`` record on stderr; argparse prints its own message for
@@ -509,9 +510,9 @@ def main(argv=None) -> int:
         return _report_error("config-error", exc, 2)
     except QuantLabError as exc:  # ahead of ValueError: a ContinuityError is both, and fails
         return _report_error("failed", exc, 1)
-    except (ValueError, OSError, MemoryError) as exc:
-        # a bad option value (a radius below 1, a size whose arrays cannot be
-        # allocated), or an unreadable or malformed input file
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        # a bad option value (a radius below 1, an array too large to allocate,
+        # an int too large for a float), or an unreadable or malformed input file
         return _report_error("usage-error", exc, 2)
 
 

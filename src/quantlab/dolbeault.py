@@ -46,14 +46,13 @@ tested on the first of them.  The loop runs on one BLAS thread
 thread to pay (a complex QR of a 576 x 12 block took 0.23 ms on two
 threads and 0.11-0.16 ms on one, on a 2-core machine).  Rayleigh-Ritz is
 an SVD of B Q, so singular values carry eps * |D+| error like a dense SVD
-and every copy of a repeated value is found.  The kernel is judged against
-norm_bound = max |diagonal| + b, which by the triangle inequality bounds
-every chain's norm and so |D+|; it is at most 1.04 |D+| (at (1, 4)) and
-is never reported, only scaled into the kernel threshold.  At zero flux
-the doubler zero would land on the momentum grid whenever 4 | M, so the
-fluxless operator is the exact spectral derivative, symbol
-(i xi_x - xi_y) / sqrt(2), kernel the constants alone; its triplets are
-read off the symbol, and norm_bound is the symbol's maximum, |D+|.
+and every copy of a repeated value is found.  The kernel is judged on
+these values alone: it ends at the last sharp drop of the computed low
+spectrum, sigma_i < KERNEL_GAP * sigma_{i+1} (``kernel_basis``), so no
+scale of |D+| is needed.  At zero flux the doubler zero would land on the
+momentum grid whenever 4 | M, so the fluxless operator is the exact
+spectral derivative, symbol (i xi_x - xi_y) / sqrt(2), kernel the
+constants alone; its triplets are read off the symbol.
 
 Gauge.  Only D_plus depends on the gauge, and it is only ever applied, by
 ``_apply_dplus``, never assembled.  The Landau gauge puts the link
@@ -82,7 +81,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._blas import one_blas_thread
-from .errors import ConvergenceError, GapBoundError, IndeterminateKernelError, ResolutionError
+from .errors import ConvergenceError, GapBoundError, ResolutionError
 
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
 
@@ -94,7 +93,7 @@ _MAX_ITERATIONS = 300  # Rayleigh-Ritz steps per chain solve
 # half that saving, four no further saving in time)
 _SOLVES_PER_STEP = 3
 _RESIDUAL_TOL = 1e-10  # on |(B^* B + 1)^-1 v - mu v| for each wanted Ritz pair
-KERNEL_TOL = 1e-6  # the kernel is the singular values below KERNEL_TOL * norm_bound
+KERNEL_GAP = 1e-4  # the kernel ends at the last sigma_i < KERNEL_GAP * sigma_{i+1}
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,10 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
     """D_plus at flux N on the M x M grid, applied as a stencil by ``_apply_dplus``.
 
     Requires M >= max(4, 4N), without which the lowest magnetic band cannot
-    be resolved.  The floor is necessary, not sufficient: of the 152 grids
-    N = 1..8, M = 4N..8N, 30 pass it and then raise from the kernel query
-    (13 ResolutionError, 17 IndeterminateKernelError), e.g. (1, 8), (2, 14),
-    (3, 18), (4, 20), (6, 25); N = 7 and 8 resolve from M = 4N.
+    be resolved.  The floor is necessary, not sufficient: of the 210 grids
+    N = 1..12, M = 4N..8N (even M above N = 6), 13 pass it and then raise
+    ResolutionError from the kernel query: (1, 4..8), (2, 8..11),
+    (3, 12..14) and (4, 16); N >= 5 resolves from M = 4N.
     """
     if n_flux < 0:
         raise ValueError("flux must be non-negative")
@@ -242,16 +241,15 @@ def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
 def _kernel_data(n_flux: int, grid: int, gauge: str):
     """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors.
 
-    Returns (norm_bound, the k values ascending, their orthonormal right
-    singular vectors as columns); one cached solve serves every query.
-    norm_bound >= |D+|: the exact top at N = 0, at N > 0 max |diagonal| + b.
+    Returns (the k values ascending, their orthonormal right singular
+    vectors as columns); one cached solve serves every query.
     """
     if gauge == "symmetric-periodic":
         # D_symmetric = G D_Landau G^*: the Landau values, and G times its vectors
-        norm_bound, svals, vecs = _kernel_data(n_flux, grid, "landau")
+        svals, vecs = _kernel_data(n_flux, grid, "landau")
         vecs = vecs * _symmetric_phase(n_flux, grid).reshape(-1, 1)
         vecs.flags.writeable = False
-        return norm_bound, svals, vecs
+        return svals, vecs
     build_dolbeault(n_flux, grid, gauge)  # validates the arguments
     N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
     modes = np.zeros((M * M, k), dtype=complex)  # (xi_x, xi_y) at N = 0, else (j, p)
@@ -259,7 +257,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
         symbol = np.hypot(freq[:, None], freq[None, :]).ravel() / math.sqrt(2.0)
         order = np.argsort(symbol, kind="stable")[:k]
-        norm_bound, svals = float(symbol.max()), symbol[order]
+        svals = symbol[order]
         modes[order, np.arange(k)] = 1.0
     else:
         # chain c, position s = t*M + j holds site (j, p = c - t*N mod M)
@@ -270,7 +268,6 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         b = M / math.sqrt(2.0)
         c0, rep, shift = _chain_classes(N, M)
         diag = _chain_diagonal(N, M, np.arange(c0))
-        norm_bound = float(np.abs(diag).max()) + b  # triangle inequality on each chain
         # B^* B + 1 from its three cyclic diagonals per chain
         here = np.arange(c0 * L).reshape(c0, L)
         ahead = np.roll(here, -1, axis=1).ravel()
@@ -295,48 +292,37 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
     vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
     svals.flags.writeable = False
     vecs.flags.writeable = False
-    return norm_bound, svals, vecs.reshape(M * M, k)
+    return svals, vecs.reshape(M * M, k)
 
 
 def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
-    """Orthonormal basis (M^2, dim_kernel), read-only: cached vectors below KERNEL_TOL * norm_bound.
+    """Orthonormal basis (M^2, dim_kernel), read-only: cached vectors up to the last sharp drop.
 
+    The kernel is sigma_0 .. sigma_i for the largest cached i with sigma_i <
+    KERNEL_GAP * sigma_{i+1}, so sigma_{i+1} > 0 even at N = 0's exact zero.
     Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
-    unitary FFT).  Raises if a singular value is within a factor 10 of the
-    threshold (either side), so an ambiguous kernel fails loudly, and if none
-    is below it: the grid does not resolve the kernel (at N = 0 the constants
-    have sigma = 0 exactly, so only N > 0 can fail this way).
+    unitary FFT).  No such i raises ResolutionError: the grid does not resolve it.
     """
-    norm_bound, svals, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
-    threshold = KERNEL_TOL * norm_bound
-    if svals[-1] < threshold:
-        raise IndeterminateKernelError(
-            "kernel not separated within the computed low spectrum"
-        )
-    ambiguous = [s for s in svals if threshold / 10.0 < s < threshold * 10.0]
-    if ambiguous:
-        raise IndeterminateKernelError(
-            "singular value %.3e within a decade of threshold %.3e"
-            % (ambiguous[0], threshold)
-        )
-    if svals[0] >= threshold:
+    svals, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
+    drops = np.flatnonzero(svals[:-1] < KERNEL_GAP * svals[1:])
+    if not drops.size:
         raise ResolutionError(
-            f"kernel unresolved: lowest singular value {svals[0]:.3e} above threshold {threshold:.3e}"
+            f"kernel unresolved: lowest singular value {svals[0]:.3e}, no drop by {KERNEL_GAP:.0e}"
         )
-    return vecs[:, : np.count_nonzero(svals < threshold)]
+    return vecs[:, : drops[-1] + 1]
 
 
 def kernel_dimension(pair: DolbeaultPair) -> int:
-    """Columns of ``kernel_basis(pair)``; ambiguous or empty raises as it does."""
+    """Columns of ``kernel_basis(pair)``; an unresolved kernel raises as it does."""
     return kernel_basis(pair).shape[1]
 
 
 def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     """Kernel size, degree-1 gap, and parametrix norm with the curvature bound.
 
-    gap_degree1 is the smallest *nonzero* eigenvalue of D+ D+*: the zero
-    eigenvalues forced by the rank theorem are doubler artifacts, and the
-    nonzero bottom is the quantity controlling the parametrix norm
+    gap_degree1 is the eigenvalue of D+ D+* just above the kernel's last
+    sharp drop: the zero eigenvalues forced by the rank theorem are doubler
+    artifacts, and that nonzero bottom controls the parametrix norm
     gap_degree1 ** -0.5.  Asserts gap_degree1 >= N (1 - slack) for a slack
     in (0, 1), since at slack >= 1 the bound is <= 0 and cannot fail; the
     continuum gap is CURVATURE_SCALE * N, far above that bound, so the
@@ -346,10 +332,10 @@ def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
         raise ValueError("slack must lie in (0, 1)")
     n = pair.n_flux
     dim_kernel = kernel_dimension(pair)
-    _, svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
+    svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
     # of zero included: the one solve serves both degrees; kernel_basis has
-    # checked that the computed values reach above the kernel
+    # found a computed value above the kernel's last drop
     vals = svals0**2
     gap = float(vals[dim_kernel])
     bound = n * (1.0 - slack)
@@ -359,7 +345,7 @@ def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     return SpectralReport(
         kernel_dim=dim_kernel,
         gap_degree1=gap,
-        parametrix_norm=gap**-0.5,  # gap >= (KERNEL_TOL * norm_bound)^2 > 0
+        parametrix_norm=gap**-0.5,  # gap > 0: above a drop, sigma_{i+1} > sigma_i / KERNEL_GAP >= 0
         spectrum_degree0=spectrum,
     )
 

@@ -17,10 +17,6 @@ class ResolutionError(QuantLabError):
     """Grid too coarse to resolve the lowest magnetic band."""
 
 
-class IndeterminateKernelError(QuantLabError):
-    """A singular value sits too close to the kernel threshold to classify."""
-
-
 class ConvergenceError(QuantLabError):
     """An iterative solver stopped before its residual reached the tolerance."""
 

@@ -28,7 +28,7 @@ from quantlab.algebra import (
     sigma,
 )
 from quantlab.cocycle import solve_phi
-from quantlab.errors import IndeterminateKernelError, ResolutionError
+from quantlab.errors import ResolutionError
 from quantlab.sections import _pairings, module_inner
 from quantlab.toeplitz import gradient_pairing, poisson_bracket, toeplitz
 
@@ -336,19 +336,15 @@ def toeplitz_defects_separate(f, g, n_flux: int, grid: int) -> dict:
     }
 
 
-def dense_kernel_judgement(dense: np.ndarray, tol: float):
-    """The kernel rule applied to a dense SVD, scaled by the exact top singular value.
+def dense_kernel_judgement(dense: np.ndarray, gap: float, count: int):
+    """The kernel rule applied to the lowest ``count`` singular values of a dense SVD.
 
-    Returns the number of singular values below ``tol * top``, or the error
-    type the rule raises: ``IndeterminateKernelError`` when a value lies
-    within a factor 10 of the threshold (either side), ``ResolutionError``
-    when none lies below it.
+    Returns i + 1 for the largest i with sigma_i < gap * sigma_{i+1}, or
+    ``ResolutionError``, the error type the rule raises, when there is none.
     """
-    svals = np.linalg.svd(dense, compute_uv=False)
-    threshold = tol * svals[0]
-    if np.any((threshold / 10.0 < svals) & (svals < threshold * 10.0)):
-        return IndeterminateKernelError
-    return int(np.count_nonzero(svals < threshold)) or ResolutionError
+    svals = np.sort(np.linalg.svd(dense, compute_uv=False))[:count]
+    drops = [i for i in range(count - 1) if svals[i] < gap * svals[i + 1]]
+    return drops[-1] + 1 if drops else ResolutionError
 
 
 def cyclic_shift(n: int) -> np.ndarray:

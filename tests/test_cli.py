@@ -447,7 +447,7 @@ def test_stdout_closed_early_exits_3_with_one_record_on_stderr():
 
 def test_failure_record_on_bad_spectral_request(capsys):
     # grid 8 is below build_dolbeault's floor 4N; grid 16 passes it, but
-    # its lowest singular value is not below the kernel threshold
+    # no singular value drops below KERNEL_GAP times the next
     for grid in ("8", "16"):
         code = main(["spectral", "--n-flux", "4", "--grid", grid])
         out = json.loads(capsys.readouterr().out)
@@ -482,6 +482,14 @@ def test_symmetric_spectral_crosscheck_counts_the_kernel(capsys):
     assert main(argv) == 0
     cross = json.loads(capsys.readouterr().out)["index_crosscheck"]
     assert cross["kernel_dim"] == 3 and cross["match"] is True
+
+
+def test_spectral_counts_a_kernel_far_above_rounding(capsys):
+    # at (3, 18) the three kernel values reach 4.9e-6, far above rounding, yet
+    # drop by a ratio of 1.1e-6 to the next: counted, they match the index
+    assert main(["spectral", "--n-flux", "3", "--grid", "18"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["kernel_dim"] == 3 and out["index_crosscheck"]["match"] is True
 
 
 def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
@@ -521,6 +529,17 @@ def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
         (["heisenberg", "--s", "1e-8"], "ValueError"),
         (["heisenberg", "--s", "1e12"], "ValueError"),
         (["toeplitz-sweep", "--fg", "cos2pix"], "ValueError"),
+        # an int too large for a float: a 401-digit genus, and kappa times the
+        # lattice product 2e154 * 2e154
+        (["index", "--g", "1" + "0" * 400, "--s", "1", "--vol", "1"], "OverflowError"),
+        (
+            [
+                "algebra", "--mode", "mult",
+                "--a", '[{"n":2e154,"m":0,"re":1,"im":0}]',
+                "--b", '[{"n":0,"m":2e154,"re":1,"im":0}]',
+            ],
+            "OverflowError",
+        ),
     ],
 )
 def test_invalid_option_value_exits_2_with_record(argv, error, capsys):

@@ -17,7 +17,7 @@ from quantlab.dolbeault import (
     spectral_report,
     weitzenbock_residual,
 )
-from quantlab.errors import ConvergenceError, IndeterminateKernelError, ResolutionError
+from quantlab.errors import ConvergenceError, ResolutionError
 from quantlab.toeplitz import TrigPolynomial, toeplitz
 
 from oracles import (
@@ -46,15 +46,15 @@ _STENCIL_GRIDS = [(n, m) for n in range(4) for m in (8, 12, 16) if m >= max(4, 4
 def test_apply_dplus_matches_the_oracle_matrix(n_flux, grid, gauge):
     pair = build_dolbeault(n_flux, grid, gauge)
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
-    norm_bound = dolbeault._kernel_data(n_flux, grid, gauge)[0]
+    scale = np.linalg.norm(dense, 2)
     rng = np.random.default_rng(grid + 10 * n_flux)
     v = rng.standard_normal((grid * grid, 5)) + 1j * rng.standard_normal((grid * grid, 5))
     v /= np.linalg.norm(v, axis=0)
     forward = dolbeault._apply_dplus(pair, v)
     adjoint = dolbeault._apply_dplus(pair, v, adjoint=True)
     assert forward.shape == adjoint.shape == v.shape
-    assert np.abs(forward - dense @ v).max() <= 1e-13 * norm_bound
-    assert np.abs(adjoint - dense.conj().T @ v).max() <= 1e-13 * norm_bound
+    assert np.abs(forward - dense @ v).max() <= 1e-13 * scale
+    assert np.abs(adjoint - dense.conj().T @ v).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 20), (4, 18), (8, 36), (6, 27)])
@@ -111,13 +111,24 @@ def test_kernel_dimension_flat_case():
         assert np.abs(column - column[0]).max() < 1e-10
 
 
-@pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 24), (5, 32)])
+# three acceptance points, then the grids of N = 1..12, M = 4N..8N whose
+# largest kernel value, 4.9e-6 to 3.8e-4, is far above rounding, yet below the
+# next value by a drop ratio of 1.1e-6 at (3, 18) to 8.1e-5 at (2, 12)
+@pytest.mark.parametrize(
+    "n_flux,grid",
+    [
+        (1, 16), (3, 24), (5, 32),
+        (2, 12), (2, 13), (2, 14), (3, 15), (3, 16), (3, 17), (3, 18), (4, 17), (4, 18),
+        (4, 19), (4, 20), (5, 20), (5, 21), (5, 22), (5, 23), (6, 24), (6, 25),
+    ],
+)
 def test_kernel_dimension_counts_flux(n_flux, grid):
     assert kernel_dimension(build_dolbeault(n_flux, grid)) == n_flux
 
 
-# every grid with N = 1..8, M = 4N..8N on which no singular value falls below
-# the default threshold: build_dolbeault accepts them, the kernel is unresolved
+# every grid with N = 1..8, M = 4N..8N on which no singular value drops below
+# KERNEL_GAP times the next: build_dolbeault accepts them, the kernel is
+# unresolved (drop ratios 1.8e-4 at (3, 14) to 6.7e-2 at (1, 4))
 @pytest.mark.parametrize(
     "n_flux,grid",
     [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 8), (2, 9), (2, 10), (2, 11), (3, 12), (3, 13), (3, 14), (4, 16)],
@@ -129,45 +140,43 @@ def test_unresolved_kernel_raises(n_flux, grid):
 
 def test_kernel_dimension_tol_stability(monkeypatch):
     # the commensuration splitting of the near-kernel scales like
-    # exp(-0.73 / flux_per_plaquette); at (2, 16) it sits at 3.7e-7, so
-    # thresholds below ~2e-6 trip the indeterminacy guard there, while all
-    # other acceptance points tolerate the full decade sweep (at 7 and 9 the
-    # kernel values sit below 1e-21: KERNEL_TOL = 1e-8 needs them resolved
-    # to eps * |D+|, not sqrt(eps) * |D+|)
-    for tol in (1e-8, 1e-6, 1e-4):
-        monkeypatch.setattr(dolbeault, "KERNEL_TOL", tol)
-        for n_flux in (1, 3, 4, 5, 6, 7, 9):
+    # exp(-0.73 / flux_per_plaquette); at (2, 16) it sits at 3.7e-7, a drop
+    # ratio of 1.07e-7 to the next value, the largest of these acceptance
+    # points; inside the kernel and above it neighbouring values differ by
+    # less than a factor 3, so every bound from 1e-6 to 1e-2 counts N
+    for gap in (1e-6, 1e-4, 1e-2):
+        monkeypatch.setattr(dolbeault, "KERNEL_GAP", gap)
+        for n_flux in (1, 2, 3, 4, 5, 6, 7, 9):
             grid = max(16, 8 * n_flux)
             assert kernel_dimension(build_dolbeault(n_flux, grid)) == n_flux
-    for tol in (2e-6, 1e-5, 1e-4):
-        monkeypatch.setattr(dolbeault, "KERNEL_TOL", tol)
-        assert kernel_dimension(build_dolbeault(2, 16)) == 2
 
 
 def test_kernel_dimension_indeterminate_guard(monkeypatch):
-    # same point, threshold dropped onto the splitting: must fail loudly
-    monkeypatch.setattr(dolbeault, "KERNEL_TOL", 1e-8)
-    with pytest.raises(IndeterminateKernelError):
+    # same point, the bound set below its drop ratio 1.07e-7: must fail loudly
+    monkeypatch.setattr(dolbeault, "KERNEL_GAP", 1e-8)
+    with pytest.raises(ResolutionError, match="lowest singular value"):
         kernel_dimension(build_dolbeault(2, 16))
 
 
 @pytest.mark.parametrize("n_flux", [1, 2, 3, 4])
 def test_kernel_dimension_matches_the_dense_judgement(n_flux):
-    # the threshold scales the chain norm bound, not the exact top: the
-    # count, or the error type, is the dense rule's on every grid
+    # the rule on the chain solve's lowest k = max(2N + 6, 8) values and on a
+    # dense SVD's agree on every grid, the count or the error type; the
+    # grids lie on both sides of the bound
     for grid in range(4 * n_flux, 6 * n_flux + 1):
         pair = build_dolbeault(n_flux, grid)
         dense = dplus_matrix(n_flux, grid).toarray()
-        expected = dense_kernel_judgement(dense, dolbeault.KERNEL_TOL)
+        expected = dense_kernel_judgement(dense, dolbeault.KERNEL_GAP, max(2 * n_flux + 6, 8))
         try:
             found = kernel_dimension(pair)
-        except (IndeterminateKernelError, ResolutionError) as exc:
+        except ResolutionError as exc:
             found = type(exc)
         assert found == expected, (n_flux, grid)
 
 
 def test_kernel_solve_runs_no_banded_cholesky(monkeypatch):
-    # the threshold needs a scale, not a certified top singular value
+    # the kernel rule compares the low values with each other: it needs no
+    # certified top singular value
     factored = []
     cholesky_banded = algebra.la.cholesky_banded
 
@@ -234,15 +243,14 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     # two classes of two chains, (6, 27) three chains in one class with N not
     # dividing M, so both expand rolled representatives
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
-    norm_bound, svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
+    svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
     reference = np.linalg.svd(dense, compute_uv=False)
-    assert reference[0] <= norm_bound <= 1.04 * reference[0]
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
     assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals).max() < 1e-12
     assert np.abs(vecs.conj().T @ vecs - np.eye(svals.size)).max() < 1e-12
     assert not vecs.flags.writeable and not svals.flags.writeable  # shared by the cache
     if (n_flux, grid) == (2, 16):
-        # the commensuration splitting behind the indeterminacy guard
+        # the commensuration splitting behind test_kernel_dimension_indeterminate_guard
         assert svals[:2] == pytest.approx([3.74e-7, 3.74e-7], rel=1e-3)
 
 
@@ -291,7 +299,7 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
         return values, ritz
 
     monkeypatch.setattr(dolbeault, "_chain_triplets", uncertain_first_pass)
-    _, svals, _ = dolbeault._kernel_data.__wrapped__(4, 18, "landau")  # bypass the cache
+    svals, _ = dolbeault._kernel_data.__wrapped__(4, 18, "landau")  # bypass the cache
     reference = np.linalg.svd(dplus_matrix(4, 18).toarray(), compute_uv=False)
     assert len(shares) == 2 and shares[1] > shares[0]
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
@@ -310,13 +318,13 @@ def test_symmetric_kernel_is_the_cached_landau_solve_times_the_site_phase(monkey
     dolbeault._kernel_data.cache_clear()
     landau = dolbeault._kernel_data(n_flux, grid, "landau")
     assert len(solves) == (1 if n_flux else 0)
-    norm_bound, svals, vecs = dolbeault._kernel_data(n_flux, grid, "symmetric-periodic")
+    svals, vecs = dolbeault._kernel_data(n_flux, grid, "symmetric-periodic")
     assert len(solves) == (1 if n_flux else 0)
     # bit-identical to multiplying the Landau vectors by G on the (M, M) grid in place
-    expected = landau[2].reshape(grid, grid, -1).copy()
+    expected = landau[1].reshape(grid, grid, -1).copy()
     expected *= dolbeault._symmetric_phase(n_flux, grid)[..., None]
     assert np.array_equal(vecs, expected.reshape(grid * grid, -1))
-    assert norm_bound == landau[0] and svals is landau[1]
+    assert svals is landau[0]
     assert not vecs.flags.writeable
 
 

@@ -47,3 +47,24 @@ def test_no_function_local_import_in_the_library():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert hits == []
+
+
+def test_every_module_constant_is_read_in_the_library():
+    # an UPPER_CASE constant nothing reads is a dead knob: setting it changes nothing
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    constants = [
+        (name, target.id)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    ]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert constants
+    assert [f"{name}: {constant}" for name, constant in constants if constant not in read] == []
