@@ -56,6 +56,7 @@ Lattice = Tuple[int, int]
 E: Lattice = (0, 0)
 U: Lattice = (1, 0)
 V: Lattice = (0, 1)
+ROUNDING = 4  # rounding allowance of every claim gate, in units of eps times its scale
 
 
 def compose(g1: Lattice, g2: Lattice) -> Lattice:
@@ -115,6 +116,12 @@ def _finite_angle(s: float, value: float) -> float:
 def sigma(cocycle, s: float, g1: Lattice, g2: Lattice) -> complex:
     """Unit-modulus twist ``exp(i s c(g1, g2))``; ValueError if the angle is not finite."""
     return cmath.exp(1j * _finite_angle(s, cocycle(g1, g2)))
+
+
+def gate_fails(checks, bound: float) -> int:
+    """Exit code of a claim gate: 1 if a (deviation, scale) check is NaN or past max(bound,
+    ROUNDING eps scale), scale bounding the rounding of the computation it judges; else 0."""
+    return int(not all(d <= max(bound, ROUNDING * sys.float_info.epsilon * s) for d, s in checks))
 
 
 class AlgebraElement:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points
+from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points, gate_fails
 from .errors import CocycleConsistencyError, ExactnessError
 
 MAX_DEGREE = 4
@@ -150,8 +150,8 @@ def cocycle_grid(A: OneForm, radius: int):
     with ``values[i, j] = c(points[i], points[j])``, the constant coefficient,
     and ``residual`` the largest non-constant coefficient over all pairs: the
     measured distance of the combinations from constants, for potentials of
-    every degree.  Raises ``CocycleConsistencyError`` above 1e-10, and
-    ``ValueError`` if a coefficient of a combination overflows a float.
+    every degree.  ``CocycleConsistencyError`` if ``gate_fails`` (1e-10, scale
+    max |c|), ``ValueError`` if a coefficient of a combination overflows.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be non-negative, got {radius}")
@@ -172,10 +172,10 @@ def cocycle_grid(A: OneForm, radius: int):
         combo -= phi[ball_index(n[:, None] + n, m[:, None] + m, 2 * radius)]
     values = combo[:, :, 0, 0].copy()
     combo[:, :, 0, 0] = 0.0
-    residual = float(max(combo.max(), -combo.min()))  # NaN or inf if any coefficient is
-    if not np.isfinite([residual, values.max(), values.min()]).all():
+    residual, scale = (float(max(a.max(), -a.min())) for a in (combo, values))  # NaN, inf kept
+    if not np.isfinite([residual, scale]).all():
         raise ValueError("a cocycle combination overflows a float")
-    if residual > 1e-10:
+    if gate_fails([(residual, scale)], 1e-10):
         raise CocycleConsistencyError(
             f"combination not constant on the grid: residual {residual:.3e}"
         )

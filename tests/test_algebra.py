@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -512,3 +513,15 @@ def test_zero_coefficients_pruned():
     assert set(a.terms) == {(0, 0)}
     b = a - AlgebraElement.unit()
     assert len(b) == 0
+
+
+def test_gate_fails_judges_each_deviation_at_its_own_scale():
+    slack = algebra.ROUNDING * sys.float_info.epsilon
+    assert algebra.gate_fails([], 1e-10) == 0
+    assert algebra.gate_fails([(1e-10, 1.0), (0.0, 1e6)], 1e-10) == 0
+    assert algebra.gate_fails([(1e-10, 1.0), (2e-10, 1.0)], 1e-10) == 1
+    # past the bound, but rounding at the check's scale: it passes up to slack * scale
+    assert algebra.gate_fails([(slack * 1e160, 1e160)], 1e-10) == 0
+    assert algebra.gate_fails([(2 * slack * 1e160, 1e160)], 1e-10) == 1
+    assert algebra.gate_fails([(math.nan, 1.0)], 1e-10) == 1
+    assert algebra.gate_fails([(0.0, 1.0), (math.nan, 1e300)], 1e-10) == 1

@@ -873,11 +873,11 @@ def test_memory_error_in_a_library_call_exits_2_with_a_usage_record(monkeypatch,
         (["--radius", "0"], "ValueError", "truncation radius must be positive, got 0"),
         (["--radius", "-3", "--rep-radius", "0"], "ValueError", "truncation radius must be positive, got -3"),
         (["--rep-radius", "0"], "ValueError", "truncation radius must be positive, got 0"),
-        (["--s", "1e308"], "ValueError", "twist s = 1e+308 times a cocycle value is not a finite angle"),
+        (["--s", "1e308"], "ValueError", "width parameter s = 1e+308 overflows the pairing's pi s / 2 or 1 / s"),
     ],
 )
 def test_module_gram_error_records_come_before_any_pairing(options, error, message, monkeypatch, capsys):
-    # the radius is checked first, the rep radius and the twist by the twist table
+    # the width by the vacuum section, then the radius, and the rep radius by the twist table
     monkeypatch.setattr(sections, "l2_inner", None)
     assert main(["module-gram", *options]) == 2
     out = json.loads(capsys.readouterr().out)
@@ -1100,16 +1100,30 @@ def test_heisenberg_gate_fails_on_the_reversed_orientation(monkeypatch, capsys):
 
 @pytest.mark.parametrize("which", ["constancy", "identity"])
 def test_cocycle_check_gate_fails_past_1e_10(which, monkeypatch, capsys):
+    if which == "constancy":
+        # an xy coefficient of 2e-10 in phi_(4, 4), the last phase of the
+        # radius-4 batch, leaves the pair ((2, 2), (2, 2)) non-constant
+        solve = cocycle._phases
+
+        def planted(A, n, m):
+            phi = solve(A, n, m)
+            phi[-1, 1, 1] += 2e-10
+            return phi
+
+        monkeypatch.setattr(cocycle, "_phases", planted)
+        assert main(["cocycle-check", "--radius", "2"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "failed" and out["error"] == "CocycleConsistencyError"
+        assert out["message"] == "combination not constant on the grid: residual 2.000e-10"
+        return
     grid = cocycle.cocycle_grid
 
     def perturbed(A, radius):
         points, values, residual = grid(A, radius)
-        if which == "identity":
-            values = values.copy()
-            k = points.index((0, 0))
-            values[k, k] += 2e-10  # c(0, 0): the triples (0, 0, g) see it
-            return points, values, residual
-        return points, values, 2e-10
+        values = values.copy()
+        k = points.index((0, 0))
+        values[k, k] += 2e-10  # c(0, 0): the triples (0, 0, g) see it
+        return points, values, residual
 
     monkeypatch.setattr(cocycle, "cocycle_grid", perturbed)
     code = main(["cocycle-check", "--radius", "2"])
@@ -1146,10 +1160,68 @@ def test_module_gram_empty_sections_file_exits_2(tmp_path, capsys):
 
 
 def test_module_gram_gate_fails_past_minus_1e_9(monkeypatch, capsys):
-    report = {"min_eigenvalue": -2e-9, "dimension": 9, "tail_bound": 0.0}
+    report = {"min_eigenvalue": -2e-9, "max_eigenvalue": 1.0, "dimension": 9, "tail_bound": 0.0}
     monkeypatch.setattr(sections, "gram_positivity", lambda *args: report)
     code = main(["module-gram", "--radius", "3", "--rep-radius", "1"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["claim"] == "module-gram-positivity"
     assert out["min_eigenvalue"] == -2e-9
+
+
+# Each gate judges its deviation against max(bound, ROUNDING eps scale), at
+# the scale of the values it compares: rounding alone passes at extreme
+# scales, while a planted or a truncation defect still fails.
+
+
+@pytest.mark.parametrize(
+    "argv, residual",
+    [
+        (["--omega0", "1e160", "--radius", "2"], "identity_residual"),
+        (["--omega0", "1e305", "--radius", "5", "--potential", "symmetric"], "constancy_residual"),
+        (["--omega0", "1e305", "--radius", "5", "--potential", "landau"], "constancy_residual"),
+    ],
+)
+def test_cocycle_check_passes_rounding_at_large_omega0(argv, residual, tmp_path, capsys):
+    # the absolute 1e-10 failed these: identity residual 1.6e144 at 1e160, and
+    # CocycleConsistencyError at 1e305 (constancy residual 3.9e289, 7.8e289)
+    assert main(["cocycle-check", *argv, "--output", str(tmp_path / "c.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)[residual] > 1e-10
+
+
+def test_cocycle_check_identity_defect_fails_at_large_omega0(monkeypatch, tmp_path, capsys):
+    # one value moved by 1e-8 max |c| is far past rounding at any omega0
+    grid = cocycle.cocycle_grid
+
+    def perturbed(A, radius):
+        points, values, residual = grid(A, radius)
+        values = values.copy()
+        k = points.index((0, 0))
+        values[k, k] += 1e-8 * np.abs(values).max()
+        return points, values, residual
+
+    monkeypatch.setattr(cocycle, "cocycle_grid", perturbed)
+    argv = ["cocycle-check", "--omega0", "1e160", "--radius", "2", "--output", str(tmp_path / "c.csv")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["identity_residual"] == pytest.approx(4e152, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 0),
+        (["--s", "1e-7", "--radius", "2", "--rep-radius", "1"], 0),
+        (["--s", "1e-8", "--radius", "2", "--rep-radius", "1"], 0),
+        (["--s", "1e-10", "--radius", "2", "--rep-radius", "1"], 0),
+        # rounding of a 441-square Gram: -5.1e-3, 5.2 eps max_eigenvalue
+        (["--s", "1e-10", "--radius", "20", "--rep-radius", "10"], 0),
+        # truncation, not rounding: min_eigenvalue -560.6 against 6.9e3
+        (["--s", "0.01"], 1),
+    ],
+)
+def test_module_gram_exit_code_follows_from_its_printed_numbers(argv, code, capsys):
+    # the absolute -1e-9 failed s = 1e-7, 1e-8 and 1e-10 from rounding alone
+    assert main(["module-gram", *argv]) == code
+    out = json.loads(capsys.readouterr().out)
+    scale = out["dimension"] * out["max_eigenvalue"]
+    assert code == int(-out["min_eigenvalue"] > max(1e-9, algebra.ROUNDING * sys.float_info.epsilon * scale))

@@ -68,3 +68,20 @@ def test_every_module_constant_is_read_in_the_library():
     }
     assert constants
     assert [f"{name}: {constant}" for name, constant in constants if constant not in read] == []
+
+
+def test_every_cli_handler_returns_zero_or_the_gate():
+    # one rule decides every exit code a subcommand returns: the literal 0
+    # (report-only) or a call of algebra.gate_fails
+    tree = ast.parse((Path(quantlab.__file__).parent / "cli.py").read_text())
+    handlers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) >= 8
+    hits = [
+        f"{func.name}:{node.lineno}: {ast.unparse(node)}"
+        for func in handlers
+        for node in ast.walk(func)
+        if isinstance(node, ast.Return)
+        and ast.unparse(node) != "return 0"
+        and not (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "algebra.gate_fails")
+    ]
+    assert hits == []
