@@ -285,7 +285,7 @@ def ball_index(n, m, radius: int):
     return (n + radius) * (2 * radius + 1) + (m + radius)
 
 
-def _ball_coordinates(radius: int):
+def ball_coordinates(radius: int):
     """``ball_points(radius)`` as two integer arrays ``n, m``, in order."""
     n, m = np.divmod(np.arange((2 * radius + 1) ** 2), 2 * radius + 1)
     return n - radius, m - radius
@@ -297,18 +297,20 @@ def _hops(a: AlgebraElement, radius: int) -> Dict[Lattice, complex]:
 
 
 def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp.csr_matrix:
-    """``regular_representation`` as a CSR matrix (no pair repeats): the one assembly."""
+    """``regular_representation`` as a CSR matrix (no pair repeats): the one assembly.
+
+    Warns "lossy" exactly when ``_hops`` drops a term, a hop longer than 2R.
+    """
     if radius <= 0:
         raise ValueError(f"truncation radius must be positive, got {radius}")
-    if a.support_radius() > radius:
+    dim = (2 * radius + 1) ** 2
+    n, m = ball_coordinates(radius)
+    hops = _hops(a, radius)  # so every shift fits an int64
+    if len(hops) < len(a._terms):
         warnings.warn(
-            "support radius %d exceeds truncation radius %d; compression is lossy"
-            % (a.support_radius(), radius),
+            f"support radius {a.support_radius()} exceeds 2R, R = {radius}; compression is lossy",
             stacklevel=3,  # the caller of regular_representation or norm_estimate
         )
-    dim = (2 * radius + 1) ** 2
-    n, m = _ball_coordinates(radius)
-    hops = _hops(a, radius)  # so every shift fits an int64
     shifts = np.array(list(hops), dtype=np.int64).reshape(-1, 2)
     coeffs = np.array(list(hops.values()), dtype=complex)
     tn, tm = shifts[:, :1] + n, shifts[:, 1:] + m
@@ -345,7 +347,7 @@ def _coset_order(a: AlgebraElement, radius: int) -> np.ndarray:
             k = p // x
             p, q, x, y = x, y, p - k * x, q - k * y
         r = math.gcd(r, y)
-    n, m = _ball_coordinates(radius)
+    n, m = ball_coordinates(radius)
     if p:
         steps = n // p  # whole steps by (p, q)
         n, m = n - p * steps, m - q * steps
@@ -357,10 +359,10 @@ def regular_representation(
 ) -> np.ndarray:
     """Matrix of left multiplication by ``a`` compressed to the ball.
 
-    Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, rows/columns
-    whose target leaves the ball are truncated.  The cocycle is called once,
-    on integer arrays over (terms x ball), so it must broadcast over them.
-    The dense form of ``_regular_rep_sparse``, the one assembly.
+    Entry rule: ``[g'] delta_g = sigma_s(g', g) delta_{g'+g}``, cut where the
+    target leaves the ball; a term longer than 2R is dropped, with the
+    lossy-truncation warning.  The dense ``_regular_rep_sparse``, the one
+    assembly: it calls the cocycle once, on integer arrays over (terms x ball).
     """
     return _regular_rep_sparse(a, cocycle, s, radius).toarray()
 

@@ -151,7 +151,7 @@ def _identity_residual(values: np.ndarray, radius: int) -> float:
     """
     if max(values.max(), -values.min()) > sys.float_info.max / 4:
         raise ValueError("cocycle values too large to check the identity in floats")
-    n, m = np.array(algebra.ball_points(min(radius, max(1, radius // 2)))).T
+    n, m = algebra.ball_coordinates(min(radius, max(1, radius // 2)))
 
     def index(dn, dm):  # positions of g + (dn, dm) in the radius-R ball, and which stay inside
         inside = (np.abs(n + dn) <= radius) & (np.abs(m + dm) <= radius)
@@ -192,7 +192,7 @@ def _cmd_cocycle_check(args) -> int:
     )
     closed_dev = None
     if args.potential == "symmetric":
-        n, m = np.array(points).T
+        n, m = algebra.ball_coordinates(args.radius)
         closed = algebra.KappaCocycle(args.omega0 / 2.0)((n[:, None], m[:, None]), (n, m))
         closed_dev = float(np.abs(values - closed).max())
     identity_residual = _identity_residual(values, args.radius)
@@ -366,11 +366,13 @@ def _cmd_index(args) -> int:
 
 
 @functools.cache  # every `main` call of a process parses with one parser; a build takes 1-2 ms
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The CLI's parser; ``exit_on_error=False`` gives ``--config``'s, raising on a bad value."""
     parser = argparse.ArgumentParser(
         prog="quantlab",
         description="flat-torus quantization laboratory: cocycles, twisted algebras, "
         "magnetic spectra, Toeplitz asymptotics, index checks",
+        exit_on_error=exit_on_error,
     )
     parser.add_argument("--config", help="JSON file overriding subcommand options")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,16 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():  # after each subcommand's own options, as --help lists them
         p.add_argument("--output")
+        p.exit_on_error = exit_on_error
     return parser
 
 
-def _parse_with_config(parser, argv: list[str], args) -> argparse.Namespace:
+def _parse_with_config(argv: list[str], args) -> argparse.Namespace:
     """Parse ``argv`` again with the ``--config`` overrides appended as option tokens.
 
-    Each key names an option of the chosen subcommand, by its flag or its
-    dest (``rep-radius`` or ``rep_radius``), and its value becomes the token
-    ``--flag=value`` after the options already given, so it overrides them
-    and is checked by the option's own ``type`` and ``choices``.
+    Each key names an option of the chosen subcommand as the parse ``args``
+    names it, with ``-`` read as ``_`` (``rep-radius`` or ``rep_radius``).  Its
+    value becomes the token ``--dest=value``, ``_`` written ``-``, after the
+    options already given, so it overrides them and is checked by the option's
+    own ``type`` and ``choices`` on ``build_parser(exit_on_error=False)``.
     """
     try:
         with open(args.config) as fh:
@@ -459,36 +463,27 @@ def _parse_with_config(parser, argv: list[str], args) -> argparse.Namespace:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(overrides, dict):
         raise ConfigError("config must be a JSON object")
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = subparsers.choices[args.command]
-    flags = {}  # name -> flag, for the options that take one value
-    for action in subparser._actions:
-        if action.option_strings and action.nargs is None:
-            for name in (action.dest, *action.option_strings):
-                flags[name.lstrip("-")] = action.option_strings[0]
+    dests = set(vars(args)) - {"command", "func", "config"}
     tokens = []
     for key, value in overrides.items():
-        if key not in flags:
+        dest = key.replace("-", "_")
+        if dest not in dests:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigError(f"config key {key!r} must be a number or a string")
-        tokens.append(f"{flags[key]}={value}")
-    parser.exit_on_error = subparser.exit_on_error = False  # raise, so the error gets a record
-    try:
-        return parser.parse_args(argv + tokens)
+        tokens.append(f"--{dest.replace('_', '-')}={value}")
+    try:  # a parser that raises, so the error gets a record
+        return build_parser(exit_on_error=False).parse_args(argv + tokens)
     except argparse.ArgumentError as exc:
         raise ConfigError(f"config: {exc}") from None
-    finally:  # the parser is shared by later calls, whose bad options argparse reports
-        parser.exit_on_error = subparser.exit_on_error = True
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = _parse_with_config(parser, argv, args)
+            args = _parse_with_config(argv, args)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

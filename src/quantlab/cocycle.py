@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .algebra import Lattice, TabulatedCocycle, ball_index, ball_points, gate_fails
+from .algebra import Lattice, TabulatedCocycle, ball_coordinates, ball_index, ball_points, gate_fails
 from .errors import CocycleConsistencyError, ExactnessError
 
 MAX_DEGREE = 4
@@ -156,8 +156,8 @@ def cocycle_grid(A: OneForm, radius: int):
     if radius < 0:
         raise ValueError(f"ball radius must be non-negative, got {radius}")
     points = ball_points(radius)
-    n, m = np.array(points).T
-    phi = _phases(A, *np.array(ball_points(2 * radius)).T)
+    n, m = ball_coordinates(radius)
+    phi = _phases(A, *ball_coordinates(2 * radius))
     own = phi[ball_index(n, m, 2 * radius)]
     K, rows, cols = own.shape
     # g2^* phi_{g1} for every pair (g1, g2): B(n2) phi_{g1} B(m2)^T, one row

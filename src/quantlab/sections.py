@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import warnings
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import scipy.linalg as la
 
 from .algebra import (
     AlgebraElement,
-    _ball_coordinates,
+    ball_coordinates,
     ball_index,
     ball_points,
     json_records,
@@ -233,7 +232,7 @@ def _pairings(
     if radius < 1:
         raise ValueError(f"truncation radius must be positive, got {radius}")
     fixed = _pool(phis)
-    moved = _translates(_pool(psis), *_ball_coordinates(radius))
+    moved = _translates(_pool(psis), *ball_coordinates(radius))
     return np.array([l2_inner(pool, fixed) for pool in moved])
 
 
@@ -261,7 +260,7 @@ def _gram_upper(
     read.  One ``_pairings`` call forms them all, one k x k matrix per
     point, so k sections take one translation batch and (2 reach+1)^2
     ``l2_inner`` calls.  The twist table ``sigma_s(r - c, c)`` is one
-    ``regular_representation``, of the indicator of the reach ball; each
+    ``regular_representation`` of the reach ball's indicator (no term dropped); each
     block is the (i, j) pairings gathered at r - c times that table, written
     straight into the array.  That is the regular representation of those
     pairings bit for bit: a table entry is 1.0 times the twist, the product
@@ -280,13 +279,9 @@ def _gram_upper(
     if radius < 1:
         raise ValueError(f"truncation radius must be positive, got {radius}")
     reach = min(radius, 2 * rep_radius)
-    with warnings.catch_warnings():
-        # the indicator reaches past rep_radius on purpose: each hop between
-        # two ball points keeps its twist, the longer ones are cut
-        warnings.simplefilter("ignore", UserWarning)
-        indicator = AlgebraElement(dict.fromkeys(ball_points(reach), 1.0))
-        twist = regular_representation(indicator, cocycle, s, rep_radius)
-    n, m = _ball_coordinates(rep_radius)
+    indicator = AlgebraElement(dict.fromkeys(ball_points(reach), 1.0))
+    twist = regular_representation(indicator, cocycle, s, rep_radius)
+    n, m = ball_coordinates(rep_radius)
     dn, dm = n[:, None] - n, m[:, None] - m
     # r - c as a point of the reach ball, or -1 (a zero appended to the
     # pairings) where it leaves the ball

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quantlab import algebra, cocycle
+from quantlab import algebra, cocycle, sections
 from quantlab.algebra import (
     E,
     U,
@@ -224,6 +224,34 @@ def test_regular_representation_warns_on_lossy_truncation():
         norm_estimate(wide, KC, 0.1, 2)
     # both point past quantlab's frames, at this caller
     assert [w.filename for w in caught] == [__file__, __file__]
+
+
+def test_a_term_within_twice_the_radius_is_kept_without_warning():
+    # at R = 1 the hop (2, 0) still takes (-1, m) to (1, m): a compression, no dropped term
+    a = AlgebraElement({E: 1.0, (2, 0): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = regular_representation(a, KC, 0.5, 1)
+        norm = norm_estimate(a, KC, 0.5, 1)
+    assert np.count_nonzero(mat) == 9 + 3
+    assert norm == pytest.approx((1 + math.sqrt(5)) / 2, rel=0, abs=1e-12)
+
+
+def test_a_term_beyond_twice_the_radius_is_dropped_with_the_warning():
+    a = AlgebraElement({E: 1.0, (3, 0): 1.0})
+    with pytest.warns(UserWarning, match="lossy") as caught:
+        mat = regular_representation(a, KC, 0.5, 1)
+        norm = norm_estimate(a, KC, 0.5, 1)
+    assert [w.filename for w in caught] == [__file__, __file__]
+    assert np.array_equal(mat, np.eye(9)) and norm == 1.0
+
+
+def test_gram_positivity_with_reach_twice_the_rep_radius_warns_of_nothing():
+    # reach = min(3, 2 * 1) = 2: the twist table's indicator hops no farther than 2R
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = sections.gram_positivity([sections.vacuum(2.0)], KC, 2.0, 3, 1)
+    assert report["dimension"] == 9 and report["min_eigenvalue"] > 0
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["kappa", "tabulated"])

@@ -393,6 +393,17 @@ def test_config_call_leaves_the_shared_parser_exiting_on_bad_options(tmp_path, c
             main(["cocycle-check", "--potential", "bogus"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+        parser = build_parser()
+        assert parser.exit_on_error and all(p.exit_on_error for p in _subparsers(parser).values())
+
+
+def test_every_option_has_one_flag_spelled_from_its_dest():
+    # --config reads a key as the dest the parse names and writes --dest, _ as -
+    for name, parser in _subparsers(build_parser()).items():
+        for action in parser._actions:
+            if action.option_strings and action.dest != "help":
+                flag = "--" + action.dest.replace("_", "-")
+                assert action.option_strings == [flag], (name, action.option_strings)
 
 
 def test_config_file_missing(tmp_path, capsys):

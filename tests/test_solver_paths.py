@@ -85,3 +85,25 @@ def test_every_cli_handler_returns_zero_or_the_gate():
         and not (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "algebra.gate_fails")
     ]
     assert hits == []
+
+
+def test_no_warnings_filter_private_import_or_argparse_internal_in_the_library():
+    # each decision is made once, where its data lives: no call changes the
+    # process-wide warnings filters, imports another module's private name,
+    # or reads argparse's internals to rebuild what a parse already names
+    assert SOURCES
+    hits = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "quantlab"):
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and (
+                ast.unparse(node) in ("warnings.catch_warnings", "warnings.simplefilter")
+                or node.attr == "_actions"
+                or (ast.unparse(node.value) == "argparse" and node.attr.startswith("_"))
+            ):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    assert hits == []
