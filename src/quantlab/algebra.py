@@ -307,9 +307,12 @@ def _regular_rep_sparse(a: AlgebraElement, cocycle, s: float, radius: int) -> sp
     n, m = ball_coordinates(radius)
     hops = _hops(a, radius)  # so every shift fits an int64
     if len(hops) < len(a._terms):
+        frame, level = sys._getframe(1), 2
+        while frame.f_code.co_filename == __file__:  # name the first caller outside this module
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"support radius {a.support_radius()} exceeds 2R, R = {radius}; compression is lossy",
-            stacklevel=3,  # the caller of regular_representation or norm_estimate
+            stacklevel=level,
         )
     shifts = np.array(list(hops), dtype=np.int64).reshape(-1, 2)
     coeffs = np.array(list(hops.values()), dtype=complex)

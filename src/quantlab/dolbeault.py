@@ -48,11 +48,18 @@ threads and 0.11-0.16 ms on one, on a 2-core machine).  Rayleigh-Ritz is
 an SVD of B Q, so singular values carry eps * |D+| error like a dense SVD
 and every copy of a repeated value is found.  The kernel is judged on
 these values alone: it ends at the last sharp drop of the computed low
-spectrum, sigma_i < KERNEL_GAP * sigma_{i+1} (``kernel_basis``), so no
+spectrum, sigma_i < KERNEL_GAP * sigma_{i+1} (``_kernel_size``), so no
 scale of |D+| is needed.  At zero flux the doubler zero would land on the
 momentum grid whenever 4 | M, so the fluxless operator is the exact
 spectral derivative, symbol (i xi_x - xi_y) / sqrt(2), kernel the
-constants alone; its triplets are read off the symbol.
+constants alone; its triplets are read off the symbol, as plane waves on
+g = M chains of length M, one per momentum p.
+
+The kernel stays in chain form: the cache holds the k lowest values, each
+with its chain id and chain vector of length L, not an M^2 x k site block.
+``kernel_dimension`` and ``spectral_report`` read the values, ``toeplitz``
+the chains (``kernel_chains``); ``kernel_basis`` puts the d kernel columns on
+the grid on demand, for ``weitzenbock_residual`` and ``--export-kernel``.
 
 Gauge.  Only D_plus depends on the gauge, and it is only ever applied, by
 ``_apply_dplus``, never assembled.  The Landau gauge puts the link
@@ -60,9 +67,9 @@ phase e^{-i phi j} on every +y link and e^{i phi M k} on the +x links that
 cross the seam j = M-1 -> 0, with phi = 2 pi N / M^2 the flux per plaquette.
 The symmetric-periodic operator is G D_Landau G^* for the diagonal site
 phase G[j, k] = exp(-i pi N j k / M^2) of ``_symmetric_phase``: the same
-singular values, and singular vectors multiplied by G.  A Toeplitz
-compression Theta^* diag(f) Theta does not see G, so everything downstream
-of the kernel is gauge-free.
+singular values, and singular vectors multiplied by G.  So both gauges
+share the Landau solve, and only ``kernel_basis`` applies G; a Toeplitz
+compression Theta^* diag(f) Theta does not see G.
 
 Curvature normalization: in the continuum the commutator
 D_plus D_plus^* - D_plus^* D_plus is the constant CURVATURE_SCALE * N; on
@@ -239,32 +246,31 @@ def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
 
 @lru_cache(maxsize=24)
 def _kernel_data(n_flux: int, grid: int, gauge: str):
-    """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors.
+    """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors in chain form.
 
-    Returns (the k values ascending, their orthonormal right singular
-    vectors as columns); one cached solve serves every query.
+    Returns (the k values ascending, the chain id c of each value's right
+    singular vector, and the vectors as rows of length L = M^2 / g on their
+    chains), all read-only; one cached solve serves every query.  Position
+    s = t M + j of chain c is site (j, p = (c - N t) mod M) of the grid after
+    a unitary FFT along y; at N = 0 there are g = M chains, one per p, of
+    length M, and the vectors are plane waves.  No site-space column is
+    formed here (``kernel_basis`` builds the kernel's on demand).  The
+    symmetric-periodic gauge returns the Landau data: only the site phase G
+    differs, and ``kernel_basis`` applies it.
     """
     if gauge == "symmetric-periodic":
-        # D_symmetric = G D_Landau G^*: the Landau values, and G times its vectors
-        svals, vecs = _kernel_data(n_flux, grid, "landau")
-        vecs = vecs * _symmetric_phase(n_flux, grid).reshape(-1, 1)
-        vecs.flags.writeable = False
-        return svals, vecs
+        return _kernel_data(n_flux, grid, "landau")
     build_dolbeault(n_flux, grid, gauge)  # validates the arguments
     N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
-    modes = np.zeros((M * M, k), dtype=complex)  # (xi_x, xi_y) at N = 0, else (j, p)
     if N == 0:
         freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
         symbol = np.hypot(freq[:, None], freq[None, :]).ravel() / math.sqrt(2.0)
         order = np.argsort(symbol, kind="stable")[:k]
-        svals = symbol[order]
-        modes[order, np.arange(k)] = 1.0
+        svals, (wave, chain) = symbol[order], np.divmod(order, M)  # (xi_x, xi_y = p) indices
+        vecs = np.exp(2j * math.pi * (np.outer(wave, np.arange(M)) % M) / M) / math.sqrt(M)
     else:
-        # chain c, position s = t*M + j holds site (j, p = c - t*N mod M)
         g = math.gcd(N, M)
         L = M * M // g
-        t, j = np.divmod(np.arange(L), M)
-        p = (np.arange(g)[:, None] - N * t) % M
         b = M / math.sqrt(2.0)
         c0, rep, shift = _chain_classes(N, M)
         diag = _chain_diagonal(N, M, np.arange(c0))
@@ -285,36 +291,64 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
             values, ritz = _chain_triplets(diag, b, lu, m)
         # every chain is its representative's matrix rolled by its shift
         values = values[rep]
-        ritz = ritz[rep[:, None], (np.arange(L) - shift[:, None]) % L]
         order = np.argsort(values, axis=None, kind="stable")[:k]
         svals, (chain, column) = values.ravel()[order], np.divmod(order, m)
-        modes[(j * M + p)[chain].T, np.arange(k)] = ritz[chain, :, column].T
-    vecs = np.fft.ifftn(modes.reshape(M, M, k), axes=(0, 1) if N == 0 else (1,), norm="ortho")
-    svals.flags.writeable = False
-    vecs.flags.writeable = False
-    return svals, vecs.reshape(M * M, k)
+        rolled = (np.arange(L) - shift[chain][:, None]) % L
+        vecs = ritz[rep[chain][:, None], rolled, column[:, None]]
+    for array in (svals, chain, vecs):
+        array.flags.writeable = False
+    return svals, chain, vecs
 
 
-def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
-    """Orthonormal basis (M^2, dim_kernel), read-only: cached vectors up to the last sharp drop.
+def _kernel_size(svals: np.ndarray) -> int:
+    """The kernel's dimension: i + 1 for the largest i with sigma_i < KERNEL_GAP * sigma_{i+1}.
 
-    The kernel is sigma_0 .. sigma_i for the largest cached i with sigma_i <
-    KERNEL_GAP * sigma_{i+1}, so sigma_{i+1} > 0 even at N = 0's exact zero.
-    Orthonormal by construction (disjoint chain supports, QR'd Ritz blocks, a
-    unitary FFT).  No such i raises ResolutionError: the grid does not resolve it.
+    So sigma_{i+1} > 0 even at N = 0's exact zero.  No such i raises
+    ResolutionError: the grid does not resolve the kernel.
     """
-    svals, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
     drops = np.flatnonzero(svals[:-1] < KERNEL_GAP * svals[1:])
     if not drops.size:
         raise ResolutionError(
             f"kernel unresolved: lowest singular value {svals[0]:.3e}, no drop by {KERNEL_GAP:.0e}"
         )
-    return vecs[:, : drops[-1] + 1]
+    return int(drops[-1]) + 1
+
+
+def kernel_chains(pair: DolbeaultPair) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel in chain form, read-only: (chain ids (d,), chain vectors (d, M^2 / g)).
+
+    The first d = ``kernel_dimension(pair)`` columns of ``_kernel_data``, in
+    its layout; the Landau vectors, whatever the gauge.
+    """
+    svals, chain, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
+    d = _kernel_size(svals)
+    return chain[:d], vecs[:d]
+
+
+def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
+    """Orthonormal kernel basis (M^2, dim_kernel), one row per site, built anew on each call.
+
+    The chain vectors of ``kernel_chains`` scattered to their (j, p) sites
+    and transformed back along y; the symmetric-periodic gauge multiplies by
+    the site phase G of ``_symmetric_phase``.  Orthonormal by construction
+    (disjoint chain supports, QR'd Ritz blocks, a unitary FFT).  An
+    unresolved kernel raises ResolutionError.
+    """
+    N, M = pair.n_flux, pair.grid
+    chain, vecs = kernel_chains(pair)
+    d, L = vecs.shape
+    t, j = np.divmod(np.arange(L), M)
+    modes = np.zeros((M, M, d), dtype=complex)
+    modes[j, (chain[:, None] - N * t) % M, np.arange(d)[:, None]] = vecs
+    basis = np.fft.ifft(modes, axis=1, norm="ortho")
+    if pair.gauge == "symmetric-periodic":
+        basis *= _symmetric_phase(N, M)[..., None]
+    return basis.reshape(M * M, d)
 
 
 def kernel_dimension(pair: DolbeaultPair) -> int:
-    """Columns of ``kernel_basis(pair)``; an unresolved kernel raises as it does."""
-    return kernel_basis(pair).shape[1]
+    """Columns of ``kernel_basis(pair)``, read off the cached values; an unresolved kernel raises."""
+    return _kernel_size(_kernel_data(pair.n_flux, pair.grid, pair.gauge)[0])
 
 
 def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
@@ -331,10 +365,10 @@ def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
     if not 0.0 < slack < 1.0:
         raise ValueError("slack must lie in (0, 1)")
     n = pair.n_flux
-    dim_kernel = kernel_dimension(pair)
-    svals0, _ = _kernel_data(n, pair.grid, pair.gauge)
+    svals0 = _kernel_data(n, pair.grid, pair.gauge)[0]
+    dim_kernel = _kernel_size(svals0)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
-    # of zero included: the one solve serves both degrees; kernel_basis has
+    # of zero included: the one solve serves both degrees; the judge has
     # found a computed value above the kernel's last drop
     vals = svals0**2
     gap = float(vals[dim_kernel])

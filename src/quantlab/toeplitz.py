@@ -6,7 +6,24 @@ numerical kernel of the lattice Dolbeault operator; with the kernel basis
 orthonormal in the grid inner product this is ``Theta^* diag(f) Theta``.
 T(f) does not depend on the gauge of the Dolbeault operator: a gauge change
 multiplies Theta by the diagonal unitary G, and G^* diag(f) G = diag(f).  The
-basis is read in the Landau gauge.
+kernel is read in the Landau gauge.
+
+``toeplitz`` never forms Theta.  It reads the d kernel columns in chain form
+(``dolbeault.kernel_chains``): after a unitary FFT along y, column alpha lives
+on one magnetic-translation chain c_alpha of g = gcd(N, M) chains (g = M at
+N = 0), position s = t M + j holding the site (j, p = (c_alpha - N t) mod M),
+as a vector v_alpha of length L = M^2 / g.  Multiplying by
+e^{2 pi i (a x + b y)} multiplies by e^{2 pi i a j / M} and moves p to p + b,
+so by Parseval
+
+    T(f)_{alpha beta} = sum_b sum_s conj(v_alpha(s)) F_b(j_s) v_beta(s'),
+    F_b(j) = sum_a f(a, b) e^{2 pi i a j / M},
+
+where s' is the position on c_beta of the site (j_s, p_s - b), and the term
+vanishes unless c_alpha = c_beta + b (mod g).  This re-sums
+``Theta^* diag(f) Theta`` exactly, in O(L) work per (b, alpha, beta) term and
+without an M^2-row array; several columns share a chain when N does not
+divide M.
 
 ``defect_sweep`` takes the four defects over a flux sweep: it forms fg,
 {f, g} and G(f, g) once per sweep and assembles five matrices per flux,
@@ -26,13 +43,14 @@ Scaling conventions tied to the symplectic form 2 pi dx ^ dy:
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, reflect
-from .dolbeault import DolbeaultPair, kernel_basis
+from .dolbeault import DolbeaultPair, kernel_basis, kernel_chains
 from .errors import DegenerateToeplitzError
 
 
@@ -56,23 +74,6 @@ class TrigPolynomial(AlgebraElement):
 
     def mean(self) -> complex:
         return self.coefficient((0, 0))
-
-    def sample(self, grid: int) -> np.ndarray:
-        """Values on the M x M grid x = a/M, y = b/M, flattened x-major.
-
-        Separable: Ex @ C @ Ey for the (j, k) coefficient table C and the
-        one-axis waves Ex[a, j] = e^{2 pi i j a/M}, Ey[k, b] = e^{2 pi i k b/M}.
-        """
-        if not self._terms:
-            return np.zeros(grid * grid, dtype=complex)
-        modes = np.array(list(self._terms))
-        low, high = modes.min(axis=0), modes.max(axis=0)
-        table = np.zeros(high - low + 1, dtype=complex)
-        table[tuple((modes - low).T)] = list(self._terms.values())
-        coords = np.arange(grid) / grid
-        ex = np.exp(2j * math.pi * np.outer(coords, np.arange(low[0], high[0] + 1)))
-        ey = np.exp(2j * math.pi * np.outer(np.arange(low[1], high[1] + 1), coords))
-        return (ex @ table @ ey).ravel()
 
 
 NAMED_SYMBOLS = {
@@ -113,10 +114,33 @@ def holomorphic_basis(n_flux: int, grid: int) -> np.ndarray:
     return kernel_basis(DolbeaultPair(n_flux, grid, "landau"))
 
 
+_GATHER_SIZE = 1 << 19  # chain entries ``toeplitz`` gathers at once: 8 MB per complex temporary
+
+
 def toeplitz(f: TrigPolynomial, n_flux: int, grid: int) -> np.ndarray:
-    """Compression of multiplication by f to the holomorphic-section basis."""
-    basis = holomorphic_basis(n_flux, grid)
-    return basis.conj().T @ (f.sample(grid)[:, None] * basis)
+    """Compression of multiplication by f to the holomorphic-section basis, on its chains."""
+    N, M = n_flux, grid
+    chain, vecs = kernel_chains(DolbeaultPair(N, M, "landau"))
+    (d, length), g = vecs.shape, math.gcd(N, M)
+    turns = M // g  # position s = t M + j of a chain has t < turns
+    # F_y(j) = sum over a of f(a, y) e^{2 pi i a j / M}: one row per y-frequency of f
+    a, b = np.fromiter(itertools.chain.from_iterable(f.terms), np.int64).reshape(-1, 2).T % M
+    ys, row = np.unique(b, return_inverse=True)
+    cell, coef = row * M + a, np.fromiter(f.terms.values(), complex, b.size)
+    spectrum = np.bincount(cell, coef.real, ys.size * M) + 1j * np.bincount(cell, coef.imag, ys.size * M)
+    table = np.fft.ifft(spectrum.reshape(-1, M), norm="forward")
+    # e^{2 pi i y k / M} moves p to p + y: it pairs chain c_alpha = c_beta + y + g q with
+    # c_beta, and position t M + j of c_alpha with t' M + j of c_beta, t' = t - q (N/g)^-1
+    y, alpha, beta = np.nonzero((chain[:, None] - chain - ys[:, None, None]) % g == 0)
+    step = (chain[beta] - chain[alpha] + ys[y]) // g * pow(N // g, -1, turns) % turns
+    rows = vecs.reshape(d, turns, M)
+    conj = rows.conj()
+    entries = np.zeros((ys.size, d, d), dtype=complex)
+    block = max(1, _GATHER_SIZE // length)  # pairs per gather
+    for p in (slice(i, i + block) for i in range(0, y.size, block)):
+        moved = rows[beta[p, None], (np.arange(turns) + step[p, None]) % turns]
+        entries[y[p], alpha[p], beta[p]] = np.einsum("ptj,ptj,pj->p", conj[alpha[p]], moved, table[y[p]])
+    return entries.sum(axis=0)
 
 
 def _opnorm(a: np.ndarray) -> float:

@@ -28,6 +28,7 @@ from quantlab.algebra import (
     sigma,
 )
 from quantlab.cocycle import solve_phi
+from quantlab.dolbeault import DolbeaultPair, kernel_basis
 from quantlab.errors import ResolutionError
 from quantlab.sections import _pairings, module_inner
 from quantlab.toeplitz import gradient_pairing, poisson_bracket, toeplitz
@@ -298,6 +299,48 @@ def fft_partials(values):
     fx = np.fft.ifft2(freq[:, None] * spectrum)
     fy = np.fft.ifft2(freq[None, :] * spectrum)
     return fx, fy
+
+
+def sample(f, grid: int) -> np.ndarray:
+    """Values of a TrigPolynomial on the M x M grid x = a/M, y = b/M, flattened x-major.
+
+    Separable: Ex @ C @ Ey for the (j, k) coefficient table C and the
+    one-axis waves Ex[a, j] = e^{2 pi i j a/M}, Ey[k, b] = e^{2 pi i k b/M}.
+    """
+    if not f.terms:
+        return np.zeros(grid * grid, dtype=complex)
+    modes = np.array(list(f.terms))
+    low, high = modes.min(axis=0), modes.max(axis=0)
+    table = np.zeros(high - low + 1, dtype=complex)
+    table[tuple((modes - low).T)] = list(f.terms.values())
+    coords = np.arange(grid) / grid
+    ex = np.exp(2j * math.pi * np.outer(coords, np.arange(low[0], high[0] + 1)))
+    ey = np.exp(2j * math.pi * np.outer(np.arange(low[1], high[1] + 1), coords))
+    return (ex @ table @ ey).ravel()
+
+
+def toeplitz_dense(f, n_flux: int, grid: int) -> np.ndarray:
+    """Theta^* diag(f) Theta on the site-space Landau kernel basis: the compression by definition."""
+    basis = kernel_basis(DolbeaultPair(n_flux, grid, "landau"))
+    return basis.conj().T @ (sample(f, grid)[:, None] * basis)
+
+
+def chain_columns(n_flux: int, grid: int, chain, vectors) -> np.ndarray:
+    """Site-space columns (M^2, n) of chain vectors, one site at a time.
+
+    Position s = t M + j of chain c is the momentum-space site
+    (j, p = (c - N t) mod M); the column's value at site (j, k) is
+    sum over p of m(j, p) e^{2 pi i p k / M} / sqrt(M), the unitary inverse
+    DFT along y written as a matrix product.
+    """
+    M = grid
+    modes = np.zeros((M, M, len(chain)), dtype=complex)
+    for column, (c, vector) in enumerate(zip(chain, vectors)):
+        for s, value in enumerate(vector):
+            t, j = divmod(s, M)
+            modes[j, (c - n_flux * t) % M, column] = value
+    wave = np.exp(2j * math.pi * np.outer(np.arange(M), np.arange(M)) / M) / math.sqrt(M)
+    return np.einsum("pk,jpc->jkc", wave, modes).reshape(M * M, -1)
 
 
 def sample_loop(f, grid: int) -> np.ndarray:

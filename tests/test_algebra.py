@@ -226,6 +226,18 @@ def test_regular_representation_warns_on_lossy_truncation():
     assert [w.filename for w in caught] == [__file__, __file__]
 
 
+def test_the_lossy_warning_names_the_caller_of_each_entry_point():
+    # norm_profile calls norm_estimate, which calls the assembly: the warning
+    # names the line here, not a frame inside the algebra module
+    wide = AlgebraElement.basis((5, 0))
+    with pytest.warns(UserWarning, match="lossy") as caught:
+        regular_representation(wide, KC, 0.1, 2)
+        norm_estimate(wide, KC, 0.1, 2)
+        norm_profile(wide, [0.1], KC, 2)
+    assert [w.filename for w in caught] == [__file__] * 3
+    assert len({w.lineno for w in caught}) == 3
+
+
 def test_a_term_within_twice_the_radius_is_kept_without_warning():
     # at R = 1 the hop (2, 0) still takes (-1, m) to (1, m): a compression, no dropped term
     a = AlgebraElement({E: 1.0, (2, 0): 1.0})

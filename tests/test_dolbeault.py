@@ -21,11 +21,13 @@ from quantlab.errors import ConvergenceError, ResolutionError
 from quantlab.toeplitz import TrigPolynomial, toeplitz
 
 from oracles import (
+    chain_columns,
     chain_matrix,
     dense_kernel_judgement,
     dplus_matrix,
     lll_theta_profile,
     plaquette_phases,
+    sample,
 )
 
 
@@ -242,13 +244,18 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     # not isospectral, so the merge across chains is exercised; (8, 36) has
     # two classes of two chains, (6, 27) three chains in one class with N not
     # dividing M, so both expand rolled representatives
+    # the cached chain vectors, placed on the grid by the oracle, and for the
+    # symmetric-periodic gauge multiplied by its site phase G
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
-    svals, vecs = dolbeault._kernel_data(n_flux, grid, gauge)
+    svals, chain, vectors = dolbeault._kernel_data(n_flux, grid, gauge)
+    vecs = chain_columns(n_flux, grid, chain, vectors)
+    if gauge == "symmetric-periodic":
+        vecs *= dolbeault._symmetric_phase(n_flux, grid).reshape(-1, 1)
     reference = np.linalg.svd(dense, compute_uv=False)
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
     assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals).max() < 1e-12
     assert np.abs(vecs.conj().T @ vecs - np.eye(svals.size)).max() < 1e-12
-    assert not vecs.flags.writeable and not svals.flags.writeable  # shared by the cache
+    assert not any(a.flags.writeable for a in (svals, chain, vectors))  # shared by the cache
     if (n_flux, grid) == (2, 16):
         # the commensuration splitting behind test_kernel_dimension_indeterminate_guard
         assert svals[:2] == pytest.approx([3.74e-7, 3.74e-7], rel=1e-3)
@@ -299,7 +306,7 @@ def test_chain_merge_widens_the_per_chain_share_until_certain(monkeypatch):
         return values, ritz
 
     monkeypatch.setattr(dolbeault, "_chain_triplets", uncertain_first_pass)
-    svals, _ = dolbeault._kernel_data.__wrapped__(4, 18, "landau")  # bypass the cache
+    svals = dolbeault._kernel_data.__wrapped__(4, 18, "landau")[0]  # bypass the cache
     reference = np.linalg.svd(dplus_matrix(4, 18).toarray(), compute_uv=False)
     assert len(shares) == 2 and shares[1] > shares[0]
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
@@ -318,14 +325,13 @@ def test_symmetric_kernel_is_the_cached_landau_solve_times_the_site_phase(monkey
     dolbeault._kernel_data.cache_clear()
     landau = dolbeault._kernel_data(n_flux, grid, "landau")
     assert len(solves) == (1 if n_flux else 0)
-    svals, vecs = dolbeault._kernel_data(n_flux, grid, "symmetric-periodic")
+    assert dolbeault._kernel_data(n_flux, grid, "symmetric-periodic") is landau
     assert len(solves) == (1 if n_flux else 0)
-    # bit-identical to multiplying the Landau vectors by G on the (M, M) grid in place
-    expected = landau[1].reshape(grid, grid, -1).copy()
+    # bit-identical to multiplying the Landau basis by G on the (M, M) grid
+    expected = kernel_basis(build_dolbeault(n_flux, grid)).reshape(grid, grid, -1)
     expected *= dolbeault._symmetric_phase(n_flux, grid)[..., None]
-    assert np.array_equal(vecs, expected.reshape(grid * grid, -1))
-    assert svals is landau[0]
-    assert not vecs.flags.writeable
+    basis = kernel_basis(build_dolbeault(n_flux, grid, "symmetric-periodic"))
+    assert np.array_equal(basis, expected.reshape(grid * grid, -1))
 
 
 def test_chain_solve_raises_when_the_iteration_cap_is_hit(monkeypatch):
@@ -421,5 +427,5 @@ def test_gauge_invariance_of_spectra():
     f = TrigPolynomial({(0, 0): 0.3, (1, 0): 0.5 - 0.2j, (-1, 2): 0.25j, (2, -1): -0.4})
     for n_flux, grid in ((3, 24), (4, 32), (5, 40)):
         basis = kernel_basis(build_dolbeault(n_flux, grid, "symmetric-periodic"))
-        entries = basis.conj().T @ (f.sample(grid)[:, None] * basis)
+        entries = basis.conj().T @ (sample(f, grid)[:, None] * basis)
         assert np.abs(entries - toeplitz(f, n_flux, grid)).max() < 1e-12

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,15 @@ from quantlab.toeplitz import (
     weyl_relation,
 )
 
-from oracles import clock_shift_scalar, cyclic_shift, fft_partials, sample_loop, toeplitz_defects_separate
+from oracles import (
+    clock_shift_scalar,
+    cyclic_shift,
+    fft_partials,
+    sample,
+    sample_loop,
+    toeplitz_defects_separate,
+    toeplitz_dense,
+)
 
 rng = np.random.default_rng(33)
 
@@ -65,8 +74,8 @@ def test_separable_sample_matches_the_mode_loop(grid):
     local = np.random.default_rng(4)  # leaves the module rng to the other tests
     modes = local.integers(-4, 5, (12, 2))
     f = TrigPolynomial({(j, k): complex(*local.normal(size=2)) for j, k in modes} | {(4, -4): 0.5})
-    assert np.abs(f.sample(grid) - sample_loop(f, grid)).max() <= 1e-12 * f.l1_norm()
-    zero = TrigPolynomial().sample(grid)
+    assert np.abs(sample(f, grid) - sample_loop(f, grid)).max() <= 1e-12 * f.l1_norm()
+    zero = sample(TrigPolynomial(), grid)
     assert zero.shape == (grid * grid,) and not zero.any()
 
 
@@ -74,8 +83,8 @@ def test_trig_polynomial_algebra():
     f = random_symbol()
     g = random_symbol()
     grid = 32
-    sampled = (f * g).sample(grid)
-    direct = f.sample(grid) * g.sample(grid)
+    sampled = sample(f * g, grid)
+    direct = sample(f, grid) * sample(g, grid)
     assert np.abs(sampled - direct).max() < 1e-12
     assert f.is_real()
     assert abs((f * g).mean() - np.mean(direct)) < 1e-12
@@ -126,7 +135,7 @@ def test_toeplitz_positive_for_positive_symbol():
 def test_toeplitz_norm_contraction():
     f = random_symbol()
     t = toeplitz(f, 4, 32)
-    sup = np.abs(f.sample(256)).max()
+    sup = np.abs(sample(f, 256)).max()
     assert np.linalg.norm(t, 2) <= sup + 1e-9
 
 
@@ -324,6 +333,49 @@ def test_defect_sweep_rejects_before_any_kernel_solve(f, cells, message, monkeyp
     assert str(exc.value) == message
 
 
+# one chain per flux unit when N | M, several columns on a chain when N does
+# not divide M ((3, 16), (4, 18), (5, 22), (6, 27)), and N = 0's M chains
+@pytest.mark.parametrize(
+    "n_flux,grid", [(2, 16), (3, 24), (4, 32), (9, 72), (3, 16), (4, 18), (5, 22), (6, 27), (0, 20)]
+)
+def test_chain_assembly_matches_the_dense_compression(n_flux, grid):
+    local = np.random.default_rng(100 * n_flux + grid)  # leaves the module rng to the other tests
+    for _ in range(3):
+        modes = local.integers(-4, 5, (12, 2)).tolist() + [[0, 0]]  # degree 4, with a mean
+        f = TrigPolynomial({(j, k): complex(*local.normal(size=2)) for j, k in modes})
+        expected = toeplitz_dense(f, n_flux, grid)
+        assert np.abs(toeplitz(f, n_flux, grid) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_chain_assembly_gathered_one_pair_at_a_time_is_unchanged(monkeypatch):
+    # the gather budget only splits the pairs into blocks: each pair's sum is the same
+    f, g = seeded_real_pair(12)
+    for n_flux, grid in ((4, 18), (9, 72)):
+        whole = toeplitz(f * g, n_flux, grid)
+        monkeypatch.setattr(toeplitz_module, "_GATHER_SIZE", 1)
+        assert np.array_equal(toeplitz(f * g, n_flux, grid), whole)
+        monkeypatch.undo()
+
+
+def test_a_zero_symbol_compresses_to_zero():
+    assert np.array_equal(toeplitz(TrigPolynomial(), 3, 24), np.zeros((3, 3)))
+
+
+def test_a_flux_32_cell_needs_no_site_space_kernel_block():
+    # one kernel solve and one defect_sweep cell at (32, 256): the site-space
+    # kernel block of M^2 x (2N + 6) complex entries alone took 73 MB; the
+    # chain form traces a peak of about 8 MB
+    dolbeault._kernel_data.cache_clear()
+    tracemalloc.start()
+    try:
+        defect_sweep(F, G, [(32, 256)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        dolbeault._kernel_data.cache_clear()
+    assert peak < 32 * 2**20
+
+
 def test_holomorphic_basis_is_the_landau_kernel_basis():
     for n_flux, grid in ((1, 16), (3, 24)):
         basis = holomorphic_basis(n_flux, grid)
@@ -384,12 +436,12 @@ def test_bracket_and_pairing_normalisation_against_fft_derivatives():
     grid = 32
     for _ in range(3):
         f, g = complex_symbol(), complex_symbol()
-        fx, fy = fft_partials(f.sample(grid).reshape(grid, grid))
-        gx, gy = fft_partials(g.sample(grid).reshape(grid, grid))
+        fx, fy = fft_partials(sample(f, grid).reshape(grid, grid))
+        gx, gy = fft_partials(sample(g, grid).reshape(grid, grid))
         bracket = (fy * gx - fx * gy) / (2.0 * math.pi)
         f_z = 0.5 * (fx - 1j * fy)
         g_zbar = 0.5 * (gx + 1j * gy)
         pairing = -(1.0 / math.pi) * f_z * g_zbar
         scale = np.abs(bracket).max() + np.abs(pairing).max()
-        assert np.abs(poisson_bracket(f, g).sample(grid) - bracket.ravel()).max() < 1e-12 * scale
-        assert np.abs(gradient_pairing(f, g).sample(grid) - pairing.ravel()).max() < 1e-12 * scale
+        assert np.abs(sample(poisson_bracket(f, g), grid) - bracket.ravel()).max() < 1e-12 * scale
+        assert np.abs(sample(gradient_pairing(f, g), grid) - pairing.ravel()).max() < 1e-12 * scale
