@@ -34,8 +34,9 @@ c0 = d / g, chain c is chain r = c mod c0 rolled by Delta_c, where
 N Delta_c = (c - r) M (mod M^2), so its diagonal (equal integers u) and
 matrix are r's permuted, bit for bit, and its singular vectors are r's
 rolled.  Only the c0 representatives are solved: one chain whenever N | M.
-A chain B = diag(d) + b S (S the cyclic step) is never assembled: B Q is
-d Q plus b times Q shifted one site along the chain, and the one sparse
+A chain B = diag(d) + b S (S the cyclic step) is never assembled:
+``_chain_apply`` forms B Q as d Q plus b times Q shifted one site along the
+chain (B^* Q as conj(d) Q plus b times Q shifted back), and the one sparse
 matrix built is the shifted normal matrix B^* B + 1, whose three cyclic
 diagonals are |d|^2 + b^2 + 1 and b conj(d_i) at (i, i+1 mod L) with its
 conjugate at (i+1 mod L, i).  A block subspace iteration with one sparse
@@ -58,23 +59,25 @@ g = M chains of length M, one per momentum p.
 The kernel stays in chain form: the cache holds the k lowest values, each
 with its chain id and chain vector of length L, not an M^2 x k site block.
 ``kernel_dimension`` and ``spectral_report`` read the values, ``toeplitz``
-the chains (``kernel_chains``); ``kernel_basis`` puts the d kernel columns on
-the grid on demand, for ``weitzenbock_residual`` and ``--export-kernel``.
+and ``weitzenbock_residual`` the chains (``kernel_chains``); ``kernel_basis``
+puts the d kernel columns on the grid on demand, for ``--export-kernel`` and
+``holomorphic_basis``, the one place a site-space block is formed.
 
-Gauge.  Only D_plus depends on the gauge, and it is only ever applied, by
-``_apply_dplus``, never assembled.  The Landau gauge puts the link
+Gauge.  Only D_plus depends on the gauge, and it is only ever applied on the
+Landau chains, never assembled.  The Landau gauge puts the link
 phase e^{-i phi j} on every +y link and e^{i phi M k} on the +x links that
 cross the seam j = M-1 -> 0, with phi = 2 pi N / M^2 the flux per plaquette.
 The symmetric-periodic operator is G D_Landau G^* for the diagonal site
 phase G[j, k] = exp(-i pi N j k / M^2) of ``_symmetric_phase``: the same
 singular values, and singular vectors multiplied by G.  So both gauges
-share the Landau solve, and only ``kernel_basis`` applies G; a Toeplitz
-compression Theta^* diag(f) Theta does not see G.
+share the Landau solve, and only ``kernel_basis`` applies G; neither a Toeplitz
+compression Theta^* diag(f) Theta nor the curvature residual sees G.
 
 Curvature normalization: in the continuum the commutator
 D_plus D_plus^* - D_plus^* D_plus is the constant CURVATURE_SCALE * N; on
 the lattice this holds on the resolved states only, so the Weitzenbock
-residual is measured on the numerical kernel basis.
+residual is measured on the numerical kernel, with the one D_plus above:
+B B^* - B^* B on each kernel chain vector (``_chain_apply``).
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
 
 
 def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultPair:
-    """D_plus at flux N on the M x M grid, applied as a stencil by ``_apply_dplus``.
+    """D_plus at flux N on the M x M grid, applied on its chains by ``_chain_apply``.
 
     Requires M >= max(4, 4N), without which the lowest magnetic band cannot
     be resolved.  The floor is necessary, not sufficient: of the 210 grids
@@ -143,44 +146,6 @@ def build_dolbeault(n_flux: int, grid: int, gauge: str = "landau") -> DolbeaultP
     if gauge not in GAUGES:
         raise ValueError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
     return DolbeaultPair(n_flux, grid, gauge)
-
-
-def _apply_dplus(pair: DolbeaultPair, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """D+ v, or D+^* v if ``adjoint``, for a (M^2, k) block v of site values.
-
-    At N > 0 the forward differences with the Landau link phases (the seam
-    phase on x, e^{-i phi j} on y), or for the adjoint the transposed
-    stencil; at N = 0 the symbol (i xi_x - xi_y) / sqrt(2), conjugated for
-    the adjoint, through a 2-D FFT.  The symmetric-periodic operator is
-    G D_Landau G^*, so its adjoint is G D_Landau^* G^*.
-    """
-    N, M = pair.n_flux, pair.grid
-    u = v.reshape(M, M, -1)
-    if pair.gauge == "symmetric-periodic":
-        site = _symmetric_phase(N, M)[..., None]
-        u = u * site.conj()
-    if N == 0:
-        freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-        symbol = (1j * freq[:, None] - freq[None, :]) / math.sqrt(2.0)
-        if adjoint:
-            symbol = symbol.conj()
-        out = np.fft.ifft2(symbol[..., None] * np.fft.fft2(u, axes=(0, 1)), axes=(0, 1))
-    else:
-        phi = 2.0 * math.pi * N / (M * M)
-        seam = np.exp(1j * phi * M * np.arange(M))[:, None]  # ux on (M-1, k) -> (0, k), else 1
-        uy = np.exp(-1j * phi * np.arange(M))[:, None, None]  # on every (j, k) -> (j, k+1)
-        if adjoint:  # conj(ux[j-1, k]) u[j-1, k] and conj(uy[j]) u[j, k-1]
-            x, y = np.roll(u, 1, axis=0), uy.conj() * np.roll(u, 1, axis=1)
-            x[0] *= seam.conj()
-            out = x - u - 1j * (y - u)
-        else:  # ux[j, k] u[j+1, k] and uy[j] u[j, k+1]
-            x, y = np.roll(u, -1, axis=0), uy * np.roll(u, -1, axis=1)
-            x[-1] *= seam
-            out = x - u + 1j * (y - u)
-        out *= M / math.sqrt(2.0)
-    if pair.gauge == "symmetric-periodic":
-        out *= site
-    return out.reshape(M * M, -1)
 
 
 def _chain_classes(n_flux: int, grid: int):
@@ -212,6 +177,17 @@ def _chain_diagonal(n_flux: int, grid: int, chain: np.ndarray) -> np.ndarray:
     return b * (-1.0 + 1j * (np.exp(2j * math.pi * u / (M * M)) - 1.0))
 
 
+def _chain_apply(diag: np.ndarray, b: float, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """B v, or B^* v if ``adjoint``, for the chains B = diag(diag[c]) + b S.
+
+    ``v`` is a (g, L, q) block, chain c's vectors in v[c]; S is the cyclic
+    step v -> v(i + 1 mod L), so B^* v is conj(d) v plus b times v(i - 1).
+    """
+    if adjoint:
+        return diag.conj()[:, :, None] * v + b * np.roll(v, 1, axis=1)
+    return diag[:, :, None] * v + b * np.roll(v, -1, axis=1)
+
+
 def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
     """Lowest m singular values (ascending) and right vectors of each chain.
 
@@ -228,9 +204,7 @@ def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
     with one_blas_thread():
         for _ in range(_MAX_ITERATIONS):
             basis = np.linalg.qr(x)[0]
-            bq = diag[:, :, None] * basis  # B Q: the diagonal, then b times the next site
-            bq[:, :-1] += b * basis[:, 1:]
-            bq[:, -1] += b * basis[:, 0]
+            bq = _chain_apply(diag, b, basis)
             _, svals, wh = np.linalg.svd(np.linalg.qr(bq, mode="r"))  # the SVD of B Q
             svals, ritz = svals[:, ::-1], basis @ wh[:, ::-1].conj().transpose(0, 2, 1)
             x = lu.solve(ritz.reshape(n, q)).reshape(g, L, q)
@@ -392,12 +366,20 @@ def weitzenbock_residual(pair: DolbeaultPair) -> float:
     momenta the forward differences see the Brillouin-zone corner and the
     identity degrades by O(1) regardless of refinement.  The residual is
     therefore the operator norm of the defect restricted to the smoothest
-    available states, the numerical kernel, and shrinks like O(M^-2).  D+
-    and D+* are applied to the kernel block as stencils (``_apply_dplus``);
-    at N = 0 the Fourier symbol annihilates the constant kernel exactly.
+    available states, the numerical kernel, and shrinks like O(M^-2).  It
+    is computed on the kernel's chain vectors (``kernel_chains``) with the
+    chains' own B and B^* (``_chain_apply``): the y-FFT is unitary and the
+    defect keeps each column on its chain, so the norm is the largest over
+    chains of the block of columns on it.  The gauge phase G is a diagonal
+    unitary and drops out.  At N = 0 D+ is a Fourier multiplier, which
+    commutes with its adjoint: the residual is exactly 0.0.
     """
-    theta = kernel_basis(pair)
-    d_dh = _apply_dplus(pair, _apply_dplus(pair, theta, adjoint=True))
-    dh_d = _apply_dplus(pair, _apply_dplus(pair, theta), adjoint=True)
-    defect = d_dh - dh_d - CURVATURE_SCALE * pair.n_flux * theta
-    return float(np.linalg.norm(defect, 2))
+    chain, vecs = kernel_chains(pair)
+    N, M = pair.n_flux, pair.grid
+    if N == 0:
+        return 0.0
+    diag, b, v = _chain_diagonal(N, M, chain), M / math.sqrt(2.0), vecs[:, :, None]
+    d_dh = _chain_apply(diag, b, _chain_apply(diag, b, v, adjoint=True))
+    dh_d = _chain_apply(diag, b, _chain_apply(diag, b, v), adjoint=True)
+    defect = (d_dh - dh_d - CURVATURE_SCALE * N * v)[:, :, 0]
+    return max(float(np.linalg.norm(defect[chain == c], 2)) for c in np.unique(chain))

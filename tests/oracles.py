@@ -2,8 +2,9 @@
 
 Each oracle is deliberately written against the raw definitions (explicit
 loops, Bloch reduction, brute-force quadrature) and never calls the code
-path it is used to check.  ``dplus_matrix`` and ``chain_matrix`` assemble as
-sparse matrices the operators the library only applies as stencils.  The
+path it is used to check.  ``dplus_matrix`` assembles the site-space D+ as
+a sparse matrix; the library has no site-space D+ and applies only its
+magnetic chains, which ``chain_matrix`` assembles block by block.  The
 last two helpers are reference checks rather than oracles: they measure a
 property (plaquette holonomy of ``dplus_matrix``, Hermitian symmetry of the
 module pairing) that the library's output must have.

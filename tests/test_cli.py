@@ -504,20 +504,40 @@ def test_spectral_counts_a_kernel_far_above_rounding(capsys):
 
 
 def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
-    # with the kernel cached, D+ and D+* are applied as stencils: neither
-    # scipy.sparse nor scipy.sparse.linalg is touched
+    # with the kernel cached, D+ and D+* are applied on its chains as a
+    # diagonal plus a step: neither scipy.sparse nor scipy.sparse.linalg is touched
     class Unavailable:
         def __getattr__(self, name):
             raise AssertionError(f"sparse algebra used: {name}")
 
     pair = dolbeault.build_dolbeault(2, 16)
-    dolbeault.kernel_basis(pair)
+    dolbeault.kernel_chains(pair)
     monkeypatch.setattr(dolbeault, "sp", Unavailable())
     monkeypatch.setattr(dolbeault, "spla", Unavailable())
     assert dolbeault.weitzenbock_residual(pair) > 0.0
     assert main(["spectral", "--n-flux", "2", "--grid", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["curvature_commutator_residual"] == dolbeault.weitzenbock_residual(pair)
+
+
+@pytest.mark.parametrize("export, built", [(False, 0), (True, 1)])
+def test_spectral_builds_the_site_basis_only_for_the_export(monkeypatch, tmp_path, export, built):
+    # the curvature residual runs on the kernel's chains, so the M^2-row site
+    # basis is built once for --export-kernel and not at all without it
+    calls = []
+    build = dolbeault.kernel_basis
+
+    def counted(pair):
+        calls.append(pair)
+        return build(pair)
+
+    monkeypatch.setattr(dolbeault, "kernel_basis", counted)
+    monkeypatch.setattr(cli, "kernel_basis", counted)
+    argv = ["spectral", "--n-flux", "2", "--grid", "16"]
+    if export:
+        argv += ["--export-kernel", str(tmp_path / "kernel.csv")]
+    assert main(argv) == 0
+    assert len(calls) == built
 
 
 @pytest.mark.parametrize(

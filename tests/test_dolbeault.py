@@ -39,23 +39,60 @@ def test_plaquette_fluxes():
         assert np.angle(plaquettes).sum() == pytest.approx(2 * math.pi * 3, abs=1e-10)
 
 
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 20), (4, 18), (6, 27), (8, 36)])
+def test_chain_apply_matches_the_oracle_chain_matrix(n_flux, grid):
+    # B and B^* of every chain, applied to a random block, against the oracle
+    # chain matrix and its conjugate transpose
+    g = math.gcd(n_flux, grid)
+    diag, b = dolbeault._chain_diagonal(n_flux, grid, np.arange(g)), grid / math.sqrt(2.0)
+    chains = chain_matrix(diag, b)
+    scale = max(np.linalg.norm(chain_matrix(row[None], b).toarray(), 2) for row in diag)
+    rng = np.random.default_rng(grid + 10 * n_flux)
+    v = rng.standard_normal((g, diag.shape[1], 5)) + 1j * rng.standard_normal((g, diag.shape[1], 5))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    flat = v.reshape(chains.shape[0], -1)
+    forward = dolbeault._chain_apply(diag, b, v)
+    adjoint = dolbeault._chain_apply(diag, b, v, adjoint=True)
+    assert forward.shape == adjoint.shape == v.shape
+    assert np.abs(forward.reshape(flat.shape) - chains @ flat).max() <= 1e-13 * scale
+    assert np.abs(adjoint.reshape(flat.shape) - chains.getH() @ flat).max() <= 1e-13 * scale
+
+
 # N = 0..3 on the grids 8, 12 and 16 that build_dolbeault accepts
-_STENCIL_GRIDS = [(n, m) for n in range(4) for m in (8, 12, 16) if m >= max(4, 4 * n)]
+_SMALL_GRIDS = [(n, m) for n in range(4) for m in (8, 12, 16) if m >= max(4, 4 * n)]
 
 
-@pytest.mark.parametrize("n_flux,grid", _STENCIL_GRIDS)
+@pytest.mark.parametrize("n_flux,grid", _SMALL_GRIDS)
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_apply_dplus_matches_the_oracle_matrix(n_flux, grid, gauge):
-    pair = build_dolbeault(n_flux, grid, gauge)
+    # the library's one D+ put on the grid by the oracle, against the oracle
+    # site matrix: at N > 0 the chains of _chain_apply on random chain
+    # vectors, times the site phase G in the symmetric gauge; at N = 0 the
+    # cached plane waves, which the Fourier symbol scales by sigma in modulus
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
     scale = np.linalg.norm(dense, 2)
+    if n_flux == 0:
+        svals, chain, vectors = dolbeault._kernel_data(0, grid, gauge)
+        v = chain_columns(0, grid, chain, vectors)
+        symbol = np.einsum("ic,ic->c", v.conj(), dense @ v)
+        assert np.abs(np.abs(symbol) - svals).max() <= 1e-13 * scale
+        assert np.abs(dense @ v - v * symbol).max() <= 1e-13 * scale
+        assert np.abs(dense.conj().T @ v - v * symbol.conj()).max() <= 1e-13 * scale
+        return
+    g = math.gcd(n_flux, grid)
+    diag, b = dolbeault._chain_diagonal(n_flux, grid, np.arange(g)), grid / math.sqrt(2.0)
+    chain, length = np.repeat(np.arange(g), 3), diag.shape[1]
+    phase = dolbeault._symmetric_phase(n_flux, grid).reshape(-1, 1) if gauge != "landau" else 1.0
+
+    def on_grid(block):  # (g, L, 3) chain vectors -> (M^2, 3g) site columns
+        return phase * chain_columns(n_flux, grid, chain, block.transpose(0, 2, 1).reshape(-1, length))
+
     rng = np.random.default_rng(grid + 10 * n_flux)
-    v = rng.standard_normal((grid * grid, 5)) + 1j * rng.standard_normal((grid * grid, 5))
-    v /= np.linalg.norm(v, axis=0)
-    forward = dolbeault._apply_dplus(pair, v)
-    adjoint = dolbeault._apply_dplus(pair, v, adjoint=True)
-    assert forward.shape == adjoint.shape == v.shape
-    assert np.abs(forward - dense @ v).max() <= 1e-13 * scale
+    x = rng.standard_normal((g, length, 3)) + 1j * rng.standard_normal((g, length, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    v = on_grid(x)
+    assert np.abs(on_grid(dolbeault._chain_apply(diag, b, x)) - dense @ v).max() <= 1e-13 * scale
+    adjoint = on_grid(dolbeault._chain_apply(diag, b, x, adjoint=True))
     assert np.abs(adjoint - dense.conj().T @ v).max() <= 1e-13 * scale
 
 
@@ -86,13 +123,15 @@ def test_shifted_normal_matrix_matches_the_oracle(monkeypatch, n_flux, grid):
     assert np.abs(factored[0].toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("n_flux,grid", [(1, 16), (2, 16), (3, 24)])
+# (3, 16), (4, 18), (6, 27) and (9, 72) put several kernel columns on one chain
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (2, 16), (3, 24), (3, 16), (4, 18), (6, 27), (9, 72)])
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_weitzenbock_residual_matches_a_dense_oracle(n_flux, grid, gauge):
+    # the oracle D+ on the site basis, kept sparse: dense, (9, 72) takes 430 MB
     pair = build_dolbeault(n_flux, grid, gauge)
     theta = kernel_basis(pair)
-    d = dplus_matrix(n_flux, grid, gauge).toarray()
-    dh = d.conj().T
+    d = dplus_matrix(n_flux, grid, gauge)
+    dh = d.getH()
     defect = d @ (dh @ theta) - dh @ (d @ theta) - CURVATURE_SCALE * n_flux * theta
     expected = np.linalg.norm(defect, 2)
     assert weitzenbock_residual(pair) == pytest.approx(expected, rel=1e-12)
@@ -374,8 +413,18 @@ def test_returned_chain_pairs_meet_the_residual_certificate(monkeypatch, n_flux,
         assert residual.max() <= dolbeault._RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("n_flux,grid", [(1, 16), (3, 16), (6, 27)])
+def test_weitzenbock_residual_is_gauge_free(n_flux, grid):
+    # the symmetric-periodic D+ is G D_Landau G^* for a diagonal unitary G
+    landau = weitzenbock_residual(build_dolbeault(n_flux, grid, "landau"))
+    assert weitzenbock_residual(build_dolbeault(n_flux, grid, "symmetric-periodic")) == landau
+
+
 def test_weitzenbock_flat_case_vanishes():
-    assert weitzenbock_residual(build_dolbeault(0, 8)) < 1e-12
+    # at zero flux D+ is a Fourier multiplier, so it commutes with its adjoint
+    for grid in (8, 20):
+        for gauge in GAUGES:
+            assert weitzenbock_residual(build_dolbeault(0, grid, gauge)) == 0.0
 
 
 def test_weitzenbock_refinement():

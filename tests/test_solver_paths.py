@@ -50,9 +50,10 @@ def test_no_function_local_import_in_the_library():
 
 
 def test_every_module_constant_is_read_in_the_library():
-    # an UPPER_CASE constant nothing reads is a dead knob: setting it changes nothing
+    # an UPPER_CASE constant nothing reads is a dead knob: setting it changes
+    # nothing; a private module-level function or class nothing reads is dead code
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
-    constants = [
+    names = [
         (name, target.id)
         for name, tree in trees.items()
         for node in tree.body
@@ -60,14 +61,21 @@ def test_every_module_constant_is_read_in_the_library():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
     ]
+    names += [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
-    assert constants
-    assert [f"{name}: {constant}" for name, constant in constants if constant not in read] == []
+    assert names
+    assert [f"{name}: {item}" for name, item in names if item not in read] == []
 
 
 def test_every_cli_handler_returns_zero_or_the_gate():
