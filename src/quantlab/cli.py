@@ -8,13 +8,14 @@ round-trip repr.  CSV cells are comma-joined and never quoted: every string
 cell is a claim tag, a header name or a pre-joined integer label.
 
 Exit codes: 0 success; 1 a gated claim past max(bound, ROUNDING eps scale) at
-its own scale (every gated handler returns ``algebra.gate_fails``; NaN fails),
-or a numerical check or solver failed, with a ``{"status": "failed", ...}``
-record on stdout (the ``--help`` text marks report-only subcommands); 2 a
-usage or configuration error, with a ``usage-error`` or ``config-error``
-record on stdout: a bad option value (a ``ValueError``, a truncation radius
-below 1 included, a ``MemoryError`` when its arrays cannot be allocated, or an
-``OverflowError`` when an integer is too large for a float) or an unreadable
+its own scale, its output printed (every claim gate is an ``algebra.gate_fails``
+return of a handler here, none raises in the library; NaN fails; the ``--help``
+text marks report-only subcommands), or a validity check or solver failed,
+with a ``{"status": "failed", ...}`` record on stdout; 2 a usage or
+configuration error, with a ``usage-error`` or ``config-error`` record on
+stdout: a bad option value (a ``ValueError``, a truncation radius below 1
+included, a ``MemoryError`` when its arrays cannot be allocated, or an
+``OverflowError`` naming an integer too large for a float) or an unreadable
 or malformed input file (an ``OSError``); 3 stdout closed before the output
 was written (a reader such as ``head`` left early), with an ``output-closed``
 record on stderr; argparse prints its own message for malformed command lines.
@@ -227,11 +228,15 @@ def _cmd_algebra(args) -> int:
         )
     else:  # norm-profile
         grid = [_finite_float(v) for v in args.s_grid.split(",")]
-        profile = algebra.norm_profile(
-            a, grid, kc, args.radius, continuity_threshold=args.continuity_threshold
-        )
+        threshold = args.continuity_threshold
+        if threshold is not None and threshold < 0:
+            raise ValueError(f"continuity threshold must be at least 0, got {threshold!r}")
+        profile = algebra.norm_profile(a, grid, kc, args.radius)
         rows = (["norm-continuity", s, norm] for s, norm in profile)
         _write_rows(args.output, ["claim", "s", "norm"], rows)
+        if threshold is not None:  # each adjacent jump at most T
+            jumps = [abs(n1 - n0) for (_, n0), (_, n1) in zip(profile, profile[1:])]
+            return algebra.gate_fails([(jump, 0.0) for jump in jumps], threshold)
     return 0
 
 
@@ -265,7 +270,9 @@ def _cmd_module_gram(args) -> int:
 
 def _cmd_spectral(args) -> int:
     pair = build_dolbeault(args.n_flux, args.grid, args.gauge)
-    rep = spectral_report(pair, slack=args.slack)
+    if not 0.0 < args.slack < 1.0:  # at slack >= 1 the gap bound is <= 0 and cannot fail
+        raise ValueError("slack must lie in (0, 1)")
+    rep = spectral_report(pair)
     resid = weitzenbock_residual(pair)
     cross = surface_index.numeric_index_crosscheck(args.n_flux, args.grid)
     if args.export_kernel:
@@ -282,7 +289,10 @@ def _cmd_spectral(args) -> int:
         "index_crosscheck": cross,
     }
     _emit_json(args.output, payload)
-    return 0
+    # the index (N = 0 counts the constants) and the gap bound, judged exactly
+    index_dev = abs(rep.kernel_dim - max(args.n_flux, 1))
+    gap_dev = args.n_flux * (1.0 - args.slack) - rep.gap_degree1
+    return algebra.gate_fails([(index_dev, 0.0), (gap_dev, 0.0)], 0.0)
 
 
 # toeplitz-sweep claim -> key of a toeplitz.defect_sweep cell
@@ -359,7 +369,7 @@ def _cmd_heisenberg(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    vol = float(max(args.g - 1, 1)) if args.vol is None else args.vol
+    vol = max(args.g - 1, 1) if args.vol is None else args.vol
     payload = {"claim": "surface-index", "l2_index": surface_index.l2_index(args.g, vol, args.s)}
     _emit_json(args.output, payload)
     return 0
@@ -405,7 +415,11 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--sections", help="path with one section JSON per line")
     p.set_defaults(func=_cmd_module_gram)
 
-    p = sub.add_parser("spectral", help="lattice Dolbeault spectra and bounds")
+    p = sub.add_parser(
+        "spectral",
+        help="lattice Dolbeault spectra: gates kernel_dim = max(N, 1) and degree-1 gap >= "
+        "N (1 - slack); curvature_commutator_residual is report-only",
+    )
     p.add_argument("--n-flux", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--gauge", default="landau", choices=GAUGES)
@@ -496,7 +510,7 @@ def main(argv=None) -> int:
         return _report_error("output-closed", exc, 3, sys.stderr)
     except ConfigError as exc:
         return _report_error("config-error", exc, 2)
-    except QuantLabError as exc:  # ahead of ValueError: a ContinuityError is both, and fails
+    except QuantLabError as exc:
         return _report_error("failed", exc, 1)
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         # a bad option value (a radius below 1, an array too large to allocate,

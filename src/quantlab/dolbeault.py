@@ -91,7 +91,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._blas import one_blas_thread
-from .errors import ConvergenceError, GapBoundError, ResolutionError
+from .errors import ConvergenceError, ResolutionError
 
 CURVATURE_SCALE = 2.0 * math.pi  # continuum value of [D+, D+*] per flux unit
 
@@ -325,30 +325,23 @@ def kernel_dimension(pair: DolbeaultPair) -> int:
     return _kernel_size(_kernel_data(pair.n_flux, pair.grid, pair.gauge)[0])
 
 
-def spectral_report(pair: DolbeaultPair, slack: float = 0.1) -> SpectralReport:
-    """Kernel size, degree-1 gap, and parametrix norm with the curvature bound.
+def spectral_report(pair: DolbeaultPair) -> SpectralReport:
+    """Kernel size, degree-1 gap, and parametrix norm.
 
     gap_degree1 is the eigenvalue of D+ D+* just above the kernel's last
     sharp drop: the zero eigenvalues forced by the rank theorem are doubler
     artifacts, and that nonzero bottom controls the parametrix norm
-    gap_degree1 ** -0.5.  Asserts gap_degree1 >= N (1 - slack) for a slack
-    in (0, 1), since at slack >= 1 the bound is <= 0 and cannot fail; the
-    continuum gap is CURVATURE_SCALE * N, far above that bound, so the
-    slack only absorbs discretization error.
+    gap_degree1 ** -0.5.  Reports without judging: ``quantlab spectral``
+    gates kernel_dim = max(N, 1) and gap_degree1 >= N (1 - slack); the
+    continuum gap is CURVATURE_SCALE * N, far above that bound.
     """
-    if not 0.0 < slack < 1.0:
-        raise ValueError("slack must lie in (0, 1)")
-    n = pair.n_flux
-    svals0 = _kernel_data(n, pair.grid, pair.gauge)[0]
+    svals0 = _kernel_data(pair.n_flux, pair.grid, pair.gauge)[0]
     dim_kernel = _kernel_size(svals0)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
     # of zero included: the one solve serves both degrees; the judge has
     # found a computed value above the kernel's last drop
     vals = svals0**2
     gap = float(vals[dim_kernel])
-    bound = n * (1.0 - slack)
-    if n > 0 and gap < bound:
-        raise GapBoundError(f"degree-1 gap {gap:.6g} below curvature bound {bound:.6g}")
     spectrum = tuple(float(v) for v in vals)
     return SpectralReport(
         kernel_dim=dim_kernel,

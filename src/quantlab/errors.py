@@ -21,20 +21,8 @@ class ConvergenceError(QuantLabError):
     """An iterative solver stopped before its residual reached the tolerance."""
 
 
-class GapBoundError(QuantLabError):
-    """Spectral gap fell below the asserted curvature bound."""
-
-
 class DegenerateToeplitzError(QuantLabError):
-    """Polar decomposition of a Toeplitz generator is singular."""
-
-
-class IndexViolationError(QuantLabError):
-    """Numerical kernel dimension disagrees with the index formula."""
-
-
-class ContinuityError(QuantLabError, ValueError):
-    """Adjacent values of a norm profile jump by more than the threshold."""
+    """A Toeplitz generator is singular, or the group commutator of its polar parts is not scalar."""
 
 
 class ConfigError(QuantLabError):

@@ -15,7 +15,6 @@ too (the tests check it against the polynomial written out).
 from __future__ import annotations
 
 from .dolbeault import build_dolbeault, kernel_dimension
-from .errors import IndexViolationError
 
 
 def l2_index(genus: int, vol: float, s: float) -> float:
@@ -23,30 +22,31 @@ def l2_index(genus: int, vol: float, s: float) -> float:
         raise ValueError("volume must be positive")
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    return s * vol + (1.0 - genus)
+    try:
+        todd = 1.0 - genus
+    except OverflowError:
+        raise OverflowError(f"genus {genus} is too large for a float") from None
+    return s * vol + todd
 
 
 def numeric_index_crosscheck(n_flux: int, grid: int) -> dict:
     """Compare the lattice kernel dimension with the torus index formula.
 
     The kernel is counted in the Landau gauge; every gauge's kernel is the
-    Landau one times a site phase.  At zero flux the formula counts the
-    holomorphic Euler characteristic (0) while the lattice kernel holds the
-    constants (1); that known flat-case discrepancy is flagged, not failed.
+    Landau one times a site phase.  ``match`` reports whether the count equals
+    the rounded formula; ``quantlab spectral`` gates the count it prints.  At
+    zero flux the formula counts the holomorphic Euler characteristic (0)
+    while the lattice kernel holds the constants (1); that known flat-case
+    discrepancy is flagged.
     """
     pair = build_dolbeault(n_flux, grid)
     dim = kernel_dimension(pair)
     formula = l2_index(genus=1, vol=1.0, s=float(n_flux))
-    flat = n_flux == 0
-    if not flat and dim != round(formula):
-        raise IndexViolationError(
-            f"kernel dimension {dim} != index formula {formula} at flux {n_flux}"
-        )
     return {
         "n_flux": n_flux,
         "grid": grid,
         "kernel_dim": dim,
         "index_formula": formula,
-        "match": not flat,
-        "flat_case_flagged": flat,
+        "match": dim == round(formula),
+        "flat_case_flagged": n_flux == 0,
     }

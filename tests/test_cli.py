@@ -3,6 +3,7 @@ import cmath
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -418,7 +419,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code = main(["--config", str(config), "index", "--g", "2", "--s", "1"])
     out = json.loads(capsys.readouterr().out)
     assert code == 2
-    assert out["status"] == "config-error"
+    assert out["status"] == "config-error" and out["error"] == "ConfigError"
+    assert out["message"] == "unknown config key 'not-a-key'"
 
 
 def _child_env():
@@ -814,6 +816,30 @@ def test_mult_with_an_overflowing_twist_exits_2_naming_the_twist(capsys):
     }
 
 
+def test_mult_with_an_overflowing_cocycle_value_exits_2_naming_the_hops(capsys):
+    hop = int(2e154)  # kappa times the lattice product hop * hop is past the largest float
+    a, b = ([{"n": n, "m": m, "re": 1, "im": 0}] for n, m in ((hop, 0), (0, hop)))
+    assert main(["algebra", "--mode", "mult", "--a", json.dumps(a), "--b", json.dumps(b)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "OverflowError",
+        "message": f"twist s = 0.5: the cocycle value at hops ({hop}, 0) and (0, {hop}) overflows a float",
+        "status": "usage-error",
+    }
+
+
+@pytest.mark.parametrize("vol", [[], ["--vol", "1"]], ids=["default-vol", "vol"])
+def test_index_with_a_genus_too_large_for_a_float_exits_2_naming_it(vol, capsys):
+    genus = "1" + "0" * 400
+    assert main(["index", "--g", genus, "--s", "1", *vol]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "OverflowError",
+        "message": f"genus {genus} is too large for a float",
+        "status": "usage-error",
+    }
+
+
 def _two_hops(c: float) -> str:
     return json.dumps([{"n": 1, "m": 0, "re": c, "im": 0}, {"n": 0, "m": 1, "re": c, "im": 0}])
 
@@ -946,12 +972,33 @@ def test_norm_profile_at_the_default_radius(capsys):
 
 
 def test_continuity_threshold_failure_exits_1_with_record(capsys):
+    # a failed claim prints its rows, not a failed record
     argv = ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"]
     code = main(argv + ["--continuity-threshold", "1e-6"])
-    out = json.loads(capsys.readouterr().out)
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert code == 1
-    assert out["status"] == "failed"
-    assert out["error"] == "ContinuityError"
+    assert [(row["claim"], float(row["s"])) for row in rows] == [("norm-continuity", 0.0), ("norm-continuity", 0.5)]
+    assert abs(float(rows[1]["norm"]) - float(rows[0]["norm"])) > 1e-6
+
+
+def _planted_norms(norms: dict, monkeypatch):
+    monkeypatch.setattr(algebra, "norm_estimate", lambda a, cocycle, s, radius: norms[s])
+
+
+def test_continuity_gate_passes_a_jump_exactly_at_the_threshold(monkeypatch, capsys):
+    _planted_norms({0.0: 1.0, 0.5: 1.5}, monkeypatch)
+    argv = ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5"]
+    assert main(argv + ["--continuity-threshold", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["norm-continuity,0.0,1.0", "norm-continuity,0.5,1.5"]
+
+
+def test_continuity_gate_fails_on_a_nan_norm(monkeypatch, capsys):
+    # abs(nan) > T is false, so the library's check passed a NaN norm
+    _planted_norms({0.0: 1.0, 0.5: math.nan, 1.0: 1.0}, monkeypatch)
+    argv = ["algebra", "--mode", "norm-profile", "--radius", "3", "--s-grid", "0.0,0.5,1.0"]
+    assert main(argv + ["--continuity-threshold", "1"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[-1] for row in rows[1:]] == ["1.0", "nan", "1.0"]
 
 
 @pytest.mark.parametrize("s", ["0.1", "0.25", "1.5", "3.3", "100"])
@@ -1010,6 +1057,13 @@ def test_weyl_gate_fails_on_the_reversed_orientation(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert code == 1
     assert float(rows[1].split(",")[-1]) == pytest.approx(math.sqrt(3.0))
+
+
+def test_weyl_on_a_singular_generator_exits_1_with_record(monkeypatch, capsys):
+    monkeypatch.setattr(toeplitz, "toeplitz", lambda f, n_flux, grid: np.zeros((2, 2)))
+    assert main(["weyl", "--N", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "failed" and out["error"] == "DegenerateToeplitzError"
 
 
 def test_weyl_gate_fails_on_a_nan_scalar(monkeypatch, capsys):
@@ -1198,6 +1252,33 @@ def test_module_gram_gate_fails_past_minus_1e_9(monkeypatch, capsys):
     assert code == 1
     assert out["claim"] == "module-gram-positivity"
     assert out["min_eigenvalue"] == -2e-9
+
+
+def _planted_report(monkeypatch, **fields):
+    real = cli.spectral_report
+    monkeypatch.setattr(cli, "spectral_report", lambda pair: dataclasses.replace(real(pair), **fields))
+
+
+@pytest.mark.parametrize("n_flux", [0, 2])
+def test_spectral_index_gate_fails_on_a_kernel_count_off_by_one(n_flux, monkeypatch, capsys):
+    # N = 0 counts the constants, 1; the crosscheck recounts the cache, so it still matches
+    _planted_report(monkeypatch, kernel_dim=max(n_flux, 1) + 1)
+    code = main(["spectral", "--n-flux", str(n_flux), "--grid", "16"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["claim"] == "dolbeault-spectral-report"
+    assert out["kernel_dim"] == max(n_flux, 1) + 1
+    assert out["index_crosscheck"]["kernel_dim"] == max(n_flux, 1)
+
+
+@pytest.mark.parametrize("slack", [0.1, 0.3])
+@pytest.mark.parametrize("fraction, code", [(1.0, 0), (0.5, 1)], ids=["at-bound", "half-bound"])
+def test_spectral_gap_gate_at_and_below_the_bound(slack, fraction, code, monkeypatch, capsys):
+    gap = 2 * (1.0 - slack) * fraction  # the bound N (1 - slack) at N = 2, or half of it
+    _planted_report(monkeypatch, gap_degree1=gap)
+    assert main(["spectral", "--n-flux", "2", "--grid", "16", "--slack", str(slack)]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["claim"] == "dolbeault-spectral-report" and out["gap_degree1"] == gap
 
 
 # Each gate judges its deviation against max(bound, ROUNDING eps scale), at

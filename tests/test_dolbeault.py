@@ -244,15 +244,6 @@ def test_spectral_report_gap_and_parametrix():
         assert rep.parametrix_norm <= (0.9 * n_flux) ** -0.5
 
 
-@pytest.mark.parametrize("slack", [math.nan, math.inf, 1.0, 5.0])
-def test_spectral_report_rejects_a_slack_that_is_not_finite(slack):
-    # the CLI rejects NaN and inf before the library; at slack >= 1 the gap
-    # bound is <= 0; zero and negative slacks are covered by
-    # test_nonpositive_slack_rejected_on_argv_and_in_config
-    with pytest.raises(ValueError, match=r"slack must lie in \(0, 1\)"):
-        spectral_report(build_dolbeault(1, 16), slack=slack)
-
-
 def test_susy_pairing_of_nonzero_spectra():
     for n_flux, grid in [(1, 16), (2, 16)]:
         dense = dplus_matrix(n_flux, grid).toarray()

@@ -21,17 +21,27 @@ def test_no_arpack_call_in_the_library():
     assert hits == []
 
 
+ERROR_TYPES = [
+    name
+    for name, kind in vars(errors).items()
+    if isinstance(kind, type) and issubclass(kind, errors.QuantLabError)
+    and kind is not errors.QuantLabError
+]
+
+
 def test_every_error_type_is_raised_in_the_library():
     # an error type nothing raises is a dead guard that callers still catch
-    kinds = [
-        name
-        for name, kind in vars(errors).items()
-        if isinstance(kind, type) and issubclass(kind, errors.QuantLabError)
-        and kind is not errors.QuantLabError
-    ]
-    assert kinds
+    assert ERROR_TYPES
     text = "\n".join(path.read_text() for path in SOURCES)
-    assert [name for name in kinds if not re.search(rf"\braise {name}\(", text)] == []
+    assert [name for name in ERROR_TYPES if not re.search(rf"\braise {name}\(", text)] == []
+
+
+def test_every_error_type_is_named_in_a_test():
+    # an error type no test names is a raise no test has run; the scans here do not count
+    tests = [path for path in Path(__file__).parent.glob("test_*.py") if path.name != Path(__file__).name]
+    text = "\n".join(path.read_text() for path in tests)
+    assert ERROR_TYPES
+    assert [name for name in ERROR_TYPES if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_no_function_local_import_in_the_library():
@@ -91,6 +101,38 @@ def test_every_cli_handler_returns_zero_or_the_gate():
         if isinstance(node, ast.Return)
         and ast.unparse(node) != "return 0"
         and not (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "algebra.gate_fails")
+    ]
+    assert hits == []
+
+
+def test_every_subcommand_not_labelled_report_only_returns_the_gate():
+    # a subcommand's --help ends "(report-only)" exactly when its handler
+    # judges nothing: any other subcommand prints a claim that one of its
+    # returns judges with algebra.gate_fails
+    tree = ast.parse((Path(quantlab.__file__).parent / "cli.py").read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    labels = {}  # handler -> (subcommand, help)
+    for stmt in functions["build_parser"].body:
+        call = getattr(stmt, "value", None)
+        if not isinstance(call, ast.Call):
+            continue
+        keywords = {k.arg: k.value for k in call.keywords}
+        if ast.unparse(call.func) == "sub.add_parser":
+            command = (call.args[0].value, ast.literal_eval(keywords["help"]))
+        elif ast.unparse(call.func) == "p.set_defaults":
+            labels[keywords["func"].id] = command
+    assert len(labels) >= 9
+    gated = {
+        name
+        for name in labels
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "algebra.gate_fails"
+    }
+    hits = [
+        command
+        for name, (command, text) in labels.items()
+        if (name in gated) == text.endswith("(report-only)")
     ]
     assert hits == []
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantlab import surface_index
 from quantlab.surface_index import l2_index, numeric_index_crosscheck
 
 from oracles import natsume_nest_trace
@@ -61,3 +62,18 @@ def test_numeric_crosscheck_flat_case_flagged():
     assert not report["match"]
     assert report["kernel_dim"] == 1
     assert report["index_formula"] == pytest.approx(0.0)
+
+
+def test_numeric_crosscheck_reports_a_miscount_without_raising(monkeypatch):
+    # quantlab spectral gates the count; the crosscheck only reports it
+    monkeypatch.setattr(surface_index, "kernel_dimension", lambda pair: 3)
+    report = numeric_index_crosscheck(2, 16)
+    assert report["kernel_dim"] == 3 and report["match"] is False
+    assert not report["flat_case_flagged"]
+
+
+def test_genus_too_large_for_a_float_is_named():
+    genus = 10**400
+    for vol in (1.0, genus - 1):
+        with pytest.raises(OverflowError, match=f"^genus {genus} is too large for a float$"):
+            l2_index(genus, vol, 1.0)

@@ -9,6 +9,7 @@ import pytest
 import quantlab.toeplitz as toeplitz_module
 from quantlab import dolbeault
 from quantlab.dolbeault import build_dolbeault, kernel_basis
+from quantlab.errors import DegenerateToeplitzError
 from quantlab.sections import GaussianSection, heisenberg_generator_check, l2_inner, vacuum
 from quantlab.toeplitz import (
     NAMED_SYMBOLS,
@@ -397,6 +398,21 @@ def test_weyl_relation_unit_modulus_and_value():
 def test_weyl_relation_rejects_small_flux():
     with pytest.raises(ValueError):
         weyl_relation(1, 16)
+
+
+def test_weyl_relation_raises_on_a_singular_generator(monkeypatch):
+    monkeypatch.setattr(toeplitz_module, "toeplitz", lambda f, n_flux, grid: np.diag([1.0, 0.0]))
+    with pytest.raises(DegenerateToeplitzError, match="singular Toeplitz generator"):
+        weyl_relation(2, 16)
+
+
+def test_weyl_relation_raises_on_a_commutator_that_is_not_scalar(monkeypatch):
+    # a clock of phases 1, i, -1 and the cyclic shift: V U V* U* = diag(-1, -i, -i)
+    clock, shift = np.diag([1.0, 1j, -1.0]), np.roll(np.eye(3), 1, axis=0)
+    generators = iter([clock, shift])
+    monkeypatch.setattr(toeplitz_module, "toeplitz", lambda f, n_flux, grid: next(generators))
+    with pytest.raises(DegenerateToeplitzError, match="group commutator is not scalar"):
+        weyl_relation(3, 24)
 
 
 def test_bargmann_matrix_element_values():
