@@ -10,12 +10,13 @@ cell is a claim tag, a header name or a pre-joined integer label.
 Exit codes: 0 success; 1 a gated claim past max(bound, ROUNDING eps scale) at
 its own scale, its output printed (every claim gate is an ``algebra.gate_fails``
 return of a handler here, none raises in the library; NaN fails; the ``--help``
-text marks report-only subcommands), or a validity check or solver failed,
-with a ``{"status": "failed", ...}`` record on stdout; 2 a usage or
+text marks report-only subcommands), or a validity check or solver failed, or
+a JSON result holds a number that is not finite, with a ``{"status": "failed",
+...}`` record on stdout that names it; 2 a usage or
 configuration error, with a ``usage-error`` or ``config-error`` record on
 stdout: a bad option value (a ``ValueError``, a truncation radius below 1
 included, a ``MemoryError`` when its arrays cannot be allocated, or an
-``OverflowError`` naming an integer too large for a float) or an unreadable
+``OverflowError`` naming an input too large for a float) or an unreadable
 or malformed input file (an ``OSError``); 3 stdout closed before the output
 was written (a reader such as ``head`` left early), with an ``output-closed``
 record on stderr; argparse prints its own message for malformed command lines.
@@ -114,8 +115,18 @@ def _write_rows(path: str | None, header: list[str], rows: Iterable) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _non_finite(value, name: str = "") -> list[str]:
+    """The "name = value" of each float in a JSON payload of dicts and lists that is not finite."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [bad for key, item in items for bad in _non_finite(item, f"{name}.{key}".lstrip("."))]
+    return [f"{name} = {value!r}"] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def _emit_json(path: str | None, payload: dict) -> None:
-    """Write ``payload`` as JSON; ``ValueError``, with nothing written, if a number is not finite."""
+    """Write ``payload`` as JSON; a number that is not finite fails, named, with nothing written."""
+    if bad := _non_finite(payload):
+        raise QuantLabError(f"result not finite: {', '.join(bad)}")
     text = json.dumps(payload, indent=2, sort_keys=True, default=repr, allow_nan=False)
     with _target(path) as fh:
         fh.write(text + "\n")

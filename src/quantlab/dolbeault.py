@@ -56,12 +56,13 @@ spectral derivative, symbol (i xi_x - xi_y) / sqrt(2), kernel the
 constants alone; its triplets are read off the symbol, as plane waves on
 g = M chains of length M, one per momentum p.
 
-The kernel stays in chain form: the cache holds the k lowest values, each
-with its chain id and chain vector of length L, not an M^2 x k site block.
-``kernel_dimension`` and ``spectral_report`` read the values, ``toeplitz``
-and ``weitzenbock_residual`` the chains (``kernel_chains``); ``kernel_basis``
-puts the d kernel columns on the grid on demand, for ``--export-kernel`` and
-``holomorphic_basis``, the one place a site-space block is formed.
+The kernel stays in chain form and is judged once: the cache holds the k
+lowest values and the d kernel columns' chain ids and chain vectors of
+length L, not an M^2 x k site block.  Every reader unpacks that record:
+``kernel_dimension`` and ``spectral_report`` read the values,
+``kernel_compression`` (the Toeplitz sum) and ``weitzenbock_residual`` the
+chains; ``kernel_basis`` puts the d columns on the grid on demand, for
+``--export-kernel`` and ``holomorphic_basis``, the one site-space block.
 
 Gauge.  Only D_plus depends on the gauge, and it is only ever applied on the
 Landau chains, never assembled.  The Landau gauge puts the link
@@ -82,6 +83,7 @@ B B^* - B^* B on each kernel chain vector (``_chain_apply``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,7 +122,6 @@ class SpectralReport:
     kernel_dim: int
     gap_degree1: float
     parametrix_norm: float
-    spectrum_degree0: tuple
 
 
 def _symmetric_phase(n_flux: int, grid: int) -> np.ndarray:
@@ -220,17 +221,16 @@ def _chain_triplets(diag: np.ndarray, b: float, lu, m: int):
 
 @lru_cache(maxsize=24)
 def _kernel_data(n_flux: int, grid: int, gauge: str):
-    """Lowest k = max(2N + 6, 8) singular values of D_plus and their vectors in chain form.
+    """The judged kernel of D_plus: (k lowest singular values, d chain ids, d chain vectors).
 
-    Returns (the k values ascending, the chain id c of each value's right
-    singular vector, and the vectors as rows of length L = M^2 / g on their
-    chains), all read-only; one cached solve serves every query.  Position
-    s = t M + j of chain c is site (j, p = (c - N t) mod M) of the grid after
-    a unitary FFT along y; at N = 0 there are g = M chains, one per p, of
-    length M, and the vectors are plane waves.  No site-space column is
-    formed here (``kernel_basis`` builds the kernel's on demand).  The
-    symmetric-periodic gauge returns the Landau data: only the site phase G
-    differs, and ``kernel_basis`` applies it.
+    The k = max(2N + 6, 8) lowest values ascending; for each of the d =
+    ``_kernel_size`` kernel columns, the chain c of its right singular vector
+    and that vector, a row of length L = M^2 / g; all read-only, one cached
+    solve per grid.  Position s = t M + j of chain c is site (j, p = (c - N t)
+    mod M) after a unitary FFT along y; at N = 0 the M chains, one per p, are
+    solved by plane waves.  The symmetric-periodic gauge returns the Landau
+    data (``kernel_basis`` applies its phase G).  An unresolved kernel raises
+    ResolutionError, and nothing is cached.
     """
     if gauge == "symmetric-periodic":
         return _kernel_data(n_flux, grid, "landau")
@@ -238,10 +238,7 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
     N, M, k = n_flux, grid, max(2 * n_flux + 6, 8)
     if N == 0:
         freq = 2.0 * math.pi * np.fft.fftfreq(M, d=1.0 / M)
-        symbol = np.hypot(freq[:, None], freq[None, :]).ravel() / math.sqrt(2.0)
-        order = np.argsort(symbol, kind="stable")[:k]
-        svals, (wave, chain) = symbol[order], np.divmod(order, M)  # (xi_x, xi_y = p) indices
-        vecs = np.exp(2j * math.pi * (np.outer(wave, np.arange(M)) % M) / M) / math.sqrt(M)
+        values = np.hypot(freq, freq[:, None]) / math.sqrt(2.0)  # [p, xi_x]
     else:
         g = math.gcd(N, M)
         L = M * M // g
@@ -263,12 +260,14 @@ def _kernel_data(n_flux: int, grid: int, gauge: str):
         while m < L and np.sort(values[rep], axis=None)[k - 1] > values[:, -1].min():
             m = min(L, 2 * m)
             values, ritz = _chain_triplets(diag, b, lu, m)
-        # every chain is its representative's matrix rolled by its shift
-        values = values[rep]
-        order = np.argsort(values, axis=None, kind="stable")[:k]
-        svals, (chain, column) = values.ravel()[order], np.divmod(order, m)
-        rolled = (np.arange(L) - shift[chain][:, None]) % L
-        vecs = ritz[rep[chain][:, None], rolled, column[:, None]]
+        values = values[rep]  # every chain is its representative's matrix rolled by its shift
+    order = np.argsort(values, axis=None, kind="stable")[:k]
+    svals = values.ravel()[order]
+    chain, column = np.divmod(order[: _kernel_size(svals)], values.shape[1])
+    if N == 0:  # chain p's plane waves e^{2 pi i xi_x j / M}
+        vecs = np.exp(2j * math.pi * (np.outer(column, np.arange(M)) % M) / M) / math.sqrt(M)
+    else:
+        vecs = ritz[rep[chain][:, None], (np.arange(L) - shift[chain][:, None]) % L, column[:, None]]
     for array in (svals, chain, vecs):
         array.flags.writeable = False
     return svals, chain, vecs
@@ -288,28 +287,17 @@ def _kernel_size(svals: np.ndarray) -> int:
     return int(drops[-1]) + 1
 
 
-def kernel_chains(pair: DolbeaultPair) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel in chain form, read-only: (chain ids (d,), chain vectors (d, M^2 / g)).
-
-    The first d = ``kernel_dimension(pair)`` columns of ``_kernel_data``, in
-    its layout; the Landau vectors, whatever the gauge.
-    """
-    svals, chain, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
-    d = _kernel_size(svals)
-    return chain[:d], vecs[:d]
-
-
 def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
     """Orthonormal kernel basis (M^2, dim_kernel), one row per site, built anew on each call.
 
-    The chain vectors of ``kernel_chains`` scattered to their (j, p) sites
-    and transformed back along y; the symmetric-periodic gauge multiplies by
-    the site phase G of ``_symmetric_phase``.  Orthonormal by construction
-    (disjoint chain supports, QR'd Ritz blocks, a unitary FFT).  An
-    unresolved kernel raises ResolutionError.
+    The cached chain vectors scattered to their (j, p) sites and transformed
+    back along y; the symmetric-periodic gauge multiplies by the site phase G
+    of ``_symmetric_phase``.  Orthonormal by construction (disjoint chain
+    supports, QR'd Ritz blocks, a unitary FFT).  An unresolved kernel raises
+    ResolutionError.
     """
     N, M = pair.n_flux, pair.grid
-    chain, vecs = kernel_chains(pair)
+    _, chain, vecs = _kernel_data(N, M, pair.gauge)
     d, L = vecs.shape
     t, j = np.divmod(np.arange(L), M)
     modes = np.zeros((M, M, d), dtype=complex)
@@ -320,9 +308,51 @@ def kernel_basis(pair: DolbeaultPair) -> np.ndarray:
     return basis.reshape(M * M, d)
 
 
+_GATHER_SIZE = 1 << 19  # chain entries ``kernel_compression`` gathers at once: 8 MB per complex temporary
+
+
+def kernel_compression(pair: DolbeaultPair, modes: dict) -> np.ndarray:
+    """Theta^* diag(f) Theta on the kernel's chains, f = sum of modes[a, b] e^{2 pi i (a x + b y)}.
+
+    Column alpha of Theta is the chain vector v_alpha on chain c_alpha.  The
+    mode e^{2 pi i (a x + b y)} multiplies position j by e^{2 pi i a j / M}
+    and moves p to p + b, so by Parseval
+
+        T_{alpha beta} = sum_b sum_s conj(v_alpha(s)) F_b(j_s) v_beta(s'),
+        F_b(j) = sum_a f(a, b) e^{2 pi i a j / M},
+
+    s' the position on c_beta of the site (j_s, p_s - b); the term vanishes
+    unless c_alpha = c_beta + b (mod g).  O(L) work per (b, alpha, beta),
+    gathered ``_GATHER_SIZE`` entries at a time, and no M^2-row array.  As
+    G^* diag(f) G = diag(f), every gauge gives the Landau matrix.
+    """
+    N, M = pair.n_flux, pair.grid
+    _, chain, vecs = _kernel_data(N, M, pair.gauge)
+    (d, length), g = vecs.shape, math.gcd(N, M)
+    turns = M // g  # position s = t M + j of a chain has t < turns
+    # F_y(j) = sum over a of f(a, y) e^{2 pi i a j / M}: one row per y-frequency of f
+    a, b = np.fromiter(itertools.chain.from_iterable(modes), np.int64).reshape(-1, 2).T % M
+    ys, row = np.unique(b, return_inverse=True)
+    cell, coef = row * M + a, np.fromiter(modes.values(), complex, b.size)
+    spectrum = np.bincount(cell, coef.real, ys.size * M) + 1j * np.bincount(cell, coef.imag, ys.size * M)
+    table = np.fft.ifft(spectrum.reshape(-1, M), norm="forward")
+    # e^{2 pi i y k / M} moves p to p + y: it pairs chain c_alpha = c_beta + y + g q with
+    # c_beta, and position t M + j of c_alpha with t' M + j of c_beta, t' = t - q (N/g)^-1
+    y, alpha, beta = np.nonzero((chain[:, None] - chain - ys[:, None, None]) % g == 0)
+    step = (chain[beta] - chain[alpha] + ys[y]) // g * pow(N // g, -1, turns) % turns
+    rows = vecs.reshape(d, turns, M)
+    conj = rows.conj()
+    entries = np.zeros((ys.size, d, d), dtype=complex)
+    block = max(1, _GATHER_SIZE // length)  # pairs per gather
+    for p in (slice(i, i + block) for i in range(0, y.size, block)):
+        moved = rows[beta[p, None], (np.arange(turns) + step[p, None]) % turns]
+        entries[y[p], alpha[p], beta[p]] = np.einsum("ptj,ptj,pj->p", conj[alpha[p]], moved, table[y[p]])
+    return entries.sum(axis=0)
+
+
 def kernel_dimension(pair: DolbeaultPair) -> int:
-    """Columns of ``kernel_basis(pair)``, read off the cached values; an unresolved kernel raises."""
-    return _kernel_size(_kernel_data(pair.n_flux, pair.grid, pair.gauge)[0])
+    """Columns of ``kernel_basis(pair)``; an unresolved kernel raises."""
+    return _kernel_data(pair.n_flux, pair.grid, pair.gauge)[1].size
 
 
 def spectral_report(pair: DolbeaultPair) -> SpectralReport:
@@ -335,19 +365,15 @@ def spectral_report(pair: DolbeaultPair) -> SpectralReport:
     gates kernel_dim = max(N, 1) and gap_degree1 >= N (1 - slack); the
     continuum gap is CURVATURE_SCALE * N, far above that bound.
     """
-    svals0 = _kernel_data(pair.n_flux, pair.grid, pair.gauge)[0]
-    dim_kernel = _kernel_size(svals0)
+    svals, chain, _ = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
     # D+ is square, so D+ D+* and D+* D+ share their spectrum, multiplicities
     # of zero included: the one solve serves both degrees; the judge has
     # found a computed value above the kernel's last drop
-    vals = svals0**2
-    gap = float(vals[dim_kernel])
-    spectrum = tuple(float(v) for v in vals)
+    gap = float((svals**2)[chain.size])
     return SpectralReport(
-        kernel_dim=dim_kernel,
+        kernel_dim=chain.size,
         gap_degree1=gap,
         parametrix_norm=gap**-0.5,  # gap > 0: above a drop, sigma_{i+1} > sigma_i / KERNEL_GAP >= 0
-        spectrum_degree0=spectrum,
     )
 
 
@@ -360,14 +386,14 @@ def weitzenbock_residual(pair: DolbeaultPair) -> float:
     identity degrades by O(1) regardless of refinement.  The residual is
     therefore the operator norm of the defect restricted to the smoothest
     available states, the numerical kernel, and shrinks like O(M^-2).  It
-    is computed on the kernel's chain vectors (``kernel_chains``) with the
+    is computed on the kernel's cached chain vectors with the
     chains' own B and B^* (``_chain_apply``): the y-FFT is unitary and the
     defect keeps each column on its chain, so the norm is the largest over
     chains of the block of columns on it.  The gauge phase G is a diagonal
     unitary and drops out.  At N = 0 D+ is a Fourier multiplier, which
     commutes with its adjoint: the residual is exactly 0.0.
     """
-    chain, vecs = kernel_chains(pair)
+    _, chain, vecs = _kernel_data(pair.n_flux, pair.grid, pair.gauge)
     N, M = pair.n_flux, pair.grid
     if N == 0:
         return 0.0

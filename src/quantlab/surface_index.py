@@ -14,6 +14,8 @@ too (the tests check it against the polynomial written out).
 
 from __future__ import annotations
 
+import math
+
 from .dolbeault import build_dolbeault, kernel_dimension
 
 
@@ -26,7 +28,9 @@ def l2_index(genus: int, vol: float, s: float) -> float:
         todd = 1.0 - genus
     except OverflowError:
         raise OverflowError(f"genus {genus} is too large for a float") from None
-    return s * vol + todd
+    if not math.isfinite(index := s * vol + todd):
+        raise OverflowError(f"s vol + (1 - g) overflows a float at s = {s!r}, vol = {vol!r}, g = {genus}")
+    return index
 
 
 def numeric_index_crosscheck(n_flux: int, grid: int) -> dict:

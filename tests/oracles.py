@@ -344,6 +344,22 @@ def chain_columns(n_flux: int, grid: int, chain, vectors) -> np.ndarray:
     return np.einsum("pk,jpc->jkc", wave, modes).reshape(M * M, -1)
 
 
+def fluxless_plane_waves(grid: int, count: int):
+    """Chain ids and chain vectors of the ``count`` fluxless plane waves of least |symbol|.
+
+    The fluxless D+ multiplies the wave e^{2 pi i (a j + p k) / M} by
+    (i xi_a - xi_p) / sqrt(2), xi = 2 pi times the signed wave number, so the
+    waves rank by hypot(a, p) folded to |wave number| <= M / 2.  Chain p holds
+    the waves of y-momentum p; the vector of x-wave a is e^{2 pi i a j / M} / sqrt(M).
+    """
+    ranked = sorted(
+        (math.hypot(min(a, grid - a), min(p, grid - p)), p, a) for p in range(grid) for a in range(grid)
+    )[:count]
+    chain = np.array([p for _, p, _ in ranked])
+    vectors = np.array([[cmath.exp(2j * math.pi * a * j / grid) for j in range(grid)] for _, _, a in ranked])
+    return chain, vectors / math.sqrt(grid)
+
+
 def sample_loop(f, grid: int) -> np.ndarray:
     """Values of a TrigPolynomial on the M x M grid, one full-grid exp per mode."""
     coords = np.arange(grid) / grid

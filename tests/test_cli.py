@@ -513,7 +513,7 @@ def test_spectral_residual_runs_without_sparse_matrices(monkeypatch, capsys):
             raise AssertionError(f"sparse algebra used: {name}")
 
     pair = dolbeault.build_dolbeault(2, 16)
-    dolbeault.kernel_chains(pair)
+    dolbeault.kernel_dimension(pair)
     monkeypatch.setattr(dolbeault, "sp", Unavailable())
     monkeypatch.setattr(dolbeault, "spla", Unavailable())
     assert dolbeault.weitzenbock_residual(pair) > 0.0
@@ -766,6 +766,53 @@ def test_non_finite_float_rejected_on_argv_and_in_config(argv, key, value, tmp_p
     assert main(["--config", str(config)] + argv) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "config-error" and f"--{key}: invalid _finite_float" in out["message"]
+
+
+def _with_nan(module, name: str, key: str, monkeypatch) -> None:
+    """Plant NaN at ``key`` of the dict that ``module.name`` returns."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: {**original(*args), key: math.nan})
+
+
+def _planted_nan_report(monkeypatch):
+    monkeypatch.setattr(cli, "spectral_report", lambda pair: dolbeault.SpectralReport(1, math.nan, math.nan))
+
+
+def _planted_nan_residual(monkeypatch):
+    original = cocycle.cocycle_grid
+    monkeypatch.setattr(cocycle, "cocycle_grid", lambda *args: (*original(*args)[:2], math.nan))
+
+
+@pytest.mark.parametrize(
+    "argv, plant, named",
+    [
+        (["spectral", "--n-flux", "1", "--grid", "16"], _planted_nan_report,
+         "gap_degree1 = nan, parametrix_norm = nan"),
+        (["module-gram"], lambda mp: _with_nan(sections, "gram_positivity", "min_eigenvalue", mp),
+         "min_eigenvalue = nan"),
+        (["heisenberg"], lambda mp: _with_nan(sections, "heisenberg_generator_check", "commutator_residual", mp),
+         "commutator_residual = nan"),
+        (["cocycle-check", "--radius", "1"], _planted_nan_residual, "constancy_residual = nan"),
+    ],
+    ids=["spectral", "module-gram", "heisenberg", "cocycle-check"],
+)
+def test_a_nan_in_a_json_result_fails_with_a_record_naming_it(argv, plant, named, monkeypatch, tmp_path, capsys):
+    # json.dumps(allow_nan=False) raised ValueError, which exited 2 as a usage error
+    plant(monkeypatch)
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "QuantLabError", "message": f"result not finite: {named}", "status": "failed"}
+
+
+def test_index_overflowing_a_float_exits_2_naming_its_inputs(capsys):
+    # s vol = inf reached the JSON writer, which rejected it as a bad value
+    assert main(["index", "--g", "2", "--s", "1e308", "--vol", "10"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out == {
+        "error": "OverflowError",
+        "message": "s vol + (1 - g) overflows a float at s = 1e+308, vol = 10.0, g = 2",
+        "status": "usage-error",
+    }
 
 
 @pytest.mark.parametrize("s_grid", ["0.0,nan", "inf", "0.5,-inf"])

@@ -1,5 +1,7 @@
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from oracles import (
     chain_matrix,
     dense_kernel_judgement,
     dplus_matrix,
+    fluxless_plane_waves,
     lll_theta_profile,
     plaquette_phases,
     sample,
@@ -68,12 +71,13 @@ def test_apply_dplus_matches_the_oracle_matrix(n_flux, grid, gauge):
     # the library's one D+ put on the grid by the oracle, against the oracle
     # site matrix: at N > 0 the chains of _chain_apply on random chain
     # vectors, times the site phase G in the symmetric gauge; at N = 0 the
-    # cached plane waves, which the Fourier symbol scales by sigma in modulus
+    # oracle's k plane waves, which the Fourier symbol scales by the cached
+    # sigma in modulus
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
     scale = np.linalg.norm(dense, 2)
     if n_flux == 0:
-        svals, chain, vectors = dolbeault._kernel_data(0, grid, gauge)
-        v = chain_columns(0, grid, chain, vectors)
+        svals = dolbeault._kernel_data(0, grid, gauge)[0]
+        v = chain_columns(0, grid, *fluxless_plane_waves(grid, svals.size))
         symbol = np.einsum("ic,ic->c", v.conj(), dense @ v)
         assert np.abs(np.abs(symbol) - svals).max() <= 1e-13 * scale
         assert np.abs(dense @ v - v * symbol).max() <= 1e-13 * scale
@@ -179,22 +183,35 @@ def test_unresolved_kernel_raises(n_flux, grid):
         kernel_dimension(build_dolbeault(n_flux, grid))
 
 
-def test_kernel_dimension_tol_stability(monkeypatch):
+@pytest.fixture
+def kernel_gap(monkeypatch):
+    """Sets KERNEL_GAP and empties the kernel cache, whose entries are judged with it."""
+
+    def set_gap(gap):
+        monkeypatch.setattr(dolbeault, "KERNEL_GAP", gap)
+        dolbeault._kernel_data.cache_clear()
+
+    yield set_gap
+    monkeypatch.undo()
+    dolbeault._kernel_data.cache_clear()
+
+
+def test_kernel_dimension_tol_stability(kernel_gap):
     # the commensuration splitting of the near-kernel scales like
     # exp(-0.73 / flux_per_plaquette); at (2, 16) it sits at 3.7e-7, a drop
     # ratio of 1.07e-7 to the next value, the largest of these acceptance
     # points; inside the kernel and above it neighbouring values differ by
     # less than a factor 3, so every bound from 1e-6 to 1e-2 counts N
     for gap in (1e-6, 1e-4, 1e-2):
-        monkeypatch.setattr(dolbeault, "KERNEL_GAP", gap)
+        kernel_gap(gap)
         for n_flux in (1, 2, 3, 4, 5, 6, 7, 9):
             grid = max(16, 8 * n_flux)
             assert kernel_dimension(build_dolbeault(n_flux, grid)) == n_flux
 
 
-def test_kernel_dimension_indeterminate_guard(monkeypatch):
+def test_kernel_dimension_indeterminate_guard(kernel_gap):
     # same point, the bound set below its drop ratio 1.07e-7: must fail loudly
-    monkeypatch.setattr(dolbeault, "KERNEL_GAP", 1e-8)
+    kernel_gap(1e-8)
     with pytest.raises(ResolutionError, match="lowest singular value"):
         kernel_dimension(build_dolbeault(2, 16))
 
@@ -261,7 +278,7 @@ def test_degree1_spectrum_lists_every_copy_of_the_first_level(n_flux, grid):
     # level carries 2N copies, of which the k = 2N + 6 listed values hold
     # all that fit above the N-dimensional kernel
     rep = spectral_report(build_dolbeault(n_flux, grid))
-    spectrum = np.array(rep.spectrum_degree0)
+    spectrum = dolbeault._kernel_data(n_flux, grid, "landau")[0] ** 2
     first_level = np.abs(spectrum - rep.gap_degree1) < 1e-9 * rep.gap_degree1
     assert np.count_nonzero(first_level) == min(2 * n_flux, spectrum.size - n_flux)
     assert rep.kernel_dim == n_flux
@@ -274,7 +291,8 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     # not isospectral, so the merge across chains is exercised; (8, 36) has
     # two classes of two chains, (6, 27) three chains in one class with N not
     # dividing M, so both expand rolled representatives
-    # the cached chain vectors, placed on the grid by the oracle, and for the
+    # all k cached values against the dense SVD; every cached chain vector,
+    # one per kernel column, placed on the grid by the oracle, and for the
     # symmetric-periodic gauge multiplied by its site phase G
     dense = dplus_matrix(n_flux, grid, gauge).toarray()
     svals, chain, vectors = dolbeault._kernel_data(n_flux, grid, gauge)
@@ -282,13 +300,47 @@ def test_chain_solve_matches_dense_svd(n_flux, grid, gauge):
     if gauge == "symmetric-periodic":
         vecs *= dolbeault._symmetric_phase(n_flux, grid).reshape(-1, 1)
     reference = np.linalg.svd(dense, compute_uv=False)
+    assert svals.size == max(2 * n_flux + 6, 8) and chain.size == vectors.shape[0] == n_flux
     assert np.abs(svals - reference[::-1][: svals.size]).max() < 1e-12
-    assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals).max() < 1e-12
-    assert np.abs(vecs.conj().T @ vecs - np.eye(svals.size)).max() < 1e-12
+    assert np.abs(np.linalg.norm(dense @ vecs, axis=0) - svals[: chain.size]).max() < 1e-12
+    assert np.abs(vecs.conj().T @ vecs - np.eye(chain.size)).max() < 1e-12
     assert not any(a.flags.writeable for a in (svals, chain, vectors))  # shared by the cache
     if (n_flux, grid) == (2, 16):
         # the commensuration splitting behind test_kernel_dimension_indeterminate_guard
         assert svals[:2] == pytest.approx([3.74e-7, 3.74e-7], rel=1e-3)
+
+
+# N = 0's M chains, one chain, two chains of unequal spectra, nine chains in
+# one class, and (64, 512), where the k = 134 vectors took 8.8 MB
+@pytest.mark.parametrize("n_flux,grid", [(0, 16), (3, 16), (4, 18), (9, 72), (64, 512)])
+def test_the_cache_holds_one_chain_vector_per_kernel_column(n_flux, grid):
+    # every reader takes only the d kernel columns: the k - d vectors above
+    # them are not kept, only their values
+    svals, chain, vectors = dolbeault._kernel_data(n_flux, grid, "landau")
+    d = kernel_dimension(build_dolbeault(n_flux, grid))
+    assert svals.size == max(2 * n_flux + 6, 8)
+    assert chain.shape == (d,) and vectors.shape == (d, grid * grid // math.gcd(n_flux, grid))
+
+
+def test_only_dolbeault_reads_its_kernel_cache_and_chain_helpers():
+    # the kernel's chain layout is dolbeault's: no other module of the package
+    # names _kernel_data or any other private name of dolbeault, and the
+    # public chain accessor is gone
+    private = {name for name in vars(dolbeault) if name.startswith("_") and not name.startswith("__")}
+    assert {"_kernel_data", "_kernel_size", "_GATHER_SIZE", "_chain_classes"} <= private
+    assert not hasattr(dolbeault, "kernel_chains")
+    for path in Path(dolbeault.__file__).parent.glob("*.py"):
+        if path.name == "dolbeault.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & private, (path.name, names & private)
 
 
 def test_every_chain_is_its_representative_rolled():

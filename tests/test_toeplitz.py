@@ -353,7 +353,7 @@ def test_chain_assembly_gathered_one_pair_at_a_time_is_unchanged(monkeypatch):
     f, g = seeded_real_pair(12)
     for n_flux, grid in ((4, 18), (9, 72)):
         whole = toeplitz(f * g, n_flux, grid)
-        monkeypatch.setattr(toeplitz_module, "_GATHER_SIZE", 1)
+        monkeypatch.setattr(dolbeault, "_GATHER_SIZE", 1)
         assert np.array_equal(toeplitz(f * g, n_flux, grid), whole)
         monkeypatch.undo()
 
